@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bigraph import BipartiteGraph, Side
-from .errors import DegreeTooSmall, UnbalancedGraph
+from .errors import DegreeTooSmall, NegativeD, UnbalancedGraph
 
 __all__ = [
     "potential",
@@ -196,8 +196,16 @@ class BoundReport:
 
 
 def bound_report(g: BipartiteGraph, d: int = 0, eps: Fraction = Fraction(1, 2)) -> BoundReport:
-    """Assemble the full report; on the empty graph every bound is 0."""
+    """Assemble the full report; on the empty graph every bound is 0.
+
+    eps must lie in (0, 1) even when the log reference is not reported.
+    """
     _require_balanced(g, "bound_report")
+    if d < 0:
+        raise NegativeD(f"degeneracy parameter must be >= 0, got {d}")
+    eps = Fraction(eps)
+    if not 0 < eps < 1:
+        raise ValueError(f"eps must be in (0, 1), got {eps}")
     n = g.left_count
     fb = floor_bound(g, d)
     strengthened = strengthened_bound(g, d)
@@ -207,7 +215,7 @@ def bound_report(g: BipartiteGraph, d: int = 0, eps: Fraction = Fraction(1, 2)) 
     hypothesis = None
     avg = Fraction(g.edge_count, n) if n else Fraction(0)
     if avg > 1:
-        log_eps = Fraction(eps)
+        log_eps = eps
         log_ref = log_reference_bound(g, log_eps)
         hypothesis = n >= (1 + log_eps) * avg
     report = BoundReport(
@@ -220,5 +228,8 @@ def bound_report(g: BipartiteGraph, d: int = 0, eps: Fraction = Fraction(1, 2)) 
         log_reference_eps=log_eps,
         log_size_hypothesis_met=hypothesis,
     )
-    assert report.ceil_strengthened >= fb, "rounding refinement must dominate the floor bound"
+    if report.ceil_strengthened < fb:
+        raise RuntimeError(
+            f"ceil(strengthened) = {report.ceil_strengthened} is below floor_bound = {fb}"
+        )
     return report

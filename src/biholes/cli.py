@@ -213,6 +213,8 @@ def _experiment_rows(args, limits: OracleLimits):
         if m not in GENERATOR_MODELS:
             raise ValueError(f"unknown model {m!r}; expected one of {GENERATOR_MODELS}")
     ns = _parse_n_range(args.n_range)
+    if args.trials < 0:
+        raise ValueError(f"--trials must be >= 0, got {args.trials}")
     ps = [float(x) for x in args.p_grid.split(",") if x.strip()] if args.p_grid else []
     ds = [int(x) for x in args.d_set.split(",") if x.strip()] if args.d_set else [0]
     if any(d < 0 for d in ds):

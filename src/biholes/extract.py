@@ -18,6 +18,19 @@ Pair selection scans maximum-degree left vertices in ascending order and,
 for each, maximum-degree right vertices in ascending order; the first
 nonadjacent hit wins and yields case 1.
 
+The working graph is a bucket queue in the style of Matula & Beck's
+smallest-last ordering and Batagelj & Zaversnik's O(m) core decomposition:
+live vertices sit in per-side buckets by degree, with a min-heap of indices
+per bucket for the ascending-order tie-breaks and a max-degree pointer per
+side that only moves down, since degrees only fall.  The tracked bound is
+kept as one exact integer numerator, updated by a precomputed difference
+for each vertex whose degree changes.  A step therefore costs time in
+proportion to the degrees it changes, times a log factor for the heaps, and
+never rescans all n vertices.  The one extra cost is in pair selection: each
+max-degree left vertex visited costs a subset test bounded by its degree, and
+the scan goes past the first only when that vertex is adjacent to the whole
+right max-degree bucket.
+
 The strengthened bound of the working graph never decreases along the peel,
 and the final edgeless working graph's value equals the witness size, which
 is why the witness size always reaches ceil(strengthened) and hence the
@@ -34,11 +47,13 @@ the induced witness is attached as an independently checkable certificate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heappop, heappush
 
 from .bigraph import BipartiteGraph, Side, VertexRef
-from .bounds import BoundReport, bound_report, potential, rational_to_json
+from .bounds import BoundReport, bound_report, rational_to_json
 from .errors import NegativeD, NoEdges, TraceMismatch, UnbalancedGraph
 from .oracle import StuckCore, degeneracy_certificate
 
@@ -146,114 +161,160 @@ class DegenerateWitness:
         }
 
 
+_SIDES = (Side.LEFT, Side.RIGHT)
+
+
+def _rank(side: Side) -> int:
+    return 0 if side is Side.LEFT else 1
+
+
 class _WorkingGraph:
     """Mutable peeling state, kept in the original index space.
 
-    Invariant: adjacency sets only mention alive vertices, so a vertex's
-    degree is just the size of its set.
+    Sides are numbered 0 (Left) and 1 (Right).  Adjacency sets only mention
+    live vertices, so a vertex's degree is the size of its set, and every
+    live vertex sits in exactly one bucket, ``buckets[side][degree]``.
+    ``heaps[side][degree]`` holds the same indices as a min-heap for the
+    ascending-order queries; an entry whose vertex has left that bucket is
+    stale and is dropped once it reaches the top.  Degrees only fall, so a
+    vertex enters each bucket at most once and the per-side max-degree
+    pointers only move down.
+
+    ``total`` is ``scale`` times the sum of potential(deg v, d) over live
+    vertices.  ``scale`` is the lcm of x + 1 over d < x <= the initial
+    maximum degree, so every potential is a whole multiple of 1/scale and
+    the sum is kept exactly as an int, updated per changed degree.
     """
 
-    def __init__(self, g: BipartiteGraph):
+    def __init__(self, g: BipartiteGraph, d: int):
         self.n = g.left_count
-        self.ladj = [set(nbrs) for nbrs in g.left_adj]
-        self.radj = [set(nbrs) for nbrs in g.right_adj]
-        self.alive_l = [True] * g.left_count
-        self.alive_r = [True] * g.right_count
+        self.adj = ([set(nbrs) for nbrs in g.left_adj], [set(nbrs) for nbrs in g.right_adj])
+        top = max(g.max_degree(Side.LEFT), g.max_degree(Side.RIGHT)) if self.n else 0
+        self.buckets = ([set() for _ in range(top + 1)], [set() for _ in range(top + 1)])
+        # filled in ascending index order, so each list already is a valid heap
+        self.heaps = ([[] for _ in range(top + 1)], [[] for _ in range(top + 1)])
+        for s in (0, 1):
+            for i, nbrs in enumerate(self.adj[s]):
+                self.buckets[s][len(nbrs)].add(i)
+                self.heaps[s][len(nbrs)].append(i)
+        self.max = [top, top]
         self.alive_count = g.left_count  # per side; pair removals keep sides equal
         self.edge_count = g.edge_count
+        self.scale = math.lcm(*range(d + 2, top + 2))
+        self.term = [
+            self.scale if x <= d else self.scale * (d + 1) // (x + 1) for x in range(top + 1)
+        ]
+        # gain[x]: change in total when a live vertex drops from degree x to x - 1
+        self.gain = [0] + [self.term[x - 1] - self.term[x] for x in range(1, top + 1)]
+        self.total = sum(self.term[len(nbrs)] for side in self.adj for nbrs in side)
 
-    def max_deg_left(self) -> int:
-        return max((len(self.ladj[i]) for i in range(self.n) if self.alive_l[i]), default=0)
+    def alive(self, s: int, i: int) -> bool:
+        """A removed vertex has an empty adjacency set and sits in no bucket."""
+        return i in self.buckets[s][len(self.adj[s][i])]
 
-    def max_deg_right(self) -> int:
-        return max((len(self.radj[j]) for j in range(self.n) if self.alive_r[j]), default=0)
+    def degree(self, s: int, i: int) -> int:
+        return len(self.adj[s][i])
 
-    def _max_candidates(self) -> tuple[list[int], list[int]]:
-        da = self.max_deg_left()
-        db = self.max_deg_right()
-        cand_a = [i for i in range(self.n) if self.alive_l[i] and len(self.ladj[i]) == da]
-        cand_b = [j for j in range(self.n) if self.alive_r[j] and len(self.radj[j]) == db]
-        return cand_a, cand_b
+    def max_deg(self, s: int) -> int:
+        x = self.max[s]
+        buckets = self.buckets[s]
+        while x > 0 and not buckets[x]:
+            x -= 1
+        self.max[s] = x
+        return x
+
+    def _lowest(self, s: int, x: int, accept=None) -> int | None:
+        """Lowest index in bucket (s, x) that ``accept`` passes, or None.
+
+        Stale heap entries are dropped for good; live ones that fail
+        ``accept`` are pushed back afterwards.
+        """
+        bucket, heap = self.buckets[s][x], self.heaps[s][x]
+        rejected = []
+        found = None
+        while heap:
+            i = heap[0]
+            if i not in bucket:
+                heappop(heap)
+            elif accept is None or accept(i):
+                found = i
+                break
+            else:
+                rejected.append(heappop(heap))
+        for i in rejected:
+            heappush(heap, i)
+        return found
 
     def select_pair(self) -> tuple[int, int, int]:
         """(a, b, case): first nonadjacent max-degree pair in ascending scan
-        order, else the lexicographically smallest max-degree pair (case 2)."""
-        cand_a, cand_b = self._max_candidates()
-        for a in cand_a:
-            nbrs = self.ladj[a]
-            for b in cand_b:
-                if b not in nbrs:
-                    return a, b, 1
-        return cand_a[0], cand_b[0], 2
+        order, else the lexicographically smallest max-degree pair (case 2).
 
-    def has_nonadjacent_max_pair(self) -> bool:
-        cand_a, cand_b = self._max_candidates()
-        return any(b not in self.ladj[a] for a in cand_a for b in cand_b)
+        The scan visits max-degree left vertices in ascending order and stops
+        at the first whose neighbourhood misses part of the right max-degree
+        bucket; its lowest missed vertex is the pair partner.
+        """
+        da, db = self.max_deg(0), self.max_deg(1)
+        ladj = self.adj[0]
+        cand_b = self.buckets[1][db]
+        a = self._lowest(0, da, lambda i: not cand_b <= ladj[i])
+        if a is None:
+            return self._lowest(0, da), self._lowest(1, db), 2
+        nbrs = ladj[a]
+        return a, self._lowest(1, db, lambda j: j not in nbrs), 1
 
     def low_degree_vertex(self, d: int) -> VertexRef | None:
         """The vertex of minimum degree in [1, d]; Left side first, then
         ascending index.  None when no such vertex exists."""
-        best = None
-        for i in range(self.n):
-            if self.alive_l[i] and 1 <= len(self.ladj[i]) <= d:
-                key = (len(self.ladj[i]), 0, i)
-                if best is None or key < best:
-                    best = key
-        for j in range(self.n):
-            if self.alive_r[j] and 1 <= len(self.radj[j]) <= d:
-                key = (len(self.radj[j]), 1, j)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            return None
-        _, side_rank, idx = best
-        return VertexRef(Side.LEFT if side_rank == 0 else Side.RIGHT, idx)
+        for x in range(1, min(d, max(self.max_deg(0), self.max_deg(1))) + 1):
+            for s in (0, 1):
+                if self.buckets[s][x]:
+                    return VertexRef(_SIDES[s], self._lowest(s, x))
+        return None
+
+    def _cut(self, s: int, i: int) -> int:
+        """Delete every edge at vertex i of side s and take it out of its
+        bucket; returns its former degree."""
+        t = 1 - s
+        other_adj, buckets, heaps, gain = self.adj[t], self.buckets[t], self.heaps[t], self.gain
+        nbrs = self.adj[s][i]
+        delta = 0
+        for j in nbrs:
+            nj = other_adj[j]
+            x = len(nj)
+            nj.remove(i)
+            buckets[x].remove(j)
+            buckets[x - 1].add(j)
+            if x > 1:
+                heappush(heaps[x - 1], j)
+            delta += gain[x]
+        x = len(nbrs)
+        self.edge_count -= x
+        self.total += delta
+        self.adj[s][i] = set()
+        self.buckets[s][x].remove(i)
+        return x
 
     def remove_pair(self, a: int, b: int) -> None:
-        self.edge_count -= len(self.ladj[a])
-        for r in self.ladj[a]:
-            self.radj[r].discard(a)
-        self.ladj[a] = set()
-        self.edge_count -= len(self.radj[b])
-        for l in self.radj[b]:
-            self.ladj[l].discard(b)
-        self.radj[b] = set()
-        self.alive_l[a] = False
-        self.alive_r[b] = False
+        deg_a = self._cut(0, a)
+        deg_b = self._cut(1, b)
+        self.total -= self.term[deg_a] + self.term[deg_b]
         self.alive_count -= 1
 
-    def isolate(self, v: VertexRef) -> None:
-        if v.side is Side.LEFT:
-            self.edge_count -= len(self.ladj[v.index])
-            for r in self.ladj[v.index]:
-                self.radj[r].discard(v.index)
-            self.ladj[v.index] = set()
-        else:
-            self.edge_count -= len(self.radj[v.index])
-            for l in self.radj[v.index]:
-                self.ladj[l].discard(v.index)
-            self.radj[v.index] = set()
+    def isolate(self, s: int, i: int) -> None:
+        deg = self._cut(s, i)
+        self.total += self.term[0] - self.term[deg]
+        self.buckets[s][0].add(i)
 
-    def degree_of(self, v: VertexRef) -> int:
-        return len(self.ladj[v.index] if v.side is Side.LEFT else self.radj[v.index])
-
-    def strengthened(self, d: int) -> Fraction:
+    def strengthened(self) -> Fraction:
         """Strengthened bound of the current working graph (0 when empty)."""
         if self.alive_count == 0:
             return Fraction(0)
-        total = potential(self.max_deg_left(), d) + potential(self.max_deg_right(), d)
-        for i in range(self.n):
-            if self.alive_l[i]:
-                total += potential(len(self.ladj[i]), d)
-        for j in range(self.n):
-            if self.alive_r[j]:
-                total += potential(len(self.radj[j]), d)
-        return total / 2 - 1
+        num = self.total + self.term[self.max_deg(0)] + self.term[self.max_deg(1)]
+        return Fraction(num - 2 * self.scale, 2 * self.scale)
 
     def survivors(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        lefts = tuple(i for i in range(self.n) if self.alive_l[i])
-        rights = tuple(j for j in range(self.n) if self.alive_r[j])
-        return lefts, rights
+        """Live vertices of an edgeless working graph, ascending per side."""
+        return tuple(sorted(self.buckets[0][0])), tuple(sorted(self.buckets[1][0]))
 
 
 def select_pair(g: BipartiteGraph) -> tuple[int, int, int]:
@@ -266,38 +327,39 @@ def select_pair(g: BipartiteGraph) -> tuple[int, int, int]:
         raise UnbalancedGraph(f"select_pair needs a balanced graph, got {g.left_count} x {g.right_count}")
     if g.edge_count == 0:
         raise NoEdges("select_pair needs at least one edge")
-    return _WorkingGraph(g).select_pair()
+    return _WorkingGraph(g, 0).select_pair()
 
 
 def _run_peel(g: BipartiteGraph, d: int):
-    work = _WorkingGraph(g)
+    work = _WorkingGraph(g, d)
     steps: list[PeelStep] = []
-    values = [work.strengthened(d)]
+    values = [work.strengthened()]
     while work.edge_count > 0:
-        da = work.max_deg_left()
-        db = work.max_deg_right()
+        da = work.max_deg(0)
+        db = work.max_deg(1)
         v = work.low_degree_vertex(d) if d >= 1 else None
         if v is not None:
+            s = _rank(v.side)
             steps.append(
                 PeelStep(
                     kind=LOW_DEGREE_EDGE_DELETION,
-                    degrees_before=(da, db, work.degree_of(v), None),
+                    degrees_before=(da, db, work.degree(s, v.index), None),
                     v=v,
                 )
             )
-            work.isolate(v)
+            work.isolate(s, v.index)
         else:
             a, b, case = work.select_pair()
             steps.append(
                 PeelStep(
                     kind=PAIR_CASE1 if case == 1 else PAIR_CASE2,
-                    degrees_before=(da, db, len(work.ladj[a]), len(work.radj[b])),
+                    degrees_before=(da, db, work.degree(0, a), work.degree(1, b)),
                     a=a,
                     b=b,
                 )
             )
             work.remove_pair(a, b)
-        values.append(work.strengthened(d))
+        values.append(work.strengthened())
     lefts, rights = work.survivors()
     return lefts, rights, tuple(steps), tuple(values)
 
@@ -344,39 +406,42 @@ def check_trace(g: BipartiteGraph, trace: PeelTrace, d: int) -> bool:
     alive with the recorded degrees, case 1 pairs nonadjacent, case 2 pairs
     adjacent with no nonadjacent maximum-degree pair available, pair steps
     only while edges remain, and edge deletions only at degrees in [1, d].
-    Violations raise :class:`TraceMismatch`.  Returns True iff the replayed
-    strengthened-bound sequence is nondecreasing (recomputed from scratch;
-    the trace's own stored values are not trusted).
+    The replay must also end on an edgeless working graph, so a truncated
+    trace is rejected.  Violations raise :class:`TraceMismatch`.  Returns
+    True iff the replayed strengthened-bound sequence is nondecreasing
+    (recomputed from scratch; the trace's own stored values are not trusted).
     """
     if not g.is_balanced:
         raise UnbalancedGraph(f"check_trace needs a balanced graph, got {g.left_count} x {g.right_count}")
-    work = _WorkingGraph(g)
-    values = [work.strengthened(d)]
+    if d < 0:
+        raise NegativeD(f"degeneracy parameter must be >= 0, got {d}")
+    work = _WorkingGraph(g, d)
+    values = [work.strengthened()]
     for pos, step in enumerate(trace.steps):
-        da = work.max_deg_left()
-        db = work.max_deg_right()
+        da = work.max_deg(0)
+        db = work.max_deg(1)
         if step.kind in (PAIR_CASE1, PAIR_CASE2):
             a, b = step.a, step.b
             if a is None or b is None or not (0 <= a < work.n and 0 <= b < work.n):
                 raise TraceMismatch(f"step {pos}: pair ({a}, {b}) out of range")
-            if not (work.alive_l[a] and work.alive_r[b]):
+            if not (work.alive(0, a) and work.alive(1, b)):
                 raise TraceMismatch(f"step {pos}: pair ({a}, {b}) already removed")
             if work.edge_count == 0:
                 raise TraceMismatch(f"step {pos}: pair step on an edgeless working graph")
-            deg_a = len(work.ladj[a])
-            deg_b = len(work.radj[b])
+            deg_a = work.degree(0, a)
+            deg_b = work.degree(1, b)
             if deg_a != da or deg_b != db:
                 raise TraceMismatch(
                     f"step {pos}: ({a}, {b}) degrees ({deg_a}, {deg_b}) "
                     f"do not attain the maxima ({da}, {db})"
                 )
-            adjacent = b in work.ladj[a]
+            adjacent = b in work.adj[0][a]
             if step.kind == PAIR_CASE1 and adjacent:
                 raise TraceMismatch(f"step {pos}: case 1 pair ({a}, {b}) is adjacent")
             if step.kind == PAIR_CASE2:
                 if not adjacent:
                     raise TraceMismatch(f"step {pos}: case 2 pair ({a}, {b}) is nonadjacent")
-                if work.has_nonadjacent_max_pair():
+                if work.select_pair()[2] == 1:
                     raise TraceMismatch(
                         f"step {pos}: case 2 recorded but a nonadjacent "
                         f"maximum-degree pair existed"
@@ -391,10 +456,10 @@ def check_trace(g: BipartiteGraph, trace: PeelTrace, d: int) -> bool:
             v = step.v
             if v is None or not 0 <= v.index < work.n:
                 raise TraceMismatch(f"step {pos}: vertex {v} out of range")
-            alive = work.alive_l[v.index] if v.side is Side.LEFT else work.alive_r[v.index]
-            if not alive:
+            s = _rank(v.side)
+            if not work.alive(s, v.index):
                 raise TraceMismatch(f"step {pos}: vertex {v} already removed")
-            deg_v = work.degree_of(v)
+            deg_v = work.degree(s, v.index)
             if not 1 <= deg_v <= d:
                 raise TraceMismatch(
                     f"step {pos}: degree {deg_v} of {v} not in [1, {d}]"
@@ -404,8 +469,12 @@ def check_trace(g: BipartiteGraph, trace: PeelTrace, d: int) -> bool:
                     f"step {pos}: recorded degrees {step.degrees_before} != "
                     f"replayed {(da, db, deg_v, None)}"
                 )
-            work.isolate(v)
+            work.isolate(s, v.index)
         else:
             raise TraceMismatch(f"step {pos}: unknown step kind {step.kind!r}")
-        values.append(work.strengthened(d))
+        values.append(work.strengthened())
+    if work.edge_count > 0:
+        raise TraceMismatch(
+            f"trace ends after {len(trace.steps)} steps with {work.edge_count} edges left"
+        )
     return all(values[i] <= values[i + 1] for i in range(len(values) - 1))

@@ -4,12 +4,16 @@ Everything in this module is deliberately simple-minded: exhaustive subset
 enumeration over bitmasks and greedy peeling, with no shared machinery with
 the constructive extractor.  That makes it slow but obviously correct, which
 is the point; side-size limits keep it from being invoked on instances it
-cannot finish.
+cannot finish.  The one exception is :func:`degeneracy_certificate`, which
+keeps its candidates in a heap so that it scales to extracted witnesses; its
+output is an elimination order that :func:`check_elimination_order` replays
+naively.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
 from .bigraph import BipartiteGraph, Side, VertexRef
@@ -84,7 +88,9 @@ def degeneracy_certificate(
     """Min-degree peeling of the induced subgraph on (left_set, right_set).
 
     Repeatedly removes the vertex of minimum current degree among those with
-    degree <= d, breaking ties Left side first, then by ascending index.
+    degree <= d, breaking ties Left side first, then by ascending index.  The
+    candidates sit in a min-heap keyed by (degree, side, index), so each
+    removal costs O(deg log n) rather than a scan of every live vertex.
     Returns the full elimination order (a list of VertexRef in original
     labels) iff every vertex gets removed; otherwise returns the remaining
     :class:`StuckCore`, whose minimum degree exceeds d.
@@ -93,30 +99,29 @@ def degeneracy_certificate(
     rights = _check_side_indices(g, right_set, Side.RIGHT)
     rset = set(rights)
     lset = set(lefts)
-    ladj = {l: {r for r in g.left_adj[l] if r in rset} for l in lefts}
-    radj = {r: {l for l in g.right_adj[r] if l in lset} for r in rights}
+    adj = (
+        {l: {r for r in g.left_adj[l] if r in rset} for l in lefts},
+        {r: {l for l in g.right_adj[r] if l in lset} for r in rights},
+    )
+    # (degree, side rank, index) for every vertex whose degree is <= d; an
+    # entry is stale once its vertex is gone or its degree has fallen
+    heap = [(len(adj[s][i]), s, i) for s in (0, 1) for i in adj[s] if len(adj[s][i]) <= d]
+    heapify(heap)
     order: list[VertexRef] = []
-    while ladj or radj:
-        best = None
-        for l in sorted(ladj):
-            deg = len(ladj[l])
-            if deg <= d and (best is None or deg < best[0]):
-                best = (deg, 0, l)
-        for r in sorted(radj):
-            deg = len(radj[r])
-            if deg <= d and (best is None or deg < best[0]):
-                best = (deg, 1, r)
-        if best is None:
-            return StuckCore(tuple(sorted(ladj)), tuple(sorted(radj)))
-        _, side_rank, idx = best
-        if side_rank == 0:
-            for r in ladj.pop(idx):
-                radj[r].discard(idx)
-            order.append(VertexRef(Side.LEFT, idx))
-        else:
-            for l in radj.pop(idx):
-                ladj[l].discard(idx)
-            order.append(VertexRef(Side.RIGHT, idx))
+    while heap:
+        deg, s, idx = heappop(heap)
+        nbrs = adj[s].get(idx)
+        if nbrs is None or len(nbrs) != deg:
+            continue
+        del adj[s][idx]
+        other = adj[1 - s]
+        for j in nbrs:
+            other[j].discard(idx)
+            if len(other[j]) <= d:
+                heappush(heap, (len(other[j]), 1 - s, j))
+        order.append(VertexRef(Side.LEFT if s == 0 else Side.RIGHT, idx))
+    if adj[0] or adj[1]:
+        return StuckCore(tuple(sorted(adj[0])), tuple(sorted(adj[1])))
     return order
 
 

@@ -21,7 +21,7 @@ from biholes.bounds import (
     rational_to_json,
     strengthened_bound,
 )
-from biholes.errors import DegreeTooSmall, UnbalancedGraph
+from biholes.errors import DegreeTooSmall, NegativeD, UnbalancedGraph
 
 
 def c6() -> BipartiteGraph:
@@ -166,6 +166,17 @@ def test_bound_report_omits_log_when_sparse():
     rep = bound_report(generate("matching", 4), 0)
     assert rep.log_reference is None
     assert rep.to_json()["log_reference"] is None
+
+
+def test_bound_report_rejects_negative_d():
+    with pytest.raises(NegativeD):
+        bound_report(c6(), -1)
+
+
+def test_bound_report_checks_eps_without_log_reference():
+    # average degree 1: no log reference, but a bad eps is still an error
+    with pytest.raises(ValueError, match="eps"):
+        bound_report(generate("matching", 4), 0, Fraction(5))
 
 
 def test_bound_report_empty_graph():

@@ -178,6 +178,17 @@ def test_unknown_subcommand_is_usage_error(capsys):
     capsys.readouterr()
 
 
+def test_bound_rejects_negative_d(c6_path, capsys):
+    assert main(["bound", c6_path, "--d", "-1"]) == EXIT_PARSE
+    assert "must be >= 0" in capsys.readouterr().err
+
+
+def test_bound_rejects_bad_eps_on_sparse_graph(tmp_path):
+    path = tmp_path / "matching.txt"
+    path.write_text(serialize(generate("matching", 4)))
+    assert main(["bound", str(path), "--eps", "5"]) == EXIT_PARSE
+
+
 # -- experiment -------------------------------------------------------------------
 
 EXPERIMENT_ARGS = [
@@ -234,6 +245,12 @@ def test_experiment_zero_trials(tmp_path, capsys):
     assert main(["experiment", "--trials", "0", "--seed", "1", "-o", str(out)]) == EXIT_OK
     assert out.read_text().splitlines() == [",".join(CSV_HEADER)]
     assert "rows: 0" in capsys.readouterr().out
+
+
+def test_experiment_rejects_negative_trials(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["experiment", "--trials", "-1", "--seed", "1", "-o", str(out)]) == EXIT_PARSE
+    assert "--trials" in capsys.readouterr().err
 
 
 def test_experiment_rejects_unknown_model(tmp_path):

@@ -2,6 +2,7 @@
 that what comes out is at least as large as the bounds promise."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from biholes.extract import (
     BiholeWitness,
     PeelStep,
     PeelTrace,
+    _run_peel,
     check_trace,
     find_bihole,
     find_degenerate,
@@ -29,6 +31,7 @@ from biholes.oracle import (
     max_bihole_exact,
     max_degenerate_exact,
 )
+from reference_peel import reference_peel
 
 
 def c6() -> BipartiteGraph:
@@ -274,6 +277,24 @@ def test_check_trace_false_when_value_decreases():
     assert check_trace(c6(), tr, 2) is False
 
 
+def test_check_trace_rejects_truncated_trace():
+    g = generate("gnp", 30, seed=5, p=0.3)
+    _, tr = find_bihole(g)
+    assert len(tr.steps) == 21
+    for steps in (tr.steps[:1], tr.steps[:-1], ()):
+        truncated = PeelTrace(
+            steps=steps, initial_report=tr.initial_report, bound_values=tr.bound_values
+        )
+        with pytest.raises(TraceMismatch, match="edges left"):
+            check_trace(g, truncated, 0)
+
+
+def test_check_trace_rejects_negative_d():
+    _, tr = find_bihole(c6())
+    with pytest.raises(NegativeD):
+        check_trace(c6(), tr, -1)
+
+
 # -- guarantees, property-based ------------------------------------------------------
 
 
@@ -309,3 +330,36 @@ def test_degenerate_extraction_guarantees(g, d):
 def test_extraction_is_deterministic(g):
     assert find_bihole(g) == find_bihole(g)
     assert find_degenerate(g, 2) == find_degenerate(g, 2)
+
+
+# -- equivalence with the rescan reference engine -------------------------------------
+
+
+@st.composite
+def peel_inputs(draw):
+    """Random gnp at any density, plus the dense and near-regular families
+    where max-degree buckets are large and case 2 is common."""
+    kind = draw(st.sampled_from(["gnp", "complete", "crown", "cycle"]))
+    if kind == "gnp":
+        n = draw(st.integers(1, 30))
+        p = draw(st.sampled_from([0.05, 0.1, 0.2, 0.3, 0.5, 0.6, 0.8, 0.9]))
+        return generate("gnp", n, seed=draw(st.integers(0, 2**64 - 1)), p=p)
+    return generate(kind, draw(st.integers(2, 12)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(peel_inputs(), st.integers(0, 3))
+def test_peel_matches_rescan_reference(g, d):
+    assert _run_peel(g, d) == reference_peel(g, d)
+
+
+def test_peel_scales_to_sparse_n1600():
+    """n = 1600 at average degree 10, where the rescan engine needs over 15 s."""
+    g = generate("gnp", 1600, seed=1, p=10 / 1600)
+    start = time.perf_counter()
+    w, tr = find_degenerate(g, 2)
+    assert check_trace(g, tr, 2)
+    elapsed = time.perf_counter() - start
+    assert check_elimination_order(g, w.left_set, w.right_set, 2, w.elimination_order)
+    assert w.size >= tr.initial_report.ceil_strengthened
+    assert elapsed < 5.0, f"find_degenerate + check_trace took {elapsed:.2f} s"

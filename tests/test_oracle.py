@@ -23,6 +23,7 @@ from biholes.oracle import (
     max_biclique_exact,
     max_degenerate_exact,
 )
+from reference_peel import reference_certificate
 
 
 def c6() -> BipartiteGraph:
@@ -185,6 +186,23 @@ def test_certificate_round_trips_through_checker(g, d):
             assert sum(1 for l in g.right_adj[r] if l in lset) > d
     else:
         assert check_elimination_order(g, range(n), range(n), d, result)
+
+
+@settings(max_examples=150)
+@given(
+    st.integers(1, 14),
+    st.sampled_from([0.1, 0.2, 0.3, 0.5, 0.8]),
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 3),
+    st.data(),
+)
+def test_certificate_matches_rescan_reference(n, p, seed, d, data):
+    g = generate("gnp", n, seed=seed, p=p)
+    lefts = data.draw(st.sets(st.integers(0, n - 1)))
+    rights = data.draw(st.sets(st.integers(0, n - 1)))
+    assert degeneracy_certificate(g, lefts, rights, d) == reference_certificate(
+        g, lefts, rights, d
+    )
 
 
 # -- exhaustive optima -------------------------------------------------------------
