@@ -42,6 +42,7 @@ __all__ = [
     "parse_edge_list",
     "serialize",
     "generate",
+    "check_model",
     "GENERATOR_MODELS",
 ]
 
@@ -349,6 +350,25 @@ class SplitMix64:
 GENERATOR_MODELS = ("gnp", "complete", "edgeless", "matching", "cycle", "crown")
 
 
+def check_model(model: str, n: int, p: float | Fraction | None = None) -> None:
+    """Raise the error :func:`generate` would raise for these arguments.
+
+    Draws nothing, so a caller can reject a whole sweep before it starts.
+    """
+    if n < 1:
+        raise InvalidSize(f"model {model!r} needs n >= 1, got {n}")
+    name = model.lower()
+    if name not in GENERATOR_MODELS:
+        raise ValueError(f"unknown model {model!r}; expected one of {GENERATOR_MODELS}")
+    if name == "cycle" and n < 2:
+        raise InvalidSize("cycle needs n >= 2 to form a 2n-cycle")
+    if name == "gnp":
+        if p is None:
+            raise InvalidProbability("model 'gnp' needs an edge probability p")
+        if not 0 <= Fraction(p) <= 1:
+            raise InvalidProbability(f"edge probability must be in [0, 1], got {p}")
+
+
 def generate(
     model: str, n: int, seed: int = 0, p: float | Fraction | None = None
 ) -> BipartiteGraph:
@@ -364,8 +384,7 @@ def generate(
     (model, n, seed, p) tuple names one graph forever.  The other models
     are deterministic and ignore the seed.
     """
-    if n < 1:
-        raise InvalidSize(f"model {model!r} needs n >= 1, got {n}")
+    check_model(model, n, p)
     name = model.lower()
     if name == "complete":
         edges = [(i, j) for i in range(n) for j in range(n)]
@@ -374,22 +393,13 @@ def generate(
     elif name == "matching":
         edges = [(i, i) for i in range(n)]
     elif name == "cycle":
-        if n < 2:
-            raise InvalidSize("cycle needs n >= 2 to form a 2n-cycle")
         edges = [(i, i) for i in range(n)] + [(i, (i + 1) % n) for i in range(n)]
     elif name == "crown":
         edges = [(i, j) for i in range(n) for j in range(n) if i != j]
-    elif name == "gnp":
-        if p is None:
-            raise InvalidProbability("model 'gnp' needs an edge probability p")
-        p_exact = Fraction(p)
-        if not 0 <= p_exact <= 1:
-            raise InvalidProbability(f"edge probability must be in [0, 1], got {p}")
-        threshold = int(p_exact * (1 << 64))
+    else:  # gnp
+        threshold = int(Fraction(p) * (1 << 64))
         rng = SplitMix64(seed)
         edges = [
             (i, j) for i in range(n) for j in range(n) if rng.next_u64() < threshold
         ]
-    else:
-        raise ValueError(f"unknown model {model!r}; expected one of {GENERATOR_MODELS}")
     return build_graph(n, n, edges)

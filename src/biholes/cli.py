@@ -26,7 +26,14 @@ import os
 import sys
 from fractions import Fraction
 
-from .bigraph import GENERATOR_MODELS, SplitMix64, generate, parse_edge_list, serialize
+from .bigraph import (
+    GENERATOR_MODELS,
+    SplitMix64,
+    check_model,
+    generate,
+    parse_edge_list,
+    serialize,
+)
 from .bounds import bound_report, decimal_string
 from .errors import (
     BiholesError,
@@ -201,12 +208,14 @@ def _parse_n_range(text: str) -> list[int]:
     return values
 
 
-def _experiment_rows(args, limits: OracleLimits):
-    """Yield CSV rows in (model, n, p, d, trial) order.
+def _experiment_cells(args) -> list[tuple[str, int, float | None, int, int]]:
+    """Validate the sweep and list its rows as (model, n, p, seed, d).
 
-    Graph seeds are drawn from one SplitMix64 stream keyed by --seed, one
-    per (model, n, p, trial) in that nested order, so the same arguments
-    always name the same graphs and every d reuses the same graph.
+    Rows come in (model, n, p, d, trial) order.  Graph seeds are drawn from
+    one SplitMix64 stream keyed by --seed, one per (model, n, p, trial) in
+    that nested order, so the same arguments always name the same graphs
+    and every d reuses the same graph.  Every argument is checked here, so a
+    rejected sweep fails before any output is written.
     """
     models = [m.strip() for m in args.models.split(",") if m.strip()]
     for m in models:
@@ -219,24 +228,25 @@ def _experiment_rows(args, limits: OracleLimits):
     ds = [int(x) for x in args.d_set.split(",") if x.strip()] if args.d_set else [0]
     if any(d < 0 for d in ds):
         raise NegativeD(f"d values must be >= 0, got {ds}")
+    p_values = {model: ps if model == "gnp" else [None] for model in models}
+    if "gnp" in models and not ps:
+        raise ValueError("model gnp needs a --p-grid")
     master = SplitMix64(args.seed)
     seeds: dict[tuple, int] = {}
     for model in models:
-        p_values = ps if model == "gnp" else [None]
-        if model == "gnp" and not p_values:
-            raise ValueError("model gnp needs a --p-grid")
         for n in ns:
-            for p in p_values:
+            for p in p_values[model]:
+                check_model(model, n, p)
                 for trial in range(args.trials):
                     seeds[(model, n, p, trial)] = master.next_u64()
-    for model in models:
-        p_values = ps if model == "gnp" else [None]
-        for n in ns:
-            for p in p_values:
-                for d in ds:
-                    for trial in range(args.trials):
-                        seed = seeds[(model, n, p, trial)]
-                        yield _one_row(model, n, p, seed, d, limits)
+    return [
+        (model, n, p, seeds[(model, n, p, trial)], d)
+        for model in models
+        for n in ns
+        for p in p_values[model]
+        for d in ds
+        for trial in range(args.trials)
+    ]
 
 
 def _one_row(model: str, n: int, p: float | None, seed: int, d: int, limits: OracleLimits):
@@ -281,6 +291,7 @@ def _one_row(model: str, n: int, p: float | None, seed: int, d: int, limits: Ora
 
 def _cmd_experiment(args) -> int:
     limits = _oracle_limits(args.oracle_max)
+    cells = _experiment_cells(args)
     out = sys.stdout if args.output == "-" else open(
         args.output, "w", encoding="utf-8", newline=""
     )
@@ -291,7 +302,8 @@ def _cmd_experiment(args) -> int:
         writer = csv.DictWriter(out, fieldnames=CSV_HEADER, lineterminator="\n")
         writer.writeheader()
         out.flush()
-        for row in _experiment_rows(args, limits):
+        for cell in cells:
+            row = _one_row(*cell, limits)
             writer.writerow(row)
             out.flush()
             gaps.append(row["extracted"] - row["floor_bound"])

@@ -407,9 +407,13 @@ def check_trace(g: BipartiteGraph, trace: PeelTrace, d: int) -> bool:
     adjacent with no nonadjacent maximum-degree pair available, pair steps
     only while edges remain, and edge deletions only at degrees in [1, d].
     The replay must also end on an edgeless working graph, so a truncated
-    trace is rejected.  Violations raise :class:`TraceMismatch`.  Returns
-    True iff the replayed strengthened-bound sequence is nondecreasing
-    (recomputed from scratch; the trace's own stored values are not trusted).
+    trace is rejected.  Violations raise :class:`TraceMismatch`.
+
+    The strengthened bound is recomputed after every replayed step.  Returns
+    True iff that sequence is nondecreasing and the trace's stored claims
+    agree with it: ``bound_values`` equals it entry for entry, and
+    ``initial_report`` names this graph's side size and this d, with its
+    ``strengthened`` value equal to the first replayed value.
     """
     if not g.is_balanced:
         raise UnbalancedGraph(f"check_trace needs a balanced graph, got {g.left_count} x {g.right_count}")
@@ -477,4 +481,9 @@ def check_trace(g: BipartiteGraph, trace: PeelTrace, d: int) -> bool:
         raise TraceMismatch(
             f"trace ends after {len(trace.steps)} steps with {work.edge_count} edges left"
         )
-    return all(values[i] <= values[i + 1] for i in range(len(values) - 1))
+    report = trace.initial_report
+    return (
+        tuple(trace.bound_values) == tuple(values)
+        and (report.n, report.d, report.strengthened) == (work.n, d, values[0])
+        and all(values[i] <= values[i + 1] for i in range(len(values) - 1))
+    )

@@ -1,13 +1,18 @@
 """Brute-force ground truth and independent witness verification.
 
-Everything in this module is deliberately simple-minded: exhaustive subset
-enumeration over bitmasks and greedy peeling, with no shared machinery with
-the constructive extractor.  That makes it slow but obviously correct, which
-is the point; side-size limits keep it from being invoked on instances it
-cannot finish.  The one exception is :func:`degeneracy_certificate`, which
-keeps its candidates in a heap so that it scales to extracted witnesses; its
-output is an elimination order that :func:`check_elimination_order` replays
-naively.
+Everything in this module is deliberately simple: exhaustive search over
+bitmasks and greedy peeling, with no shared machinery with the constructive
+extractor, so that it is obviously correct; side-size limits keep it from
+being invoked on instances it cannot finish.  The bi-hole and biclique
+optima tabulate the subset ANDs of each half of one side (2 x 2^(n/2)
+entries) and test target sizes t = 1, 2, ... in turn, pairing only
+half-masks with at least t bits and stopping at the first t that fails.
+Most of the cost is the pairs that pass that filter at the failing t; it
+never exceeds one visit per subset of the side (2^n).  The degenerate
+optimum enumerates balanced pairs of subsets outright.
+:func:`degeneracy_certificate` keeps its candidates in a heap so that it
+scales to extracted witnesses; its output is an elimination order that
+:func:`check_elimination_order` replays naively.
 """
 
 from __future__ import annotations
@@ -35,8 +40,10 @@ __all__ = [
 class OracleLimits:
     """Largest side sizes the exhaustive searches will accept.
 
-    The bi-hole/biclique search enumerates one side (2^n subsets), the
-    degenerate search enumerates balanced pairs of subsets, hence the much
+    The bi-hole/biclique search tabulates 2^(n/2) subset ANDs per half of
+    one side and pairs them by target size, so its memory grows as 2^(n/2)
+    and its time at most as the 2^n left subsets; the degenerate search
+    enumerates balanced pairs of subsets (C(2n, n) of them), hence the much
     smaller default for the latter.
     """
 
@@ -178,29 +185,46 @@ def _common_mask_table(masks: list[int], full: int) -> list[int]:
     return table
 
 
+def _masks_by_size(masks: list[int], full: int) -> list[set[int]]:
+    """buckets[k] = the distinct ANDs over k-element subsets of the block."""
+    buckets: list[set[int]] = [set() for _ in range(len(masks) + 1)]
+    for s, m in enumerate(_common_mask_table(masks, full)):
+        buckets[s.bit_count()].add(m)
+    return buckets
+
+
+def _attains(lo: list[set[int]], hi: list[set[int]], t: int) -> bool:
+    """True iff some t-subset, k members from the low half and t - k from
+    the high half, has at least t bits in the AND of its masks."""
+    for k in range(max(0, t - len(hi) + 1), min(t, len(lo) - 1) + 1):
+        lows = [m for m in lo[k] if m.bit_count() >= t]
+        if not lows:
+            continue
+        highs = [m for m in hi[t - k] if m.bit_count() >= t]
+        if any((a & b).bit_count() >= t for a in lows for b in highs):
+            return True
+    return False
+
+
 def _best_balanced(masks: list[int], n: int) -> int:
     """max over left subsets S of min(|S|, |AND of masks over S|).
 
-    Split-half enumeration: the AND over S factors through the two halves,
-    so two small tables cover all 2^n subsets without 2^n memory.
+    Size-targeted split-half search.  A value t is attained iff some S with
+    |S| = t exactly has at least t common bits, because dropping members of
+    a larger S only adds common bits; so attainment is monotone in t and the
+    search tries t = 1, 2, ... until one fails.  The AND over S factors
+    through the two halves of the index range, whose subset ANDs are
+    tabulated once and bucketed by subset size; for each t only half-masks
+    with at least t bits take part, and the first good pair ends the test.
     """
     full = (1 << n) - 1
     half = n // 2
-    lo_table = _common_mask_table(masks[:half], full)
-    hi_table = _common_mask_table(masks[half:], full)
-    hi_size = n - half
-    best = 0
-    for hi in range(1 << hi_size):
-        m_hi = hi_table[hi]
-        c_hi = hi.bit_count()
-        if min(c_hi + half, m_hi.bit_count()) <= best:
-            continue
-        for lo in range(1 << half):
-            m = m_hi & lo_table[lo]
-            t = min(c_hi + lo.bit_count(), m.bit_count())
-            if t > best:
-                best = t
-    return best
+    lo = _masks_by_size(masks[:half], full)
+    hi = _masks_by_size(masks[half:], full)
+    t = 0
+    while t < n and _attains(lo, hi, t + 1):
+        t += 1
+    return t
 
 
 def max_bihole_exact(g: BipartiteGraph, limits: OracleLimits | None = None) -> int:

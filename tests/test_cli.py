@@ -256,3 +256,21 @@ def test_experiment_rejects_negative_trials(tmp_path, capsys):
 def test_experiment_rejects_unknown_model(tmp_path):
     args = ["experiment", "--models", "torus", "--trials", "1", "-o", str(tmp_path / "x.csv")]
     assert main(args) == EXIT_PARSE
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ["--trials", "-1"],
+        ["--models", "gnp,torus"],
+        ["--p-grid", "0.5,1.5"],
+        ["--p-grid", "0.5,x"],
+        ["--p-grid", ""],
+        ["--d-set", "0,-1"],
+        ["--models", "matching,cycle", "--n-range", "1-3"],
+    ],
+)
+def test_experiment_rejected_sweep_writes_no_file(tmp_path, bad):
+    out = tmp_path / "out.csv"
+    assert main(["experiment", "--n-range", "4-5", "--trials", "1", *bad, "-o", str(out)]) == EXIT_PARSE
+    assert not out.exists()

@@ -3,6 +3,7 @@ that what comes out is at least as large as the bounds promise."""
 
 import math
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -275,6 +276,23 @@ def test_check_trace_false_when_value_decreases():
     removal, so the verdict is False rather than an exception."""
     _, tr = find_bihole(c6())
     assert check_trace(c6(), tr, 2) is False
+
+
+def test_check_trace_reads_stored_claims():
+    g = generate("gnp", 30, seed=5, p=0.3)
+    _, tr = find_bihole(g)
+    assert check_trace(g, tr, 0)
+    zeroed = replace(tr, bound_values=tuple(Fraction(0) for _ in tr.bound_values))
+    assert not check_trace(g, zeroed, 0)
+    assert not check_trace(g, replace(tr, bound_values=tr.bound_values[:-1]), 0)
+    assert not check_trace(g, replace(tr, bound_values=tr.bound_values + (tr.bound_values[-1],)), 0)
+    report = tr.initial_report
+    for forged in (
+        replace(report, n=report.n + 1),
+        replace(report, d=1),
+        replace(report, strengthened=report.strengthened + 1),
+    ):
+        assert not check_trace(g, replace(tr, initial_report=forged), 0)
 
 
 def test_check_trace_rejects_truncated_trace():

@@ -6,12 +6,13 @@ graphs small enough for that to be instant.
 """
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biholes.bigraph import BipartiteGraph, Side, VertexRef, build_graph, generate
+from biholes.bigraph import BipartiteGraph, Side, SplitMix64, VertexRef, build_graph, generate
 from biholes.errors import IndexOutOfRange, InstanceTooLarge, NegativeD, UnbalancedGraph
 from biholes.oracle import (
     OracleLimits,
@@ -22,6 +23,12 @@ from biholes.oracle import (
     max_bihole_exact,
     max_biclique_exact,
     max_degenerate_exact,
+    _best_balanced,
+)
+from reference_oracle import (
+    reference_best_balanced,
+    reference_max_bihole,
+    reference_max_biclique,
 )
 from reference_peel import reference_certificate
 
@@ -300,3 +307,72 @@ def test_complement_duality(g):
 @given(balanced_graphs(max_n=6), st.integers(0, 3))
 def test_degenerate_monotone_in_d(g, d):
     assert max_degenerate_exact(g, d) <= max_degenerate_exact(g, d + 1)
+
+
+# -- size-targeted search against the plain split-half reference -----------------------
+
+
+@st.composite
+def mask_lists(draw, max_n=14):
+    n = draw(st.integers(0, max_n))
+    return n, draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+
+
+@settings(max_examples=300)
+@given(mask_lists())
+def test_best_balanced_matches_split_half_reference(case):
+    n, masks = case
+    full = (1 << n) - 1
+    complements = [full & ~m for m in masks]
+    assert _best_balanced(masks, n) == reference_best_balanced(masks, n)
+    assert _best_balanced(complements, n) == reference_best_balanced(complements, n)
+
+
+def test_bihole_matches_reference_on_seeded_gnp_at_full_size():
+    rng = SplitMix64(2020)
+    for n in (20, 21, 22):
+        for p in (0.1, 0.3, 0.5, 0.7, 0.9):
+            g = generate("gnp", n, seed=rng.next_u64(), p=p)
+            assert max_bihole_exact(g) == reference_max_bihole(g), (n, p)
+
+
+def _named_optima(model, n):
+    """(bi-hole, biclique) optima of the structured models, in closed form."""
+    if model == "complete":
+        return 0, n
+    if model == "edgeless":
+        return n, 0
+    if model == "matching":
+        return n // 2, 1
+    if model == "crown":  # complete minus a perfect matching
+        return (1, 0) if n == 1 else (1, n // 2)
+    assert model == "cycle"  # the 2n-cycle; n = 2 is K_{2,2}
+    return (n - 1) // 2, 2 if n == 2 else 1
+
+
+@pytest.mark.parametrize("model", ["complete", "crown", "cycle", "matching", "edgeless"])
+def test_named_models_match_reference_and_closed_form(model):
+    for n in range(2 if model == "cycle" else 1, 23):
+        g = generate(model, n)
+        expected = _named_optima(model, n)
+        assert (max_bihole_exact(g), max_biclique_exact(g)) == expected, (model, n)
+        if n <= 14:
+            assert (reference_max_bihole(g), reference_max_biclique(g)) == expected, (model, n)
+
+
+def test_two_block_instance():
+    """11 left vertices miss rights 0-14, the other 11 miss rights 7-21: each
+    block alone is an 11 x 11 bi-hole, and any mix of the blocks has at most
+    8 common non-neighbours.  The plain split-half loop has to grind through
+    the mixes; the size-targeted search must not be slower."""
+    edges = [(l, r) for l in range(11) for r in range(15, 22)]
+    edges += [(l, r) for l in range(11, 22) for r in range(7)]
+    g = build_graph(22, 22, edges)
+    start = time.perf_counter()
+    value = max_bihole_exact(g)
+    elapsed = time.perf_counter() - start
+    start = time.perf_counter()
+    reference = reference_max_bihole(g)
+    reference_elapsed = time.perf_counter() - start
+    assert value == reference == 11
+    assert elapsed <= reference_elapsed
