@@ -2,7 +2,7 @@
 
 Vertices on each side are indexed 0..count-1.  Adjacency is stored from both
 sides as sorted tuples, so membership tests are O(log deg).  Graph values are
-treated as immutable: every edit operation returns a new graph.
+treated as immutable.
 
 Edge-list text format
 ---------------------
@@ -21,7 +21,7 @@ import enum
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import (
     EmptySide,
@@ -39,6 +39,7 @@ __all__ = [
     "BipartiteGraph",
     "SplitMix64",
     "build_graph",
+    "require_balanced",
     "parse_edge_list",
     "serialize",
     "generate",
@@ -123,69 +124,6 @@ class BipartiteGraph:
             for v in nbrs:
                 yield (u, v)
 
-    # -- edit operations (each returns a new graph) -----------------------
-
-    def delete_pair(self, a: int, b: int):
-        """Remove left vertex ``a`` and right vertex ``b`` with their edges.
-
-        Only defined on balanced graphs, so the result stays balanced.
-        Surviving vertices are re-indexed by shifting indices above the
-        removed one down by one.  Returns ``(graph, left_map, right_map)``
-        where the maps send old surviving indices to new ones, letting
-        callers lift vertex sets of the result back to this graph.
-        """
-        if not self.is_balanced:
-            raise UnbalancedGraph(
-                f"delete_pair needs a balanced graph, got {self.left_count} x {self.right_count}"
-            )
-        if not 0 <= a < self.left_count:
-            raise IndexOutOfRange(f"left index {a} not in [0, {self.left_count})")
-        if not 0 <= b < self.right_count:
-            raise IndexOutOfRange(f"right index {b} not in [0, {self.right_count})")
-        left_map = {old: old - (old > a) for old in range(self.left_count) if old != a}
-        right_map = {old: old - (old > b) for old in range(self.right_count) if old != b}
-        new_left = [
-            tuple(right_map[r] for r in self.left_adj[old] if r != b)
-            for old in range(self.left_count)
-            if old != a
-        ]
-        new_right = [
-            tuple(left_map[l] for l in self.right_adj[old] if l != a)
-            for old in range(self.right_count)
-            if old != b
-        ]
-        graph = BipartiteGraph(
-            self.left_count - 1,
-            self.right_count - 1,
-            tuple(new_left),
-            tuple(new_right),
-            sum(len(t) for t in new_left),
-        )
-        return graph, left_map, right_map
-
-    def delete_incident_edges(self, v: VertexRef) -> BipartiteGraph:
-        """Remove every edge incident to ``v``; the vertex itself stays."""
-        deg = self.degree(v)  # also validates the index
-        if deg == 0:
-            return self
-        if v.side is Side.LEFT:
-            new_left = tuple(
-                () if i == v.index else nbrs for i, nbrs in enumerate(self.left_adj)
-            )
-            new_right = tuple(
-                tuple(l for l in nbrs if l != v.index) for nbrs in self.right_adj
-            )
-        else:
-            new_left = tuple(
-                tuple(r for r in nbrs if r != v.index) for nbrs in self.left_adj
-            )
-            new_right = tuple(
-                () if j == v.index else nbrs for j, nbrs in enumerate(self.right_adj)
-            )
-        return BipartiteGraph(
-            self.left_count, self.right_count, new_left, new_right, self.edge_count - deg
-        )
-
     def complement(self) -> BipartiteGraph:
         """The bipartite complement: cross edges flipped, sides untouched."""
         full = range(self.right_count)
@@ -200,28 +138,6 @@ class BipartiteGraph:
         edge_count = self.left_count * self.right_count - self.edge_count
         return BipartiteGraph(
             self.left_count, self.right_count, tuple(new_left), tuple(new_right), edge_count
-        )
-
-    def induced(self, left_subset: Iterable[int], right_subset: Iterable[int]) -> BipartiteGraph:
-        """Induced subgraph on the given index sets, re-indexed in sorted order."""
-        lefts = sorted(set(left_subset))
-        rights = sorted(set(right_subset))
-        for l in lefts:
-            if not 0 <= l < self.left_count:
-                raise IndexOutOfRange(f"left index {l} not in [0, {self.left_count})")
-        for r in rights:
-            if not 0 <= r < self.right_count:
-                raise IndexOutOfRange(f"right index {r} not in [0, {self.right_count})")
-        lpos = {old: new for new, old in enumerate(lefts)}
-        rpos = {old: new for new, old in enumerate(rights)}
-        new_left = tuple(
-            tuple(rpos[r] for r in self.left_adj[old] if r in rpos) for old in lefts
-        )
-        new_right = tuple(
-            tuple(lpos[l] for l in self.right_adj[old] if l in lpos) for old in rights
-        )
-        return BipartiteGraph(
-            len(lefts), len(rights), new_left, new_right, sum(len(t) for t in new_left)
         )
 
     # -- value semantics ---------------------------------------------------
@@ -243,6 +159,12 @@ class BipartiteGraph:
             f"BipartiteGraph({self.left_count}x{self.right_count}, "
             f"{self.edge_count} edges)"
         )
+
+
+def require_balanced(g: BipartiteGraph, op: str) -> None:
+    """Raise :class:`UnbalancedGraph`, naming ``op``, unless g is n x n."""
+    if not g.is_balanced:
+        raise UnbalancedGraph(f"{op} needs a balanced graph, got {g.left_count} x {g.right_count}")
 
 
 def build_graph(

@@ -28,8 +28,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bigraph import BipartiteGraph, Side
-from .errors import DegreeTooSmall, NegativeD, UnbalancedGraph
+from .bigraph import BipartiteGraph, Side, require_balanced
+from .errors import DegreeTooSmall, NegativeD
 
 __all__ = [
     "potential",
@@ -55,11 +55,6 @@ def potential(x: int, d: int = 0) -> Fraction:
     return Fraction(d + 1, x + 1)
 
 
-def _require_balanced(g: BipartiteGraph, op: str) -> None:
-    if not g.is_balanced:
-        raise UnbalancedGraph(f"{op} needs a balanced graph, got {g.left_count} x {g.right_count}")
-
-
 def _degree_multiset(g: BipartiteGraph) -> Counter:
     counts: Counter = Counter()
     for nbrs in g.left_adj:
@@ -79,7 +74,7 @@ def caro_wei_sum(g: BipartiteGraph, d: int = 0) -> Fraction:
 
 def floor_bound(g: BipartiteGraph, d: int = 0) -> int:
     """floor(caro_wei_sum(g, d) / 2): the guaranteed balanced subgraph size."""
-    _require_balanced(g, "floor_bound")
+    require_balanced(g, "floor_bound")
     return math.floor(caro_wei_sum(g, d) / 2)
 
 
@@ -90,7 +85,7 @@ def strengthened_bound(g: BipartiteGraph, d: int = 0) -> Fraction:
     with f = potential(. , d).  On the 0 x 0 graph there is no max degree;
     the value is 0 by convention so traces and reports stay total.
     """
-    _require_balanced(g, "strengthened_bound")
+    require_balanced(g, "strengthened_bound")
     if g.left_count == 0:
         return Fraction(0)
     total = caro_wei_sum(g, d)
@@ -101,7 +96,7 @@ def strengthened_bound(g: BipartiteGraph, d: int = 0) -> Fraction:
 
 def average_degree_bound(g: BipartiteGraph) -> Fraction:
     """n/(average degree + 1) - 2, computed exactly; 0 on the empty graph."""
-    _require_balanced(g, "average_degree_bound")
+    require_balanced(g, "average_degree_bound")
     n = g.left_count
     if n == 0:
         return Fraction(0)
@@ -124,7 +119,7 @@ def log_reference_bound(g: BipartiteGraph, eps: Fraction) -> Fraction:
     and report-only: it carries an unspecified degree threshold, so it never
     participates in correctness checks.  Requires average degree > 1.
     """
-    _require_balanced(g, "log_reference_bound")
+    require_balanced(g, "log_reference_bound")
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
@@ -200,7 +195,7 @@ def bound_report(g: BipartiteGraph, d: int = 0, eps: Fraction = Fraction(1, 2)) 
 
     eps must lie in (0, 1) even when the log reference is not reported.
     """
-    _require_balanced(g, "bound_report")
+    require_balanced(g, "bound_report")
     if d < 0:
         raise NegativeD(f"degeneracy parameter must be >= 0, got {d}")
     eps = Fraction(eps)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import os
 import sys
 from fractions import Fraction
@@ -105,6 +104,39 @@ def _oracle_limits(flag_value: int | None) -> OracleLimits:
     return OracleLimits()
 
 
+def _exact(g, d: int, limits: OracleLimits) -> int:
+    """The oracle optimum: the bi-hole search at d = 0, else the degenerate one."""
+    return max_bihole_exact(g, limits) if d == 0 else max_degenerate_exact(g, d, limits)
+
+
+def _failed_checks(g, witness, trace, d: int, exact: int | None = None) -> list[str]:
+    """Names of the checks an extraction fails; empty when it passes them all.
+
+    ``witness``: the witness is a bi-hole (d = 0) or its elimination order
+    replays (d >= 1).  ``trace``: :func:`check_trace` accepts the trace; a
+    :class:`TraceMismatch` counts as a failure.  ``floor_bound``: the size
+    reaches the trace's floor bound, which ``check_trace`` has tied to g.
+    ``exact``: the size is at most the exact optimum, when one is given.
+    """
+    if d == 0:
+        valid = is_bihole(g, witness.left_set, witness.right_set)
+    else:
+        valid = check_elimination_order(
+            g, witness.left_set, witness.right_set, d, witness.elimination_order
+        )
+    try:
+        replayed = check_trace(g, trace, d)
+    except TraceMismatch:
+        replayed = False
+    checks = {
+        "witness": valid,
+        "trace": replayed,
+        "floor_bound": witness.size >= trace.initial_report.floor_bound,
+        "exact": exact is None or witness.size <= exact,
+    }
+    return [name for name, ok in checks.items() if not ok]
+
+
 # -- subcommands --------------------------------------------------------------
 
 
@@ -142,25 +174,11 @@ def _cmd_extract(args) -> int:
     import json
 
     g = _read_graph(args.input)
-    if args.d == 0:
-        witness, trace = find_bihole(g)
-    else:
-        witness, trace = find_degenerate(g, args.d)
+    witness, trace = find_bihole(g) if args.d == 0 else find_degenerate(g, args.d)
     if args.verify:
-        if args.d == 0:
-            valid = is_bihole(g, witness.left_set, witness.right_set)
-        else:
-            valid = check_elimination_order(
-                g, witness.left_set, witness.right_set, args.d, witness.elimination_order
-            )
-        try:
-            monotone = check_trace(g, trace, args.d)
-        except TraceMismatch:
-            monotone = False
-        if not (valid and monotone):
-            raise _VerificationFailed(
-                f"witness valid: {valid}, trace monotone: {monotone}"
-            )
+        failed = _failed_checks(g, witness, trace, args.d)
+        if failed:
+            raise _VerificationFailed(f"failed checks: {', '.join(failed)}")
     payload = witness.to_json()
     if args.trace:
         payload["trace"] = trace.to_json()
@@ -170,12 +188,7 @@ def _cmd_extract(args) -> int:
 
 def _cmd_oracle(args) -> int:
     g = _read_graph(args.input)
-    limits = _oracle_limits(args.limits)
-    if args.d is None or args.d == 0:
-        value = max_bihole_exact(g, limits)
-    else:
-        value = max_degenerate_exact(g, args.d, limits)
-    print(value)
+    print(_exact(g, args.d, _oracle_limits(args.limits)))
     return EXIT_OK
 
 
@@ -251,29 +264,13 @@ def _experiment_cells(args) -> list[tuple[str, int, float | None, int, int]]:
 
 def _one_row(model: str, n: int, p: float | None, seed: int, d: int, limits: OracleLimits):
     g = generate(model, n, seed=seed, p=p)
-    report = bound_report(g, d)
-    if d == 0:
-        witness, trace = find_bihole(g)
-        valid = is_bihole(g, witness.left_set, witness.right_set)
-        exact = max_bihole_exact(g, limits) if n <= limits.max_side_bihole else None
-    else:
-        witness, trace = find_degenerate(g, d)
-        valid = check_elimination_order(
-            g, witness.left_set, witness.right_set, d, witness.elimination_order
-        )
-        exact = (
-            max_degenerate_exact(g, d, limits) if n <= limits.max_side_degenerate else None
-        )
+    witness, trace = find_bihole(g) if d == 0 else find_degenerate(g, d)
     try:
-        monotone = check_trace(g, trace, d)
-    except TraceMismatch:
-        monotone = False
-    verified = (
-        valid
-        and monotone
-        and witness.size >= report.floor_bound
-        and (exact is None or witness.size <= exact)
-    )
+        exact = _exact(g, d, limits)
+    except InstanceTooLarge:
+        exact = None
+    verified = not _failed_checks(g, witness, trace, d, exact)
+    report = trace.initial_report
     return {
         "model": model,
         "n": n,
@@ -351,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="exact optimum by brute force")
     p_oracle.add_argument("input", help="edge-list file, or - for stdin")
-    p_oracle.add_argument("--d", type=int, default=None, help="degeneracy parameter (default: bi-hole)")
+    p_oracle.add_argument("--d", type=int, default=0, help="degeneracy parameter (default 0)")
     p_oracle.add_argument("--limits", type=int, default=None, help="override both oracle side limits")
     p_oracle.set_defaults(func=_cmd_oracle)
 

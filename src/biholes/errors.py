@@ -17,15 +17,6 @@ class UnbalancedGraph(BiholesError):
     """The operation requires left_count == right_count."""
 
 
-class EmptyGraph(BiholesError):
-    """Reserved for strict handling of the 0 x 0 graph.
-
-    The bound operations themselves do not raise this: they return 0 on the
-    empty graph by convention so that reports and traces stay total.  The
-    class is kept public for callers that want to opt into strict checks.
-    """
-
-
 class MalformedHeader(BiholesError):
     """The edge-list header line is missing or is not two integers."""
 
@@ -48,10 +39,6 @@ class InvalidSize(BiholesError):
 
 class DegreeTooSmall(BiholesError):
     """The logarithmic reference bound needs average degree > 1."""
-
-
-class NoEdges(BiholesError):
-    """Pair selection was asked for on a graph with no edges."""
 
 
 class NegativeD(BiholesError):

@@ -48,13 +48,13 @@ the induced witness is attached as an independently checkable certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 
-from .bigraph import BipartiteGraph, Side, VertexRef
+from .bigraph import BipartiteGraph, Side, VertexRef, require_balanced
 from .bounds import BoundReport, bound_report, rational_to_json
-from .errors import NegativeD, NoEdges, TraceMismatch, UnbalancedGraph
+from .errors import NegativeD, TraceMismatch
 from .oracle import StuckCore, degeneracy_certificate
 
 __all__ = [
@@ -65,7 +65,6 @@ __all__ = [
     "PeelTrace",
     "BiholeWitness",
     "DegenerateWitness",
-    "select_pair",
     "find_bihole",
     "find_degenerate",
     "check_trace",
@@ -317,19 +316,6 @@ class _WorkingGraph:
         return tuple(sorted(self.buckets[0][0])), tuple(sorted(self.buckets[1][0]))
 
 
-def select_pair(g: BipartiteGraph) -> tuple[int, int, int]:
-    """Public pair selection on a balanced graph with at least one edge.
-
-    Returns (left_index, right_index, case) with case 1 when the pair is
-    nonadjacent and case 2 when every maximum-degree pair is adjacent.
-    """
-    if not g.is_balanced:
-        raise UnbalancedGraph(f"select_pair needs a balanced graph, got {g.left_count} x {g.right_count}")
-    if g.edge_count == 0:
-        raise NoEdges("select_pair needs at least one edge")
-    return _WorkingGraph(g, 0).select_pair()
-
-
 def _run_peel(g: BipartiteGraph, d: int):
     work = _WorkingGraph(g, d)
     steps: list[PeelStep] = []
@@ -364,15 +350,23 @@ def _run_peel(g: BipartiteGraph, d: int):
     return lefts, rights, tuple(steps), tuple(values)
 
 
+def _extract(g: BipartiteGraph, d: int, op: str):
+    """(lefts, rights, trace) of the peel of g at d; ``op`` names the caller
+    in the error raised on an unbalanced graph."""
+    require_balanced(g, op)
+    if d < 0:
+        raise NegativeD(f"degeneracy parameter must be >= 0, got {d}")
+    lefts, rights, steps, values = _run_peel(g, d)
+    trace = PeelTrace(steps=steps, initial_report=bound_report(g, d), bound_values=values)
+    return lefts, rights, trace
+
+
 def find_bihole(g: BipartiteGraph) -> tuple[BiholeWitness, PeelTrace]:
     """Extract a bi-hole of size >= max(floor_bound, ceil(strengthened)).
 
     Deterministic: equal inputs give equal witnesses and traces.
     """
-    if not g.is_balanced:
-        raise UnbalancedGraph(f"find_bihole needs a balanced graph, got {g.left_count} x {g.right_count}")
-    lefts, rights, steps, values = _run_peel(g, 0)
-    trace = PeelTrace(steps=steps, initial_report=bound_report(g, 0), bound_values=values)
+    lefts, rights, trace = _extract(g, 0, "find_bihole")
     return BiholeWitness(lefts, rights), trace
 
 
@@ -384,18 +378,13 @@ def find_degenerate(g: BipartiteGraph, d: int) -> tuple[DegenerateWitness, PeelT
     and trace.  The witness carries a min-degree elimination order of the
     induced subgraph as its certificate.
     """
-    if not g.is_balanced:
-        raise UnbalancedGraph(f"find_degenerate needs a balanced graph, got {g.left_count} x {g.right_count}")
-    if d < 0:
-        raise NegativeD(f"degeneracy parameter must be >= 0, got {d}")
-    lefts, rights, steps, values = _run_peel(g, d)
+    lefts, rights, trace = _extract(g, d, "find_degenerate")
     order = degeneracy_certificate(g, lefts, rights, d)
     if isinstance(order, StuckCore):
         raise RuntimeError(
             f"extraction produced a witness that is not {d}-degenerate; "
             f"stuck core {order}"
         )
-    trace = PeelTrace(steps=steps, initial_report=bound_report(g, d), bound_values=values)
     return DegenerateWitness(lefts, rights, tuple(order)), trace
 
 
@@ -413,13 +402,14 @@ def check_trace(g: BipartiteGraph, trace: PeelTrace, d: int) -> bool:
     True iff that sequence is nondecreasing and the trace's stored claims
     agree with it: ``bound_values`` equals it entry for entry, and
     ``initial_report`` names this graph's side size and this d, with its
-    ``strengthened`` value equal to the first replayed value.
+    ``strengthened`` value equal to the first replayed value and its
+    ``floor_bound`` equal to half the input graph's potential sum, floored.
     """
-    if not g.is_balanced:
-        raise UnbalancedGraph(f"check_trace needs a balanced graph, got {g.left_count} x {g.right_count}")
+    require_balanced(g, "check_trace")
     if d < 0:
         raise NegativeD(f"degeneracy parameter must be >= 0, got {d}")
     work = _WorkingGraph(g, d)
+    floor = work.total // (2 * work.scale)
     values = [work.strengthened()]
     for pos, step in enumerate(trace.steps):
         da = work.max_deg(0)
@@ -485,5 +475,6 @@ def check_trace(g: BipartiteGraph, trace: PeelTrace, d: int) -> bool:
     return (
         tuple(trace.bound_values) == tuple(values)
         and (report.n, report.d, report.strengthened) == (work.n, d, values[0])
+        and report.floor_bound == floor
         and all(values[i] <= values[i + 1] for i in range(len(values) - 1))
     )

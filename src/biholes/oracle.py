@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
-from .bigraph import BipartiteGraph, Side, VertexRef
-from .errors import IndexOutOfRange, InstanceTooLarge, NegativeD, UnbalancedGraph
+from .bigraph import BipartiteGraph, Side, VertexRef, require_balanced
+from .errors import IndexOutOfRange, InstanceTooLarge, NegativeD
 
 __all__ = [
     "OracleLimits",
@@ -167,11 +167,6 @@ def check_elimination_order(
 # -- exhaustive optima --------------------------------------------------------
 
 
-def _require_balanced(g: BipartiteGraph, op: str) -> None:
-    if not g.is_balanced:
-        raise UnbalancedGraph(f"{op} needs a balanced graph, got {g.left_count} x {g.right_count}")
-
-
 def _left_masks(g: BipartiteGraph) -> list[int]:
     return [sum(1 << r for r in nbrs) for nbrs in g.left_adj]
 
@@ -234,7 +229,7 @@ def max_bihole_exact(g: BipartiteGraph, limits: OracleLimits | None = None) -> i
     so the optimum is max over S of min(|S|, |non-neighbourhood(S)|).
     """
     limits = limits or OracleLimits()
-    _require_balanced(g, "max_bihole_exact")
+    require_balanced(g, "max_bihole_exact")
     n = g.left_count
     if n > limits.max_side_bihole:
         raise InstanceTooLarge(f"side {n} exceeds bi-hole oracle limit {limits.max_side_bihole}")
@@ -246,7 +241,7 @@ def max_bihole_exact(g: BipartiteGraph, limits: OracleLimits | None = None) -> i
 def max_biclique_exact(g: BipartiteGraph, limits: OracleLimits | None = None) -> int:
     """The largest t with a complete t x t subgraph; mirrors max_bihole_exact."""
     limits = limits or OracleLimits()
-    _require_balanced(g, "max_biclique_exact")
+    require_balanced(g, "max_biclique_exact")
     n = g.left_count
     if n > limits.max_side_bihole:
         raise InstanceTooLarge(f"side {n} exceeds biclique oracle limit {limits.max_side_bihole}")
@@ -284,7 +279,7 @@ def max_degenerate_exact(g: BipartiteGraph, d: int, limits: OracleLimits | None 
     always succeeds.  At d = 0 this is the bi-hole optimum again.
     """
     limits = limits or OracleLimits()
-    _require_balanced(g, "max_degenerate_exact")
+    require_balanced(g, "max_degenerate_exact")
     if d < 0:
         raise NegativeD(f"degeneracy parameter must be >= 0, got {d}")
     n = g.left_count

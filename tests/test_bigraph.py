@@ -1,4 +1,4 @@
-"""Graph construction, edits, text round-trips, and generator behaviour."""
+"""Graph construction, complements, text round-trips, and generator behaviour."""
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +12,7 @@ from biholes.bigraph import (
     build_graph,
     generate,
     parse_edge_list,
+    require_balanced,
     serialize,
 )
 from biholes.errors import (
@@ -108,37 +109,14 @@ def test_max_degree():
         build_graph(0, 3, []).max_degree(Side.LEFT)
 
 
-# -- edits --------------------------------------------------------------------
+def test_require_balanced_names_the_operation():
+    require_balanced(c6(), "floor_bound")
+    require_balanced(build_graph(0, 0, []), "floor_bound")
+    with pytest.raises(UnbalancedGraph, match=r"^floor_bound needs a balanced graph, got 2 x 3$"):
+        require_balanced(build_graph(2, 3, []), "floor_bound")
 
 
-def test_delete_pair_c6():
-    g, left_map, right_map = c6().delete_pair(0, 2)
-    assert (g.left_count, g.right_count) == (2, 2)
-    assert sorted(g.edges()) == [(0, 1), (1, 0)]
-    assert left_map == {1: 0, 2: 1}
-    assert right_map == {0: 0, 1: 1}
-    assert_mirrored(g)
-
-
-def test_delete_pair_to_empty():
-    g, _, _ = build_graph(1, 1, [(0, 0)]).delete_pair(0, 0)
-    assert (g.left_count, g.right_count, g.edge_count) == (0, 0, 0)
-
-
-def test_delete_pair_requires_balance():
-    with pytest.raises(UnbalancedGraph):
-        build_graph(2, 3, []).delete_pair(0, 0)
-    with pytest.raises(IndexOutOfRange):
-        c6().delete_pair(3, 0)
-
-
-def test_delete_incident_edges():
-    g = c6().delete_incident_edges(VertexRef(Side.RIGHT, 1))
-    assert sorted(g.edges()) == [(0, 0), (1, 2), (2, 0), (2, 2)]
-    assert (g.left_count, g.right_count) == (3, 3)
-    assert_mirrored(g)
-    e = generate("edgeless", 3)
-    assert e.delete_incident_edges(VertexRef(Side.LEFT, 0)) == e
+# -- complement ---------------------------------------------------------------
 
 
 def test_complement_c6_is_matching():
@@ -149,18 +127,6 @@ def test_complement_c6_is_matching():
 
 def test_complement_complete_is_edgeless():
     assert generate("complete", 4).complement() == generate("edgeless", 4)
-
-
-def test_induced():
-    k33 = generate("complete", 3)
-    sub = k33.induced([0, 1], [0, 1])
-    assert sub == generate("complete", 2)
-    single = c6().induced([1], [2])
-    assert sorted(single.edges()) == [(0, 0)]
-    empty = c6().induced([], [])
-    assert (empty.left_count, empty.right_count) == (0, 0)
-    with pytest.raises(IndexOutOfRange):
-        c6().induced([5], [0])
 
 
 @settings(max_examples=100)
@@ -174,27 +140,6 @@ def test_complement_is_involution(g):
 def test_mirror_consistency_after_edits(g):
     assert_mirrored(g)
     assert_mirrored(g.complement())
-    if g.left_count >= 1:
-        smaller, _, _ = g.delete_pair(0, g.right_count - 1)
-        assert_mirrored(smaller)
-        v = VertexRef(Side.LEFT, g.left_count // 2)
-        assert_mirrored(g.delete_incident_edges(v))
-
-
-@settings(max_examples=60)
-@given(balanced_graphs(), st.data())
-def test_delete_pair_edge_count(g, data):
-    if g.left_count == 0:
-        return
-    a = data.draw(st.integers(0, g.left_count - 1))
-    b = data.draw(st.integers(0, g.right_count - 1))
-    removed = (
-        g.degree(VertexRef(Side.LEFT, a))
-        + g.degree(VertexRef(Side.RIGHT, b))
-        - (1 if g.has_edge(a, b) else 0)
-    )
-    smaller, _, _ = g.delete_pair(a, b)
-    assert smaller.edge_count == g.edge_count - removed
 
 
 # -- text format --------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
+from biholes import cli
 from biholes.bigraph import generate, serialize
 from biholes.cli import (
     CSV_HEADER,
@@ -12,8 +14,10 @@ from biholes.cli import (
     EXIT_PARSE,
     EXIT_TOO_LARGE,
     EXIT_UNBALANCED,
+    EXIT_VERIFY,
     main,
 )
+from biholes.errors import TraceMismatch
 
 C6_TEXT = "3 3\n0 0\n0 1\n1 1\n1 2\n2 0\n2 2\n"
 
@@ -91,6 +95,43 @@ def test_extract_negative_d(c6_path):
     assert main(["extract", c6_path, "--d", "-1"]) == EXIT_PARSE
 
 
+def _raise_mismatch(*args):
+    raise TraceMismatch("forged")
+
+
+@pytest.mark.parametrize(
+    "d, name, fake, check",
+    [
+        (0, "check_trace", lambda *args: False, "trace"),
+        (0, "check_trace", _raise_mismatch, "trace"),
+        (0, "is_bihole", lambda *args: False, "witness"),
+        (1, "check_elimination_order", lambda *args: False, "witness"),
+    ],
+)
+def test_extract_verify_failure_exits_4(c6_path, capsys, monkeypatch, d, name, fake, check):
+    monkeypatch.setattr(cli, name, fake)
+    assert main(["extract", c6_path, "--d", str(d), "--verify"]) == EXIT_VERIFY
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"verification failed: failed checks: {check}\n"
+
+
+def test_extract_verify_checks_floor_bound(c6_path, capsys, monkeypatch):
+    """A trace whose floor bound exceeds the witness fails the floor check
+    on its own once the replay is taken as passed."""
+    real = cli.find_bihole
+
+    def inflated(g):
+        witness, trace = real(g)
+        report = replace(trace.initial_report, floor_bound=witness.size + 1)
+        return witness, replace(trace, initial_report=report)
+
+    monkeypatch.setattr(cli, "find_bihole", inflated)
+    monkeypatch.setattr(cli, "check_trace", lambda *args: True)
+    assert main(["extract", c6_path, "--verify"]) == EXIT_VERIFY
+    assert capsys.readouterr().err == "verification failed: failed checks: floor_bound\n"
+
+
 # -- oracle --------------------------------------------------------------------
 
 
@@ -101,6 +142,10 @@ def test_oracle_values(c6_path, tmp_path, capsys):
     path.write_text(serialize(generate("complete", 3)))
     assert main(["oracle", str(path), "--d", "2"]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "2"
+
+
+def test_oracle_d_defaults_to_zero(c6_path):
+    assert cli.build_parser().parse_args(["oracle", c6_path]).d == 0
 
 
 def test_oracle_limit_flag(tmp_path, capsys):
@@ -274,3 +319,29 @@ def test_experiment_rejected_sweep_writes_no_file(tmp_path, bad):
     out = tmp_path / "out.csv"
     assert main(["experiment", "--n-range", "4-5", "--trials", "1", *bad, "-o", str(out)]) == EXIT_PARSE
     assert not out.exists()
+
+
+def test_experiment_leaves_exact_empty_over_the_oracle_limit(tmp_path):
+    out = tmp_path / "sweep.csv"
+    args = ["experiment", "--models", "edgeless", "--n-range", "9", "--d-set", "0,1"]
+    assert main(args + ["--trials", "1", "-o", str(out)]) == EXIT_OK
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    # the bi-hole oracle takes n = 9; the degenerate one stops at 8
+    assert [(row[4], row[9], row[10]) for row in rows] == [("0", "9", "true"), ("1", "", "true")]
+
+
+@pytest.mark.parametrize(
+    "name, fake",
+    [
+        ("check_trace", lambda *args: False),
+        ("max_bihole_exact", lambda g, limits: 3),
+    ],
+)
+def test_experiment_marks_failed_rows_unverified(tmp_path, capsys, monkeypatch, name, fake):
+    monkeypatch.setattr(cli, name, fake)
+    out = tmp_path / "sweep.csv"
+    args = ["experiment", "--models", "edgeless", "--n-range", "4", "--trials", "1"]
+    assert main(args + ["-o", str(out)]) == EXIT_VERIFY
+    lines = out.read_text().splitlines()
+    assert len(lines) == 2 and lines[1].endswith(",false")
+    assert "violations: 1" in capsys.readouterr().out

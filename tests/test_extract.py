@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from biholes.bigraph import BipartiteGraph, Side, VertexRef, build_graph, generate
 from biholes.bounds import floor_bound, strengthened_bound
-from biholes.errors import NegativeD, NoEdges, TraceMismatch, UnbalancedGraph
+from biholes.errors import NegativeD, TraceMismatch, UnbalancedGraph
 from biholes.extract import (
     LOW_DEGREE_EDGE_DELETION,
     PAIR_CASE1,
@@ -24,7 +24,6 @@ from biholes.extract import (
     check_trace,
     find_bihole,
     find_degenerate,
-    select_pair,
 )
 from biholes.oracle import (
     check_elimination_order,
@@ -54,21 +53,19 @@ def balanced_graphs(draw, min_n=1, max_n=8):
 # -- pair selection -----------------------------------------------------------
 
 
+def first_pair(g: BipartiteGraph) -> tuple[str, int, int]:
+    step = find_bihole(g)[1].steps[0]
+    return step.kind, step.a, step.b
+
+
 def test_select_pair_prefers_nonadjacent():
-    assert select_pair(c6()) == (0, 2, 1)
-    assert select_pair(build_graph(2, 2, [(0, 0), (1, 1)])) == (0, 1, 1)
+    assert first_pair(c6()) == (PAIR_CASE1, 0, 2)
+    assert first_pair(build_graph(2, 2, [(0, 0), (1, 1)])) == (PAIR_CASE1, 0, 1)
 
 
 def test_select_pair_falls_back_to_case_two():
-    assert select_pair(generate("complete", 2)) == (0, 0, 2)
-    assert select_pair(generate("complete", 5)) == (0, 0, 2)
-
-
-def test_select_pair_preconditions():
-    with pytest.raises(NoEdges):
-        select_pair(generate("edgeless", 3))
-    with pytest.raises(UnbalancedGraph):
-        select_pair(build_graph(1, 2, [(0, 0)]))
+    assert first_pair(generate("complete", 2)) == (PAIR_CASE2, 0, 0)
+    assert first_pair(generate("complete", 5)) == (PAIR_CASE2, 0, 0)
 
 
 # -- bi-hole extraction, hand-traced -------------------------------------------
@@ -291,6 +288,7 @@ def test_check_trace_reads_stored_claims():
         replace(report, n=report.n + 1),
         replace(report, d=1),
         replace(report, strengthened=report.strengthened + 1),
+        replace(report, floor_bound=report.floor_bound + 1),
     ):
         assert not check_trace(g, replace(tr, initial_report=forged), 0)
 
