@@ -86,9 +86,13 @@ def strengthened_bound(g: BipartiteGraph, d: int = 0) -> Fraction:
     the value is 0 by convention so traces and reports stay total.
     """
     require_balanced(g, "strengthened_bound")
+    return _strengthened(g, d, caro_wei_sum(g, d))
+
+
+def _strengthened(g: BipartiteGraph, d: int, total: Fraction) -> Fraction:
+    """strengthened_bound of g, given its potential sum ``total``."""
     if g.left_count == 0:
         return Fraction(0)
-    total = caro_wei_sum(g, d)
     total += potential(g.max_degree(Side.LEFT), d)
     total += potential(g.max_degree(Side.RIGHT), d)
     return total / 2 - 1
@@ -202,8 +206,9 @@ def bound_report(g: BipartiteGraph, d: int = 0, eps: Fraction = Fraction(1, 2)) 
     if not 0 < eps < 1:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
     n = g.left_count
-    fb = floor_bound(g, d)
-    strengthened = strengthened_bound(g, d)
+    total = caro_wei_sum(g, d)
+    fb = math.floor(total / 2)
+    strengthened = _strengthened(g, d, total)
     avg_bound = average_degree_bound(g)
     log_ref = None
     log_eps = None

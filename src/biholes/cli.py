@@ -13,15 +13,14 @@ INPUT is a path to an edge-list file, or ``-`` for stdin.  Exit codes are a
 stable contract: 0 success, 2 parse or usage error, 3 unbalanced input,
 4 verification failure, 5 instance over oracle limits.
 
-The environment variable ``BIHOLE_ORACLE_MAX`` overrides both oracle side
-limits; the ``--limits`` / ``--oracle-max`` flags override the variable.
+``oracle --limits N`` and ``experiment --oracle-max N`` set both oracle side
+limits to N; without them the defaults of :class:`OracleLimits` apply.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 from fractions import Fraction
 
@@ -61,8 +60,6 @@ EXIT_UNBALANCED = 3
 EXIT_VERIFY = 4
 EXIT_TOO_LARGE = 5
 
-ORACLE_MAX_ENV = "BIHOLE_ORACLE_MAX"
-
 CSV_HEADER = [
     "model",
     "n",
@@ -92,16 +89,7 @@ def _read_graph(path: str):
 
 
 def _oracle_limits(flag_value: int | None) -> OracleLimits:
-    if flag_value is not None:
-        return OracleLimits(flag_value, flag_value)
-    env = os.environ.get(ORACLE_MAX_ENV)
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(f"{ORACLE_MAX_ENV} must be an integer, got {env!r}") from None
-        return OracleLimits(value, value)
-    return OracleLimits()
+    return OracleLimits() if flag_value is None else OracleLimits(flag_value, flag_value)
 
 
 def _exact(g, d: int, limits: OracleLimits) -> int:

@@ -35,8 +35,10 @@ The strengthened bound of the working graph never decreases along the peel,
 and the final edgeless working graph's value equals the witness size, which
 is why the witness size always reaches ceil(strengthened) and hence the
 floor bound.  Every step is recorded (in original vertex labels, with the
-degrees that justified it) so the whole run can be replayed and audited by
-:func:`check_trace`.
+degrees that justified it).  The peel and :func:`check_trace` share one
+step routine: ``_next_step`` applies the rule above and ``_apply`` carries
+the step out, so the audit replays the whole run with the peel's own rule
+and requires every recorded step to equal the step the rule takes.
 
 For d >= 1 the witness is a vertex set whose induced subgraph *in the
 original graph* is d-degenerate: edges deleted at a low-degree vertex come
@@ -197,7 +199,6 @@ class _WorkingGraph:
                 self.buckets[s][len(nbrs)].add(i)
                 self.heaps[s][len(nbrs)].append(i)
         self.max = [top, top]
-        self.alive_count = g.left_count  # per side; pair removals keep sides equal
         self.edge_count = g.edge_count
         self.scale = math.lcm(*range(d + 2, top + 2))
         self.term = [
@@ -206,10 +207,6 @@ class _WorkingGraph:
         # gain[x]: change in total when a live vertex drops from degree x to x - 1
         self.gain = [0] + [self.term[x - 1] - self.term[x] for x in range(1, top + 1)]
         self.total = sum(self.term[len(nbrs)] for side in self.adj for nbrs in side)
-
-    def alive(self, s: int, i: int) -> bool:
-        """A removed vertex has an empty adjacency set and sits in no bucket."""
-        return i in self.buckets[s][len(self.adj[s][i])]
 
     def degree(self, s: int, i: int) -> int:
         return len(self.adj[s][i])
@@ -297,7 +294,6 @@ class _WorkingGraph:
         deg_a = self._cut(0, a)
         deg_b = self._cut(1, b)
         self.total -= self.term[deg_a] + self.term[deg_b]
-        self.alive_count -= 1
 
     def isolate(self, s: int, i: int) -> None:
         deg = self._cut(s, i)
@@ -305,9 +301,8 @@ class _WorkingGraph:
         self.buckets[s][0].add(i)
 
     def strengthened(self) -> Fraction:
-        """Strengthened bound of the current working graph (0 when empty)."""
-        if self.alive_count == 0:
-            return Fraction(0)
+        """Strengthened bound of the current working graph.  With no live
+        vertex, total is 0 and both max-degree terms are scale, so it is 0."""
         num = self.total + self.term[self.max_deg(0)] + self.term[self.max_deg(1)]
         return Fraction(num - 2 * self.scale, 2 * self.scale)
 
@@ -316,35 +311,39 @@ class _WorkingGraph:
         return tuple(sorted(self.buckets[0][0])), tuple(sorted(self.buckets[1][0]))
 
 
+def _next_step(work: _WorkingGraph, d: int) -> PeelStep:
+    """The step the deterministic rule takes on a working graph with edges:
+    the low-degree vertex when d >= 1 and one exists, else the selected pair."""
+    da, db = work.max_deg(0), work.max_deg(1)
+    v = work.low_degree_vertex(d) if d >= 1 else None
+    if v is not None:
+        degrees = (da, db, work.degree(_rank(v.side), v.index), None)
+        return PeelStep(kind=LOW_DEGREE_EDGE_DELETION, degrees_before=degrees, v=v)
+    a, b, case = work.select_pair()
+    return PeelStep(
+        kind=PAIR_CASE1 if case == 1 else PAIR_CASE2,
+        degrees_before=(da, db, work.degree(0, a), work.degree(1, b)),
+        a=a,
+        b=b,
+    )
+
+
+def _apply(work: _WorkingGraph, step: PeelStep) -> None:
+    """Carry out a step that :func:`_next_step` returned."""
+    if step.kind == LOW_DEGREE_EDGE_DELETION:
+        work.isolate(_rank(step.v.side), step.v.index)
+    else:
+        work.remove_pair(step.a, step.b)
+
+
 def _run_peel(g: BipartiteGraph, d: int):
     work = _WorkingGraph(g, d)
     steps: list[PeelStep] = []
     values = [work.strengthened()]
     while work.edge_count > 0:
-        da = work.max_deg(0)
-        db = work.max_deg(1)
-        v = work.low_degree_vertex(d) if d >= 1 else None
-        if v is not None:
-            s = _rank(v.side)
-            steps.append(
-                PeelStep(
-                    kind=LOW_DEGREE_EDGE_DELETION,
-                    degrees_before=(da, db, work.degree(s, v.index), None),
-                    v=v,
-                )
-            )
-            work.isolate(s, v.index)
-        else:
-            a, b, case = work.select_pair()
-            steps.append(
-                PeelStep(
-                    kind=PAIR_CASE1 if case == 1 else PAIR_CASE2,
-                    degrees_before=(da, db, work.degree(0, a), work.degree(1, b)),
-                    a=a,
-                    b=b,
-                )
-            )
-            work.remove_pair(a, b)
+        step = _next_step(work, d)
+        _apply(work, step)
+        steps.append(step)
         values.append(work.strengthened())
     lefts, rights = work.survivors()
     return lefts, rights, tuple(steps), tuple(values)
@@ -391,12 +390,11 @@ def find_degenerate(g: BipartiteGraph, d: int) -> tuple[DegenerateWitness, PeelT
 def check_trace(g: BipartiteGraph, trace: PeelTrace, d: int) -> bool:
     """Replay a trace against the graph it claims to describe.
 
-    Every step must be applicable exactly as recorded: the named vertices
-    alive with the recorded degrees, case 1 pairs nonadjacent, case 2 pairs
-    adjacent with no nonadjacent maximum-degree pair available, pair steps
-    only while edges remain, and edge deletions only at degrees in [1, d].
-    The replay must also end on an edgeless working graph, so a truncated
-    trace is rejected.  Violations raise :class:`TraceMismatch`.
+    The replay runs the peel's own step rule on g at d: every recorded step
+    must equal the step the rule takes at that point, kind, vertices and
+    degrees alike, and the replay must end on an edgeless working graph, so
+    a forged, reordered, truncated or extended trace is rejected.  The
+    first difference raises :class:`TraceMismatch` naming both steps.
 
     The strengthened bound is recomputed after every replayed step.  Returns
     True iff that sequence is nondecreasing and the trace's stored claims
@@ -412,60 +410,12 @@ def check_trace(g: BipartiteGraph, trace: PeelTrace, d: int) -> bool:
     floor = work.total // (2 * work.scale)
     values = [work.strengthened()]
     for pos, step in enumerate(trace.steps):
-        da = work.max_deg(0)
-        db = work.max_deg(1)
-        if step.kind in (PAIR_CASE1, PAIR_CASE2):
-            a, b = step.a, step.b
-            if a is None or b is None or not (0 <= a < work.n and 0 <= b < work.n):
-                raise TraceMismatch(f"step {pos}: pair ({a}, {b}) out of range")
-            if not (work.alive(0, a) and work.alive(1, b)):
-                raise TraceMismatch(f"step {pos}: pair ({a}, {b}) already removed")
-            if work.edge_count == 0:
-                raise TraceMismatch(f"step {pos}: pair step on an edgeless working graph")
-            deg_a = work.degree(0, a)
-            deg_b = work.degree(1, b)
-            if deg_a != da or deg_b != db:
-                raise TraceMismatch(
-                    f"step {pos}: ({a}, {b}) degrees ({deg_a}, {deg_b}) "
-                    f"do not attain the maxima ({da}, {db})"
-                )
-            adjacent = b in work.adj[0][a]
-            if step.kind == PAIR_CASE1 and adjacent:
-                raise TraceMismatch(f"step {pos}: case 1 pair ({a}, {b}) is adjacent")
-            if step.kind == PAIR_CASE2:
-                if not adjacent:
-                    raise TraceMismatch(f"step {pos}: case 2 pair ({a}, {b}) is nonadjacent")
-                if work.select_pair()[2] == 1:
-                    raise TraceMismatch(
-                        f"step {pos}: case 2 recorded but a nonadjacent "
-                        f"maximum-degree pair existed"
-                    )
-            if tuple(step.degrees_before) != (da, db, deg_a, deg_b):
-                raise TraceMismatch(
-                    f"step {pos}: recorded degrees {step.degrees_before} != "
-                    f"replayed {(da, db, deg_a, deg_b)}"
-                )
-            work.remove_pair(a, b)
-        elif step.kind == LOW_DEGREE_EDGE_DELETION:
-            v = step.v
-            if v is None or not 0 <= v.index < work.n:
-                raise TraceMismatch(f"step {pos}: vertex {v} out of range")
-            s = _rank(v.side)
-            if not work.alive(s, v.index):
-                raise TraceMismatch(f"step {pos}: vertex {v} already removed")
-            deg_v = work.degree(s, v.index)
-            if not 1 <= deg_v <= d:
-                raise TraceMismatch(
-                    f"step {pos}: degree {deg_v} of {v} not in [1, {d}]"
-                )
-            if tuple(step.degrees_before) != (da, db, deg_v, None):
-                raise TraceMismatch(
-                    f"step {pos}: recorded degrees {step.degrees_before} != "
-                    f"replayed {(da, db, deg_v, None)}"
-                )
-            work.isolate(s, v.index)
-        else:
-            raise TraceMismatch(f"step {pos}: unknown step kind {step.kind!r}")
+        if work.edge_count == 0:
+            raise TraceMismatch(f"step {pos}: {step} recorded after the peel ends")
+        expected = _next_step(work, d)
+        if step != expected:
+            raise TraceMismatch(f"step {pos}: recorded {step} but the rule takes {expected}")
+        _apply(work, expected)
         values.append(work.strengthened())
     if work.edge_count > 0:
         raise TraceMismatch(

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biholes import bounds
 from biholes.bigraph import BipartiteGraph, build_graph, generate
 from biholes.bounds import (
     BoundReport,
@@ -177,6 +178,22 @@ def test_bound_report_checks_eps_without_log_reference():
     # average degree 1: no log reference, but a bad eps is still an error
     with pytest.raises(ValueError, match="eps"):
         bound_report(generate("matching", 4), 0, Fraction(5))
+
+
+def test_bound_report_sums_the_potential_once(monkeypatch):
+    calls = []
+
+    def counted(g, d=0):
+        calls.append(d)
+        return caro_wei_sum(g, d)
+
+    monkeypatch.setattr(bounds, "caro_wei_sum", counted)
+    g = generate("gnp", 12, seed=3, p=0.4)
+    for d in (0, 2):
+        calls.clear()
+        rep = bound_report(g, d)
+        assert calls == [d]
+        assert (rep.floor_bound, rep.strengthened) == (floor_bound(g, d), strengthened_bound(g, d))
 
 
 def test_bound_report_empty_graph():

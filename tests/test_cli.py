@@ -156,18 +156,6 @@ def test_oracle_limit_flag(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "5"
 
 
-def test_oracle_limit_env(tmp_path, monkeypatch, capsys):
-    path = tmp_path / "e5.txt"
-    path.write_text(serialize(generate("edgeless", 5)))
-    monkeypatch.setenv("BIHOLE_ORACLE_MAX", "4")
-    assert main(["oracle", str(path)]) == EXIT_TOO_LARGE
-    # the flag wins over the environment
-    assert main(["oracle", str(path), "--limits", "6"]) == EXIT_OK
-    capsys.readouterr()
-    monkeypatch.setenv("BIHOLE_ORACLE_MAX", "many")
-    assert main(["oracle", str(path)]) == EXIT_PARSE
-
-
 # -- gen -----------------------------------------------------------------------
 
 
@@ -328,6 +316,17 @@ def test_experiment_leaves_exact_empty_over_the_oracle_limit(tmp_path):
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     # the bi-hole oracle takes n = 9; the degenerate one stops at 8
     assert [(row[4], row[9], row[10]) for row in rows] == [("0", "9", "true"), ("1", "", "true")]
+
+
+def test_experiment_oracle_max_sets_the_limits(tmp_path):
+    out = tmp_path / "sweep.csv"
+    args = ["experiment", "--models", "edgeless", "--n-range", "9", "--d-set", "0", "--trials", "1"]
+    assert main(args + ["--oracle-max", "8", "-o", str(out)]) == EXIT_OK
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [(row[9], row[10]) for row in rows] == [("", "true")]
+    out.unlink()
+    assert main(args + ["--oracle-max", "0", "-o", str(out)]) == EXIT_PARSE
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -193,7 +193,7 @@ def test_check_trace_rejects_adjacent_case1():
         initial_report=tr.initial_report,
         bound_values=tr.bound_values,
     )
-    with pytest.raises(TraceMismatch, match="adjacent"):
+    with pytest.raises(TraceMismatch, match="but the rule takes"):
         check_trace(c6(), forged, 0)
 
 
@@ -204,7 +204,7 @@ def test_check_trace_rejects_case2_when_escape_exists():
         initial_report=tr.initial_report,
         bound_values=tr.bound_values,
     )
-    with pytest.raises(TraceMismatch, match="nonadjacent"):
+    with pytest.raises(TraceMismatch, match="but the rule takes"):
         check_trace(c6(), forged, 0)
 
 
@@ -267,12 +267,28 @@ def test_check_trace_rejects_unknown_kind():
         check_trace(c6(), forged, 0)
 
 
-def test_check_trace_false_when_value_decreases():
-    """A structurally legal replay can still fail to certify: rechecking a
-    d = 0 trace at d = 2 makes the tracked value drop after the first pair
-    removal, so the verdict is False rather than an exception."""
+def test_check_trace_rejects_d0_trace_at_d2():
+    """At d = 2 the rule first isolates a low-degree vertex, where the d = 0
+    trace records a pair removal."""
     _, tr = find_bihole(c6())
-    assert check_trace(c6(), tr, 2) is False
+    with pytest.raises(TraceMismatch, match="low_degree_edge_deletion"):
+        check_trace(c6(), tr, 2)
+
+
+def test_check_trace_rejects_legal_steps_the_rule_does_not_take():
+    """Both pairs are nonadjacent maximum-degree pairs and the bound values
+    are the replayed ones, but the rule takes (0, 2) first, not (1, 0)."""
+    _, tr = find_bihole(c6())
+    forged = PeelTrace(
+        steps=(
+            PeelStep(kind=PAIR_CASE1, degrees_before=(2, 2, 2, 2), a=1, b=0),
+            PeelStep(kind=PAIR_CASE1, degrees_before=(1, 1, 1, 1), a=0, b=2),
+        ),
+        initial_report=tr.initial_report,
+        bound_values=(Fraction(1, 3), Fraction(1, 2), Fraction(1)),
+    )
+    with pytest.raises(TraceMismatch, match=r"step 0: .*a=1, b=0.* the rule takes .*a=0, b=2"):
+        check_trace(c6(), forged, 0)
 
 
 def test_check_trace_reads_stored_claims():
@@ -309,6 +325,58 @@ def test_check_trace_rejects_negative_d():
     _, tr = find_bihole(c6())
     with pytest.raises(NegativeD):
         check_trace(c6(), tr, -1)
+
+
+def _mutated_step(step: PeelStep, field: str, entry: int) -> PeelStep:
+    """The step with one field changed to a different value."""
+    if field == "kind":
+        kinds = [PAIR_CASE1, PAIR_CASE2, LOW_DEGREE_EDGE_DELETION]
+        return replace(step, kind=kinds[(kinds.index(step.kind) + 1) % 3])
+    if field == "degrees_before":
+        degrees = list(step.degrees_before)
+        degrees[entry] = 0 if degrees[entry] is None else degrees[entry] + 1
+        return replace(step, degrees_before=tuple(degrees))
+    if field == "v":
+        left0 = VertexRef(Side.LEFT, 0)
+        return replace(step, v=VertexRef(Side.RIGHT, 0) if step.v == left0 else left0)
+    old = getattr(step, field)
+    return replace(step, **{field: 0 if old is None else old + 1})
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 20),
+    st.sampled_from([0.2, 0.5, 0.8]),
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 3),
+    st.data(),
+)
+def test_check_trace_rejects_any_mutation(n, p, seed, d, data):
+    """One changed step field, a dropped or a duplicated step raises; a
+    changed stored claim makes the verdict False."""
+    g = generate("gnp", n, seed=seed, p=p)
+    _, tr = find_degenerate(g, d)
+    assert check_trace(g, tr, d)
+    steps = list(tr.steps)
+    if steps:
+        pos = data.draw(st.integers(0, len(steps) - 1))
+        edit = data.draw(st.sampled_from(["kind", "a", "b", "v", "degrees_before", "drop", "dup"]))
+        if edit == "drop":
+            del steps[pos]
+        elif edit == "dup":
+            steps.insert(pos, steps[pos])
+        else:
+            steps[pos] = _mutated_step(steps[pos], edit, data.draw(st.integers(0, 3)))
+        with pytest.raises(TraceMismatch):
+            check_trace(g, replace(tr, steps=tuple(steps)), d)
+    pos = data.draw(st.integers(0, len(tr.bound_values) - 1))
+    values = list(tr.bound_values)
+    values[pos] += data.draw(st.sampled_from([Fraction(-1, 2), Fraction(1)]))
+    assert check_trace(g, replace(tr, bound_values=tuple(values)), d) is False
+    report = tr.initial_report
+    field = data.draw(st.sampled_from(["n", "d", "floor_bound", "strengthened"]))
+    forged = replace(report, **{field: getattr(report, field) + 1})
+    assert check_trace(g, replace(tr, initial_report=forged), d) is False
 
 
 # -- guarantees, property-based ------------------------------------------------------
