@@ -1,14 +1,16 @@
 """Bipartite graphs with two-sided adjacency, text I/O, and seeded generators.
 
 Vertices on each side are indexed 0..count-1.  Adjacency is stored from both
-sides as sorted tuples, so membership tests are O(log deg).  Graph values are
-treated as immutable.
+sides as sorted tuples.  Graph values are treated as immutable.
 
 Edge-list text format
 ---------------------
 * comment lines start with ``#`` and are ignored (blank lines too)
 * the first data line is the header ``<left_count> <right_count>``
 * every following data line is one edge ``<left_index> <right_index>``
+* the two side sizes may add up to at most ``MAX_VERTICES`` (10**7), since
+  building the graph allocates per declared vertex before any edge is read;
+  a larger header raises :class:`MalformedHeader`
 * indices are 0-based; duplicate edges collapse
 * LF and CRLF line endings are both accepted; the serializer emits LF only
   and lists edges in lexicographic order, so serialize/parse round-trips
@@ -18,7 +20,6 @@ Edge-list text format
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -37,6 +38,7 @@ __all__ = [
     "Side",
     "VertexRef",
     "BipartiteGraph",
+    "MAX_VERTICES",
     "SplitMix64",
     "build_graph",
     "require_balanced",
@@ -94,29 +96,11 @@ class BipartiteGraph:
     def is_balanced(self) -> bool:
         return self.left_count == self.right_count
 
-    def degree(self, v: VertexRef) -> int:
-        if v.side is Side.LEFT:
-            if not 0 <= v.index < self.left_count:
-                raise IndexOutOfRange(f"left index {v.index} not in [0, {self.left_count})")
-            return len(self.left_adj[v.index])
-        if not 0 <= v.index < self.right_count:
-            raise IndexOutOfRange(f"right index {v.index} not in [0, {self.right_count})")
-        return len(self.right_adj[v.index])
-
     def max_degree(self, side: Side) -> int:
         adj = self.left_adj if side is Side.LEFT else self.right_adj
         if not adj:
             raise EmptySide(f"max_degree of empty side {side.value}")
         return max(len(nbrs) for nbrs in adj)
-
-    def has_edge(self, left: int, right: int) -> bool:
-        if not 0 <= left < self.left_count:
-            raise IndexOutOfRange(f"left index {left} not in [0, {self.left_count})")
-        if not 0 <= right < self.right_count:
-            raise IndexOutOfRange(f"right index {right} not in [0, {self.right_count})")
-        nbrs = self.left_adj[left]
-        pos = bisect_left(nbrs, right)
-        return pos < len(nbrs) and nbrs[pos] == right
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges in lexicographic (left, right) order."""
@@ -193,6 +177,8 @@ def build_graph(
 
 # -- text format ------------------------------------------------------------
 
+MAX_VERTICES = 10**7
+
 
 def parse_edge_list(text: str) -> BipartiteGraph:
     """Parse the edge-list format described in the module docstring."""
@@ -216,6 +202,11 @@ def parse_edge_list(text: str) -> BipartiteGraph:
                 ) from None
             if header[0] < 0 or header[1] < 0:
                 raise MalformedHeader(f"line {lineno}: side sizes must be >= 0")
+            if header[0] + header[1] > MAX_VERTICES:
+                raise MalformedHeader(
+                    f"line {lineno}: {header[0]} + {header[1]} vertices exceed "
+                    f"the cap of {MAX_VERTICES}"
+                )
             continue
         if len(parts) != 2:
             raise MalformedEdgeLine(

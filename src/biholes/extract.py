@@ -20,16 +20,21 @@ nonadjacent hit wins and yields case 1.
 
 The working graph is a bucket queue in the style of Matula & Beck's
 smallest-last ordering and Batagelj & Zaversnik's O(m) core decomposition:
-live vertices sit in per-side buckets by degree, with a min-heap of indices
-per bucket for the ascending-order tie-breaks and a max-degree pointer per
-side that only moves down, since degrees only fall.  The tracked bound is
-kept as one exact integer numerator, updated by a precomputed difference
-for each vertex whose degree changes.  A step therefore costs time in
-proportion to the degrees it changes, times a log factor for the heaps, and
-never rescans all n vertices.  The one extra cost is in pair selection: each
-max-degree left vertex visited costs a subset test bounded by its degree, and
-the scan goes past the first only when that vertex is adjacent to the whole
-right max-degree bucket.
+per-side integer degree arrays with a count of live vertices per degree,
+and a max-degree pointer per side that only moves down, since degrees only
+fall.  Deleting an edge is a few integer list updates.  The ascending-order
+tie-breaks need ordered buckets only where they are queried: buckets 1..d
+are lazy min-heaps, read by the low-degree rule, and a bucket above d is
+read only while it is the max bucket, which never gains members, so it is
+sorted once, when the pointer reaches it.  At d = 0 no heap is used at all.
+The tracked bound is kept as one exact integer numerator, updated by a
+precomputed difference for each vertex whose degree changes.  A step
+therefore costs time in proportion to the input degrees of the vertices it
+cuts (plus a log factor for pushes into buckets 1..d and the one sort per
+max bucket), and never rescans all n vertices.  The one extra cost is in
+pair selection: each max-degree left vertex visited costs a subset test
+bounded by its degree in the input graph, and the scan goes past the first
+only when that vertex is adjacent to the whole right max-degree bucket.
 
 The strengthened bound of the working graph never decreases along the peel,
 and the final edgeless working graph's value equals the witness size, which
@@ -172,14 +177,23 @@ def _rank(side: Side) -> int:
 class _WorkingGraph:
     """Mutable peeling state, kept in the original index space.
 
-    Sides are numbered 0 (Left) and 1 (Right).  Adjacency sets only mention
-    live vertices, so a vertex's degree is the size of its set, and every
-    live vertex sits in exactly one bucket, ``buckets[side][degree]``.
-    ``heaps[side][degree]`` holds the same indices as a min-heap for the
-    ascending-order queries; an entry whose vertex has left that bucket is
-    stale and is dropped once it reaches the top.  Degrees only fall, so a
-    vertex enters each bucket at most once and the per-side max-degree
-    pointers only move down.
+    Sides are numbered 0 (Left) and 1 (Right).  ``deg[s][i]`` is the live
+    degree of vertex i and ``cnt[s][x]`` the number of live vertices of
+    degree x.  A vertex whose edges are cut, or that is removed, has degree
+    0, so deleting an edge is a few integer list updates and the graph's
+    own neighbour tuples are walked, never edited: a neighbour of degree 0
+    has lost the edge already, and any other neighbour still has it.
+    Degrees only fall, so a vertex enters each degree at most once and the
+    per-side max-degree pointers only move down.
+
+    ``queue[s][x]`` lists the vertices that entered degree x; an entry is
+    stale once the vertex's degree is no longer x.  For 1 <= x <= d it is a
+    min-heap, read only by ``low_degree_vertex``.  A bucket above d is read
+    only while it is the max bucket, and the max bucket never gains
+    members, so it is sorted once, when the pointer reaches it:
+    ``top_order[s]`` holds its live entrants in ascending order,
+    ``top_members[s]`` those still in it, and ``top_start[s]`` the first
+    position that may still hold a member.
 
     ``total`` is ``scale`` times the sum of potential(deg v, d) over live
     vertices.  ``scale`` is the lcm of x + 1 over d < x <= the initial
@@ -189,15 +203,26 @@ class _WorkingGraph:
 
     def __init__(self, g: BipartiteGraph, d: int):
         self.n = g.left_count
-        self.adj = ([set(nbrs) for nbrs in g.left_adj], [set(nbrs) for nbrs in g.right_adj])
-        top = max(g.max_degree(Side.LEFT), g.max_degree(Side.RIGHT)) if self.n else 0
-        self.buckets = ([set() for _ in range(top + 1)], [set() for _ in range(top + 1)])
+        self.d = d
+        self.nbrs = (g.left_adj, g.right_adj)
+        # read, never edited: select_pair only tests pairs of live vertices,
+        # between which an edge is live iff it is in the input graph
+        self.ladj = [set(nbrs) for nbrs in g.left_adj]
+        self.deg = ([len(nbrs) for nbrs in g.left_adj], [len(nbrs) for nbrs in g.right_adj])
+        top = max(max(self.deg[0], default=0), max(self.deg[1], default=0))
+        self.cnt = ([0] * (top + 1), [0] * (top + 1))
         # filled in ascending index order, so each list already is a valid heap
-        self.heaps = ([[] for _ in range(top + 1)], [[] for _ in range(top + 1)])
+        self.queue = ([[] for _ in range(top + 1)], [[] for _ in range(top + 1)])
         for s in (0, 1):
-            for i, nbrs in enumerate(self.adj[s]):
-                self.buckets[s][len(nbrs)].add(i)
-                self.heaps[s][len(nbrs)].append(i)
+            cnt, queue = self.cnt[s], self.queue[s]
+            for i, x in enumerate(self.deg[s]):
+                cnt[x] += 1
+                queue[x].append(i)
+        self.top_x = [-1, -1]
+        self.top_order = [[], []]
+        self.top_members = [set(), set()]
+        self.top_start = [0, 0]
+        self.removed = (bytearray(self.n), bytearray(self.n))
         self.max = [top, top]
         self.edge_count = g.edge_count
         self.scale = math.lcm(*range(d + 2, top + 2))
@@ -206,40 +231,51 @@ class _WorkingGraph:
         ]
         # gain[x]: change in total when a live vertex drops from degree x to x - 1
         self.gain = [0] + [self.term[x - 1] - self.term[x] for x in range(1, top + 1)]
-        self.total = sum(self.term[len(nbrs)] for side in self.adj for nbrs in side)
+        self.total = sum(self.term[x] for side in self.deg for x in side)
 
     def degree(self, s: int, i: int) -> int:
-        return len(self.adj[s][i])
+        return self.deg[s][i]
 
     def max_deg(self, s: int) -> int:
         x = self.max[s]
-        buckets = self.buckets[s]
-        while x > 0 and not buckets[x]:
+        cnt = self.cnt[s]
+        while x > 0 and not cnt[x]:
             x -= 1
         self.max[s] = x
         return x
 
-    def _lowest(self, s: int, x: int, accept=None) -> int | None:
-        """Lowest index in bucket (s, x) that ``accept`` passes, or None.
+    def _lowest(self, s: int, x: int) -> int:
+        """Lowest index of degree x on side s, for a nonempty bucket
+        1 <= x <= d; stale heap entries are dropped for good."""
+        heap, deg = self.queue[s][x], self.deg[s]
+        while deg[heap[0]] != x:
+            heappop(heap)
+        return heap[0]
 
-        Stale heap entries are dropped for good; live ones that fail
-        ``accept`` are pushed back afterwards.
-        """
-        bucket, heap = self.buckets[s][x], self.heaps[s][x]
-        rejected = []
-        found = None
-        while heap:
-            i = heap[0]
-            if i not in bucket:
-                heappop(heap)
-            elif accept is None or accept(i):
-                found = i
-                break
-            else:
-                rejected.append(heappop(heap))
-        for i in rejected:
-            heappush(heap, i)
-        return found
+    def _sort_max(self, s: int) -> None:
+        """Make ``top_*[s]`` describe side s's current max bucket."""
+        x = self.max_deg(s)
+        if self.top_x[s] == x:
+            return
+        deg = self.deg[s]
+        order = sorted(i for i in self.queue[s][x] if deg[i] == x)
+        self.queue[s][x] = []
+        self.top_x[s], self.top_order[s], self.top_members[s] = x, order, set(order)
+        self.top_start[s] = 0
+
+    def _lowest_max(self, s: int, accept=None) -> int | None:
+        """Lowest member of side s's sorted max bucket that ``accept``
+        passes, or None.  Departed members at the front are skipped for good."""
+        order, members = self.top_order[s], self.top_members[s]
+        k = self.top_start[s]
+        while order[k] not in members:
+            k += 1
+        self.top_start[s] = k
+        for k in range(k, len(order)):
+            i = order[k]
+            if i in members and (accept is None or accept(i)):
+                return i
+        return None
 
     def select_pair(self) -> tuple[int, int, int]:
         """(a, b, case): first nonadjacent max-degree pair in ascending scan
@@ -249,21 +285,22 @@ class _WorkingGraph:
         at the first whose neighbourhood misses part of the right max-degree
         bucket; its lowest missed vertex is the pair partner.
         """
-        da, db = self.max_deg(0), self.max_deg(1)
-        ladj = self.adj[0]
-        cand_b = self.buckets[1][db]
-        a = self._lowest(0, da, lambda i: not cand_b <= ladj[i])
+        self._sort_max(0)
+        self._sort_max(1)
+        ladj = self.ladj
+        cand_b = self.top_members[1]
+        a = self._lowest_max(0, lambda i: not cand_b <= ladj[i])
         if a is None:
-            return self._lowest(0, da), self._lowest(1, db), 2
+            return self._lowest_max(0), self._lowest_max(1), 2
         nbrs = ladj[a]
-        return a, self._lowest(1, db, lambda j: j not in nbrs), 1
+        return a, self._lowest_max(1, lambda j: j not in nbrs), 1
 
     def low_degree_vertex(self, d: int) -> VertexRef | None:
         """The vertex of minimum degree in [1, d]; Left side first, then
         ascending index.  None when no such vertex exists."""
-        for x in range(1, min(d, max(self.max_deg(0), self.max_deg(1))) + 1):
+        for x in range(1, min(d, len(self.cnt[0]) - 1) + 1):
             for s in (0, 1):
-                if self.buckets[s][x]:
+                if self.cnt[s][x]:
                     return VertexRef(_SIDES[s], self._lowest(s, x))
         return None
 
@@ -271,34 +308,42 @@ class _WorkingGraph:
         """Delete every edge at vertex i of side s and take it out of its
         bucket; returns its former degree."""
         t = 1 - s
-        other_adj, buckets, heaps, gain = self.adj[t], self.buckets[t], self.heaps[t], self.gain
-        nbrs = self.adj[s][i]
+        deg, cnt, queue, gain = self.deg[t], self.cnt[t], self.queue[t], self.gain
+        top_x, members, d = self.top_x[t], self.top_members[t], self.d
         delta = 0
-        for j in nbrs:
-            nj = other_adj[j]
-            x = len(nj)
-            nj.remove(i)
-            buckets[x].remove(j)
-            buckets[x - 1].add(j)
-            if x > 1:
-                heappush(heaps[x - 1], j)
+        for j in self.nbrs[s][i]:
+            x = deg[j]
+            if not x:
+                continue
+            y = deg[j] = x - 1
+            cnt[x] -= 1
+            cnt[y] += 1
+            if x == top_x:
+                members.discard(j)
+            if y > d:
+                queue[y].append(j)
+            elif y:
+                heappush(queue[y], j)
             delta += gain[x]
-        x = len(nbrs)
+        x = self.deg[s][i]
+        self.deg[s][i] = 0
+        self.cnt[s][x] -= 1
+        if x == self.top_x[s]:
+            self.top_members[s].discard(i)
         self.edge_count -= x
         self.total += delta
-        self.adj[s][i] = set()
-        self.buckets[s][x].remove(i)
         return x
 
     def remove_pair(self, a: int, b: int) -> None:
         deg_a = self._cut(0, a)
         deg_b = self._cut(1, b)
         self.total -= self.term[deg_a] + self.term[deg_b]
+        self.removed[0][a] = self.removed[1][b] = 1
 
     def isolate(self, s: int, i: int) -> None:
         deg = self._cut(s, i)
         self.total += self.term[0] - self.term[deg]
-        self.buckets[s][0].add(i)
+        self.cnt[s][0] += 1
 
     def strengthened(self) -> Fraction:
         """Strengthened bound of the current working graph.  With no live
@@ -308,7 +353,9 @@ class _WorkingGraph:
 
     def survivors(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Live vertices of an edgeless working graph, ascending per side."""
-        return tuple(sorted(self.buckets[0][0])), tuple(sorted(self.buckets[1][0]))
+        return tuple(
+            tuple(i for i, gone in enumerate(removed) if not gone) for removed in self.removed
+        )
 
 
 def _next_step(work: _WorkingGraph, d: int) -> PeelStep:

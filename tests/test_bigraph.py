@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biholes import bigraph
 from biholes.bigraph import (
+    MAX_VERTICES,
     BipartiteGraph,
     Side,
     SplitMix64,
-    VertexRef,
     build_graph,
     generate,
     parse_edge_list,
@@ -89,17 +90,6 @@ def test_build_rejects_negative_sizes():
         build_graph(-1, 2, [])
 
 
-def test_degree_and_has_edge():
-    g = c6()
-    assert g.degree(VertexRef(Side.LEFT, 0)) == 2
-    assert g.degree(VertexRef(Side.RIGHT, 1)) == 2
-    assert g.has_edge(0, 0) and not g.has_edge(0, 2)
-    with pytest.raises(IndexOutOfRange):
-        g.degree(VertexRef(Side.LEFT, 3))
-    with pytest.raises(IndexOutOfRange):
-        g.has_edge(0, 3)
-
-
 def test_max_degree():
     star = build_graph(3, 3, [(0, 0), (0, 1), (0, 2)])
     assert star.max_degree(Side.LEFT) == 3
@@ -165,6 +155,18 @@ def test_parse_malformed_header():
     for text in ("", "# only a comment\n", "3\n", "x y\n", "-1 2\n"):
         with pytest.raises(MalformedHeader):
             parse_edge_list(text)
+
+
+def test_parse_caps_the_header_before_allocating(monkeypatch):
+    built = []
+    monkeypatch.setattr(bigraph, "build_graph", lambda left, right, edges: built.append(left))
+    for text in (f"{MAX_VERTICES // 2} {MAX_VERTICES // 2 + 1}\n", "1000000000 1000000000\n"):
+        with pytest.raises(MalformedHeader, match="cap"):
+            parse_edge_list(text)
+    assert built == []
+    parse_edge_list(f"{MAX_VERTICES // 2} {MAX_VERTICES // 2}\n")
+    parse_edge_list(f"0 {MAX_VERTICES}\n")
+    assert built == [MAX_VERTICES // 2, 0]
 
 
 def test_parse_malformed_edge_line_carries_lineno():

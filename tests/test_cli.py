@@ -198,6 +198,14 @@ def test_exit_code_malformed_input(tmp_path):
     assert main(["bound", str(out_of_range)]) == EXIT_PARSE
 
 
+def test_exit_code_header_over_the_vertex_cap(tmp_path, capsys):
+    huge = tmp_path / "huge.txt"
+    huge.write_text("1000000000 1000000000\n0 0\n")
+    for args in (["extract", str(huge)], ["bound", str(huge)], ["oracle", str(huge)]):
+        assert main(args) == EXIT_PARSE
+        assert "cap" in capsys.readouterr().err
+
+
 def test_exit_code_unbalanced(tmp_path):
     path = tmp_path / "u.txt"
     path.write_text("2 3\n0 0\n")

@@ -5,11 +5,13 @@ import math
 import time
 from dataclasses import replace
 from fractions import Fraction
+from heapq import heappush
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biholes import extract
 from biholes.bigraph import BipartiteGraph, Side, VertexRef, build_graph, generate
 from biholes.bounds import floor_bound, strengthened_bound
 from biholes.errors import NegativeD, TraceMismatch, UnbalancedGraph
@@ -421,13 +423,18 @@ def test_extraction_is_deterministic(g):
 
 @st.composite
 def peel_inputs(draw):
-    """Random gnp at any density, plus the dense and near-regular families
-    where max-degree buckets are large and case 2 is common."""
-    kind = draw(st.sampled_from(["gnp", "complete", "crown", "cycle"]))
+    """Random gnp at any density, the dense and near-regular families where
+    max-degree buckets are large and case 2 is common, and the staircase
+    (left i ~ right j iff j <= i), where every degree on a side is distinct
+    and the max bucket changes at every step."""
+    kind = draw(st.sampled_from(["gnp", "complete", "crown", "cycle", "staircase"]))
     if kind == "gnp":
         n = draw(st.integers(1, 30))
         p = draw(st.sampled_from([0.05, 0.1, 0.2, 0.3, 0.5, 0.6, 0.8, 0.9]))
         return generate("gnp", n, seed=draw(st.integers(0, 2**64 - 1)), p=p)
+    if kind == "staircase":
+        n = draw(st.integers(1, 20))
+        return build_graph(n, n, [(i, j) for i in range(n) for j in range(i + 1)])
     return generate(kind, draw(st.integers(2, 12)))
 
 
@@ -435,6 +442,38 @@ def peel_inputs(draw):
 @given(peel_inputs(), st.integers(0, 3))
 def test_peel_matches_rescan_reference(g, d):
     assert _run_peel(g, d) == reference_peel(g, d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(peel_inputs(), st.integers(0, 6))
+def test_peel_matches_rescan_reference_up_to_d6(g, d):
+    """d up to 6 also reaches d >= max degree, where every bucket is a heap."""
+    assert _run_peel(g, d) == reference_peel(g, d)
+
+
+def test_peel_pushes_heaps_only_for_low_buckets(monkeypatch):
+    """Buckets above d are sorted when they become the max, not kept as heaps:
+    at d = 0 the peel and its replay push nothing, at d = 2 they push only
+    into the heaps of buckets 1 and 2."""
+    works, pushed = [], []
+
+    class Recording(extract._WorkingGraph):
+        def __init__(self, g, d):
+            super().__init__(g, d)
+            works.append(self)
+
+    def recording_push(heap, item):
+        pushed.append(heap)
+        heappush(heap, item)
+
+    monkeypatch.setattr(extract, "_WorkingGraph", Recording)
+    monkeypatch.setattr(extract, "heappush", recording_push)
+    g = generate("gnp", 400, seed=1, p=0.5)
+    assert check_trace(g, find_bihole(g)[1], 0)
+    assert len(works) == 2 and pushed == []
+    assert check_trace(g, find_degenerate(g, 2)[1], 2)
+    low = {id(heap) for work in works[2:] for side in work.queue for heap in side[1:3]}
+    assert pushed and all(id(heap) in low for heap in pushed)
 
 
 def test_peel_scales_to_sparse_n1600():

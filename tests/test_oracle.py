@@ -65,7 +65,7 @@ def brute_max_bihole(g):
     for t in range(1, min(g.left_count, g.right_count) + 1):
         for ls in itertools.combinations(lefts, t):
             for rs in itertools.combinations(rights, t):
-                if all(not g.has_edge(l, r) for l in ls for r in rs):
+                if all(r not in g.left_adj[l] for l in ls for r in rs):
                     best = max(best, t)
     return best
 
@@ -75,7 +75,7 @@ def brute_max_biclique(g):
     for t in range(1, min(g.left_count, g.right_count) + 1):
         for ls in itertools.combinations(range(g.left_count), t):
             for rs in itertools.combinations(range(g.right_count), t):
-                if all(g.has_edge(l, r) for l in ls for r in rs):
+                if all(r in g.left_adj[l] for l in ls for r in rs):
                     best = max(best, t)
     return best
 
