@@ -185,45 +185,35 @@ def parse_edge_list(text: str) -> BipartiteGraph:
     header: tuple[int, int] | None = None
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.rstrip("\r").strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
-        if header is None:
-            if len(parts) != 2:
-                raise MalformedHeader(
-                    f"line {lineno}: header must be two integers, got {line!r}"
-                )
-            try:
-                header = (int(parts[0]), int(parts[1]))
-            except ValueError:
-                raise MalformedHeader(
-                    f"line {lineno}: header must be two integers, got {line!r}"
-                ) from None
-            if header[0] < 0 or header[1] < 0:
-                raise MalformedHeader(f"line {lineno}: side sizes must be >= 0")
-            if header[0] + header[1] > MAX_VERTICES:
-                raise MalformedHeader(
-                    f"line {lineno}: {header[0]} + {header[1]} vertices exceed "
-                    f"the cap of {MAX_VERTICES}"
-                )
-            continue
-        if len(parts) != 2:
-            raise MalformedEdgeLine(
-                lineno, f"line {lineno}: edge line must be two integers, got {line!r}"
-            )
         try:
+            if len(parts) != 2:
+                raise ValueError
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
+            if header is None:
+                raise MalformedHeader(
+                    f"line {lineno}: header must be two integers, got {raw.strip()!r}"
+                ) from None
             raise MalformedEdgeLine(
-                lineno, f"line {lineno}: edge line must be two integers, got {line!r}"
+                lineno, f"line {lineno}: edge line must be two integers, got {raw.strip()!r}"
             ) from None
-        if not 0 <= u < header[0] or not 0 <= v < header[1]:
+        if header is None:
+            if u < 0 or v < 0:
+                raise MalformedHeader(f"line {lineno}: side sizes must be >= 0")
+            if u + v > MAX_VERTICES:
+                raise MalformedHeader(
+                    f"line {lineno}: {u} + {v} vertices exceed the cap of {MAX_VERTICES}"
+                )
+            header = (u, v)
+        elif not 0 <= u < header[0] or not 0 <= v < header[1]:
             raise IndexOutOfRange(
-                f"line {lineno}: edge ({u}, {v}) does not fit a "
-                f"{header[0]} x {header[1]} graph"
+                f"line {lineno}: edge ({u}, {v}) does not fit a {header[0]} x {header[1]} graph"
             )
-        edges.append((u, v))
+        else:
+            edges.append((u, v))
     if header is None:
         raise MalformedHeader("missing header line")
     return build_graph(header[0], header[1], edges)
@@ -278,7 +268,7 @@ def check_model(model: str, n: int, p: float | Fraction | None = None) -> None:
     if name == "gnp":
         if p is None:
             raise InvalidProbability("model 'gnp' needs an edge probability p")
-        if not 0 <= Fraction(p) <= 1:
+        if not 0 <= p <= 1:
             raise InvalidProbability(f"edge probability must be in [0, 1], got {p}")
 
 

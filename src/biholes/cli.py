@@ -11,7 +11,9 @@ Subcommands::
 
 INPUT is a path to an edge-list file, or ``-`` for stdin.  Exit codes are a
 stable contract: 0 success, 2 parse or usage error, 3 unbalanced input,
-4 verification failure, 5 instance over oracle limits.
+4 verification failure, 5 instance over oracle limits.  A rejected input
+never ends in a traceback: it prints one ``error: ...`` line and exits 2, 3
+or 5.  ``--eps`` refuses a decimal exponent over 4300 in magnitude.
 
 ``oracle --limits N`` and ``experiment --oracle-max N`` set both oracle side
 limits to N; without them the defaults of :class:`OracleLimits` apply.
@@ -33,18 +35,7 @@ from .bigraph import (
     serialize,
 )
 from .bounds import bound_report, decimal_string
-from .errors import (
-    BiholesError,
-    IndexOutOfRange,
-    InstanceTooLarge,
-    InvalidProbability,
-    InvalidSize,
-    MalformedEdgeLine,
-    MalformedHeader,
-    NegativeD,
-    TraceMismatch,
-    UnbalancedGraph,
-)
+from .errors import BiholesError, InstanceTooLarge, NegativeD, TraceMismatch, UnbalancedGraph
 from .extract import check_trace, find_bihole, find_degenerate
 from .oracle import (
     OracleLimits,
@@ -73,10 +64,6 @@ CSV_HEADER = [
     "exact",
     "verified",
 ]
-
-
-class _VerificationFailed(BiholesError):
-    pass
 
 
 def _read_graph(path: str):
@@ -125,12 +112,25 @@ def _failed_checks(g, witness, trace, d: int, exact: int | None = None) -> list[
     return [name for name, ok in checks.items() if not ok]
 
 
+def _eps(text: str) -> Fraction:
+    """``--eps`` as a Fraction, refusing a decimal exponent over 4300 in magnitude
+    (CPython's digit limit for ``int()`` of a string) before Fraction spends
+    minutes building that power of ten."""
+    try:
+        too_big = abs(int(text.lower().partition("e")[2])) > 4300
+    except ValueError:  # no exponent, or not an integer one: Fraction decides
+        too_big = False
+    if too_big:
+        raise ValueError(f"eps exponent must be at most 4300 in magnitude, got {text!r}")
+    return Fraction(text)
+
+
 # -- subcommands --------------------------------------------------------------
 
 
 def _cmd_bound(args) -> int:
     g = _read_graph(args.input)
-    report = bound_report(g, args.d, Fraction(args.eps))
+    report = bound_report(g, args.d, _eps(args.eps))
     if args.json:
         import json
 
@@ -166,7 +166,8 @@ def _cmd_extract(args) -> int:
     if args.verify:
         failed = _failed_checks(g, witness, trace, args.d)
         if failed:
-            raise _VerificationFailed(f"failed checks: {', '.join(failed)}")
+            print(f"verification failed: failed checks: {', '.join(failed)}", file=sys.stderr)
+            return EXIT_VERIFY
     payload = witness.to_json()
     if args.trace:
         payload["trace"] = trace.to_json()
@@ -200,10 +201,9 @@ def _parse_n_range(text: str) -> list[int]:
     if "-" in text and "," not in text:
         lo_text, hi_text = text.split("-", 1)
         lo, hi = int(lo_text), int(hi_text)
-        if lo < 1 or hi < lo:
-            raise ValueError(f"bad n range {text!r}")
-        return list(range(lo, hi + 1))
-    values = [int(part) for part in text.split(",") if part.strip()]
+        values = list(range(lo, hi + 1)) if 1 <= lo <= hi else []
+    else:
+        values = [int(part) for part in text.split(",") if part.strip()]
     if not values or any(v < 1 for v in values):
         raise ValueError(f"bad n range {text!r}")
     return values
@@ -319,24 +319,21 @@ def build_parser() -> argparse.ArgumentParser:
         "bi-holes and balanced degenerate subgraphs in bipartite graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    graph = argparse.ArgumentParser(add_help=False)
+    graph.add_argument("input", help="edge-list file, or - for stdin")
+    graph.add_argument("--d", type=int, default=0, help="degeneracy parameter (default 0)")
 
-    p_bound = sub.add_parser("bound", help="compute all bound values for a graph")
-    p_bound.add_argument("input", help="edge-list file, or - for stdin")
-    p_bound.add_argument("--d", type=int, default=0, help="degeneracy parameter (default 0)")
+    p_bound = sub.add_parser("bound", parents=[graph], help="compute all bound values for a graph")
     p_bound.add_argument("--eps", default="1/2", help="eps for the log reference bound")
     p_bound.add_argument("--json", action="store_true", help="emit the report as JSON")
     p_bound.set_defaults(func=_cmd_bound)
 
-    p_extract = sub.add_parser("extract", help="extract a witness (JSON on stdout)")
-    p_extract.add_argument("input", help="edge-list file, or - for stdin")
-    p_extract.add_argument("--d", type=int, default=0, help="degeneracy parameter (default 0)")
+    p_extract = sub.add_parser("extract", parents=[graph], help="extract a witness (JSON on stdout)")
     p_extract.add_argument("--trace", action="store_true", help="include the peel trace")
     p_extract.add_argument("--verify", action="store_true", help="re-verify witness and trace")
     p_extract.set_defaults(func=_cmd_extract)
 
-    p_oracle = sub.add_parser("oracle", help="exact optimum by brute force")
-    p_oracle.add_argument("input", help="edge-list file, or - for stdin")
-    p_oracle.add_argument("--d", type=int, default=0, help="degeneracy parameter (default 0)")
+    p_oracle = sub.add_parser("oracle", parents=[graph], help="exact optimum by brute force")
     p_oracle.add_argument("--limits", type=int, default=None, help="override both oracle side limits")
     p_oracle.set_defaults(func=_cmd_oracle)
 
@@ -363,28 +360,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (MalformedHeader, MalformedEdgeLine, IndexOutOfRange) as exc:
+    except (BiholesError, ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except UnbalancedGraph as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNBALANCED
-    except _VerificationFailed as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-    except InstanceTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TOO_LARGE
-    except (InvalidProbability, InvalidSize, NegativeD, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        if isinstance(exc, UnbalancedGraph):
+            return EXIT_UNBALANCED
+        return EXIT_TOO_LARGE if isinstance(exc, InstanceTooLarge) else EXIT_PARSE
 
 
 def run() -> None:

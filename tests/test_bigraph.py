@@ -219,6 +219,12 @@ def test_generate_validation():
         generate("torus", 3)
 
 
+@pytest.mark.parametrize("p", [float("inf"), float("-inf"), float("nan")])
+def test_generate_rejects_non_finite_p(p):
+    with pytest.raises(InvalidProbability, match="must be in"):
+        generate("gnp", 3, p=p)
+
+
 def test_gnp_extremes():
     assert generate("gnp", 4, seed=9, p=0.0) == generate("edgeless", 4)
     assert generate("gnp", 4, seed=9, p=1.0) == generate("complete", 4)

@@ -1,13 +1,20 @@
 """End-to-end command-line behaviour: output shapes, exit codes, determinism."""
 
+import contextlib
 import io
 import json
+import subprocess
+import sys
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from biholes import cli
-from biholes.bigraph import generate, serialize
+from biholes.bigraph import GENERATOR_MODELS, generate, serialize
 from biholes.cli import (
     CSV_HEADER,
     EXIT_OK,
@@ -62,6 +69,28 @@ def test_bound_custom_eps(c6_path, capsys):
     assert main(["bound", c6_path, "--eps", "1/4"]) == EXIT_OK
     assert "eps = 1/4" in capsys.readouterr().out
     assert main(["bound", c6_path, "--eps", "7/4"]) == EXIT_PARSE
+
+
+@pytest.mark.parametrize("eps, shown", [("0.25", "1/4"), ("1e-3", "1/1000")])
+def test_bound_accepts_decimal_eps(c6_path, capsys, eps, shown):
+    assert main(["bound", c6_path, "--eps", eps]) == EXIT_OK
+    assert f"(eps = {shown}," in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("eps", ["1/0", "1e999999999", "1e-999999999"])
+def test_bound_rejects_hostile_eps_within_a_second(c6_path, capsys, eps):
+    # A child process first: converting 1e999999999 takes minutes where it is
+    # not refused, and only a process can be cut off.
+    argv = ["bound", c6_path, "--eps", eps]
+    env = {"PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    child = subprocess.run(
+        [sys.executable, "-m", "biholes.cli", *argv], capture_output=True, env=env, timeout=10
+    )
+    assert child.returncode == EXIT_PARSE
+    start = time.perf_counter()
+    assert main(argv) == EXIT_PARSE
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # -- extract -------------------------------------------------------------------
@@ -177,6 +206,14 @@ def test_gen_gnp_deterministic(tmp_path):
 
 def test_gen_gnp_needs_p(tmp_path):
     assert main(["gen", "gnp", "4", str(tmp_path / "x.txt")]) == EXIT_PARSE
+
+
+@pytest.mark.parametrize("p", ["inf", "nan"])
+def test_gen_rejects_non_finite_p(capsys, p):
+    assert main(["gen", "gnp", "3", "-", "--p", p]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: edge probability must be in [0, 1], got {p}\n"
 
 
 # -- exit codes on bad input -----------------------------------------------------
@@ -317,6 +354,15 @@ def test_experiment_rejected_sweep_writes_no_file(tmp_path, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("p", ["inf", "nan"])
+def test_experiment_rejects_non_finite_p_grid(tmp_path, capsys, p):
+    out = tmp_path / "out.csv"
+    args = ["experiment", "--n-range", "4", "--p-grid", p, "--trials", "1", "-o", str(out)]
+    assert main(args) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: edge probability must be in [0, 1], got {p}\n"
+    assert not out.exists()
+
+
 def test_experiment_leaves_exact_empty_over_the_oracle_limit(tmp_path):
     out = tmp_path / "sweep.csv"
     args = ["experiment", "--models", "edgeless", "--n-range", "9", "--d-set", "0,1"]
@@ -352,3 +398,72 @@ def test_experiment_marks_failed_rows_unverified(tmp_path, capsys, monkeypatch, 
     lines = out.read_text().splitlines()
     assert len(lines) == 2 and lines[1].endswith(",false")
     assert "violations: 1" in capsys.readouterr().out
+
+
+# -- hostile command lines ----------------------------------------------------------
+
+HOSTILE_FLAGS = [
+    "--d", "--eps", "--p", "--seed", "--limits", "--trials",
+    "--n-range", "--p-grid", "--d-set", "--models", "--oracle-max",
+]
+HOSTILE_VALUES = [
+    "-1", "0", "1", "2", "1/0", "inf", "nan", "1e999999999", "x", "", ",",
+    "0-3", "4,4", "99999999999999999999",
+]
+# A valid value of these sizes the work, so the huge one is left out.
+SIZE_VALUES = HOSTILE_VALUES[:-1]
+SIZE_FLAGS = {"--trials", "--n-range"}
+# Input files; "@name" in an argv stands for the file, "@missing" for no file.
+HOSTILE_FILES = {
+    "c6": C6_TEXT,
+    "header": "3\n",
+    "edge": "2 2\n0 x\n",
+    "range": "2 2\n0 5\n",
+    "unbalanced": "2 3\n0 0\n",
+    "empty": "",
+    "zero": "0 0\n",
+    "cap": "1000000000 1000000000\n0 0\n",
+}
+
+
+@st.composite
+def hostile_argv(draw):
+    command = draw(st.sampled_from(["bound", "extract", "oracle", "gen", "experiment"]))
+    if command == "gen":
+        model, n = draw(st.sampled_from(GENERATOR_MODELS)), draw(st.sampled_from(SIZE_VALUES))
+        argv = ["gen", model, n, "@out"]
+    elif command == "experiment":
+        argv = ["experiment", "--n-range", "2", "--trials", "1", "-o", "@out"]
+    else:
+        argv = [command, "@" + draw(st.sampled_from([*HOSTILE_FILES, "missing"]))]
+    for flag in draw(st.lists(st.sampled_from(HOSTILE_FLAGS), max_size=3)):
+        argv += [flag, draw(st.sampled_from(SIZE_VALUES if flag in SIZE_FLAGS else HOSTILE_VALUES))]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def hostile_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("hostile")
+    for name, text in HOSTILE_FILES.items():
+        (root / name).write_text(text)
+    return root
+
+
+@settings(max_examples=300, deadline=1000)
+@given(argv=hostile_argv())
+@example(argv=["bound", "@c6", "--eps", "1/0"])
+@example(argv=["gen", "gnp", "3", "@out", "--p", "inf"])
+@example(argv=["experiment", "--n-range", "2", "--trials", "1", "-o", "@out", "--p-grid", "inf"])
+def test_hostile_argv_ends_in_a_documented_exit_code(hostile_dir, argv):
+    argv = [str(hostile_dir / arg[1:]) if arg.startswith("@") else arg for arg in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == EXIT_PARSE
+            return
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_UNBALANCED, EXIT_VERIFY, EXIT_TOO_LARGE)
+    if code in (EXIT_PARSE, EXIT_UNBALANCED, EXIT_TOO_LARGE):
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
