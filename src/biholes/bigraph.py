@@ -15,6 +15,14 @@ Edge-list text format
 * LF and CRLF line endings are both accepted; the serializer emits LF only
   and lists edges in lexicographic order, so serialize/parse round-trips
   reproduce the graph exactly
+* a malformed or out-of-range edge line raises an error naming its line
+  number; when a file has several, the first one in file order is named
+
+The parser reads the lines up to the header one at a time and the edge
+lines in bulk: about 64 KiB of text at a time goes through ``str.split``
+and ``map(int, ...)``, and one ``min``/``max`` pass checks every index
+against the header.  Only when that bulk check fails are the edge lines
+walked one by one, to find the line to name.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NoReturn
 
 from .errors import (
     EmptySide,
@@ -164,14 +172,15 @@ def build_graph(
                 f"edge ({u}, {v}) does not fit a {left_count} x {right_count} graph"
             )
         left_sets[u].add(v)
-    right_sets: list[set[int]] = [set() for _ in range(right_count)]
-    for u, nbrs in enumerate(left_sets):
-        for v in nbrs:
-            right_sets[v].add(u)
     left_adj = tuple(tuple(sorted(s)) for s in left_sets)
-    right_adj = tuple(tuple(sorted(s)) for s in right_sets)
+    # Walking u upwards appends to each right list in ascending order.
+    right_lists: list[list[int]] = [[] for _ in range(right_count)]
+    for u, nbrs in enumerate(left_adj):
+        for v in nbrs:
+            right_lists[v].append(u)
     return BipartiteGraph(
-        left_count, right_count, left_adj, right_adj, sum(len(t) for t in left_adj)
+        left_count, right_count, left_adj, tuple(map(tuple, right_lists)),
+        sum(map(len, left_adj)),
     )
 
 
@@ -179,44 +188,124 @@ def build_graph(
 
 MAX_VERTICES = 10**7
 
+# The edge lines are tokenised this many characters at a time (plus the rest
+# of the line the cut falls in).  One split of the whole body would hold a
+# string per token of the file at once, raising peak memory above that of
+# the graph itself; a chunk holds a few thousand lines' tokens.
+_CHUNK = 1 << 16
+
+
+def _lines(text: str, pos: int, lineno: int) -> Iterator[tuple[int, str, int]]:
+    """Yield (lineno, line, end) for each line of text from offset pos on,
+    numbered as ``text.split("\\n")`` numbers them; end is the offset of the
+    line's newline, or len(text) for the last line."""
+    while True:
+        end = text.find("\n", pos)
+        if end < 0:
+            yield lineno, text[pos:], len(text)
+            return
+        yield lineno, text[pos:end], end
+        pos, lineno = end + 1, lineno + 1
+
+
+def _data_line(raw: str, lineno: int, header: bool) -> tuple[int, int] | None:
+    """The two integers on a line, or None for a blank or comment line.
+
+    Anything else raises :class:`MalformedHeader` when ``header`` is set,
+    else :class:`MalformedEdgeLine`.
+    """
+    parts = raw.split()
+    if not parts or parts[0].startswith("#"):
+        return None
+    try:
+        if len(parts) != 2:
+            raise ValueError
+        return int(parts[0]), int(parts[1])
+    except ValueError:
+        if header:
+            raise MalformedHeader(
+                f"line {lineno}: header must be two integers, got {raw.strip()!r}"
+            ) from None
+        raise MalformedEdgeLine(
+            lineno, f"line {lineno}: edge line must be two integers, got {raw.strip()!r}"
+        ) from None
+
+
+def _chunks(text: str, pos: int) -> Iterator[str]:
+    """text[pos:] in pieces of whole lines, each at least ``_CHUNK`` characters
+    long but the last, with the newline at each cut dropped."""
+    while pos < len(text):
+        end = text.find("\n", pos + _CHUNK)
+        if end < 0:
+            end = len(text)
+        yield text[pos:end]
+        pos = end + 1
+
+
+def _bulk_edges(text: str, pos: int, left: int, right: int):
+    """The edge lines of text from offset pos on as two lists of endpoints
+    (left ends, right ends), or None when any of those lines is bad."""
+    flat: list[int] = []
+    try:
+        for chunk in _chunks(text, pos):
+            lines = chunk.split("\n")
+            if "#" in chunk:
+                lines = [line for line in lines if not line.lstrip().startswith("#")]
+                chunk = "\n".join(lines)
+            if not set(map(len, map(str.split, lines))) <= {0, 2}:
+                return None
+            flat.extend(map(int, chunk.split()))
+    except ValueError:
+        return None
+    us, vs = flat[0::2], flat[1::2]
+    if us and not (0 <= min(us) and max(us) < left and 0 <= min(vs) and max(vs) < right):
+        return None
+    return us, vs
+
+
+def _raise_first_bad_line(
+    text: str, pos: int, lineno: int, left: int, right: int
+) -> NoReturn:
+    """Raise the error for the first malformed or out-of-range edge line of
+    text from offset pos on, whose first line is numbered lineno."""
+    for lineno, raw, _ in _lines(text, pos, lineno):
+        edge = _data_line(raw, lineno, header=False)
+        if edge is not None and not (0 <= edge[0] < left and 0 <= edge[1] < right):
+            raise IndexOutOfRange(
+                f"line {lineno}: edge ({edge[0]}, {edge[1]}) does not fit a {left} x {right} graph"
+            )
+    raise RuntimeError("the bulk edge-line check failed on lines that each pass alone")
+
 
 def parse_edge_list(text: str) -> BipartiteGraph:
-    """Parse the edge-list format described in the module docstring."""
-    header: tuple[int, int] | None = None
-    edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        parts = raw.split()
-        if not parts or parts[0].startswith("#"):
-            continue
-        try:
-            if len(parts) != 2:
-                raise ValueError
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            if header is None:
-                raise MalformedHeader(
-                    f"line {lineno}: header must be two integers, got {raw.strip()!r}"
-                ) from None
-            raise MalformedEdgeLine(
-                lineno, f"line {lineno}: edge line must be two integers, got {raw.strip()!r}"
-            ) from None
-        if header is None:
-            if u < 0 or v < 0:
-                raise MalformedHeader(f"line {lineno}: side sizes must be >= 0")
-            if u + v > MAX_VERTICES:
-                raise MalformedHeader(
-                    f"line {lineno}: {u} + {v} vertices exceed the cap of {MAX_VERTICES}"
-                )
-            header = (u, v)
-        elif not 0 <= u < header[0] or not 0 <= v < header[1]:
-            raise IndexOutOfRange(
-                f"line {lineno}: edge ({u}, {v}) does not fit a {header[0]} x {header[1]} graph"
-            )
-        else:
-            edges.append((u, v))
-    if header is None:
+    """Parse the edge-list format described in the module docstring.
+
+    The lines up to the header are read one at a time, so a bad or over-cap
+    header fails before anything is allocated.  The edge lines are then
+    checked and converted in bulk, a chunk of lines at a time, by builtins
+    (``str.split``, ``map(int, ...)``, ``min``/``max``) rather than a Python
+    loop per line.  When that bulk check fails, the lines are walked again
+    one by one and the first bad line in file order raises: a
+    :class:`MalformedEdgeLine` carrying its number, or an
+    :class:`IndexOutOfRange` naming it.
+    """
+    for lineno, raw, end in _lines(text, 0, 1):
+        header = _data_line(raw, lineno, header=True)
+        if header is not None:
+            break
+    else:
         raise MalformedHeader("missing header line")
-    return build_graph(header[0], header[1], edges)
+    left, right = header
+    if left < 0 or right < 0:
+        raise MalformedHeader(f"line {lineno}: side sizes must be >= 0")
+    if left + right > MAX_VERTICES:
+        raise MalformedHeader(
+            f"line {lineno}: {left} + {right} vertices exceed the cap of {MAX_VERTICES}"
+        )
+    edges = _bulk_edges(text, end + 1, left, right)
+    if edges is None:
+        _raise_first_bad_line(text, end + 1, lineno + 1, left, right)
+    return build_graph(left, right, zip(*edges))
 
 
 def serialize(g: BipartiteGraph) -> str:

@@ -13,7 +13,9 @@ INPUT is a path to an edge-list file, or ``-`` for stdin.  Exit codes are a
 stable contract: 0 success, 2 parse or usage error, 3 unbalanced input,
 4 verification failure, 5 instance over oracle limits.  A rejected input
 never ends in a traceback: it prints one ``error: ...`` line and exits 2, 3
-or 5.  ``--eps`` refuses a decimal exponent over 4300 in magnitude.
+or 5.  ``--eps`` refuses a decimal exponent over 4300 in magnitude, and
+``--n-range`` a side size over ``MAX_SIDE`` (5 * 10**6).  ``bound`` formats
+its whole report before it prints any of it.
 
 ``oracle --limits N`` and ``experiment --oracle-max N`` set both oracle side
 limits to N; without them the defaults of :class:`OracleLimits` apply.
@@ -28,6 +30,7 @@ from fractions import Fraction
 
 from .bigraph import (
     GENERATOR_MODELS,
+    MAX_VERTICES,
     SplitMix64,
     check_model,
     generate,
@@ -36,7 +39,7 @@ from .bigraph import (
 )
 from .bounds import bound_report, decimal_string
 from .errors import BiholesError, InstanceTooLarge, NegativeD, TraceMismatch, UnbalancedGraph
-from .extract import check_trace, find_bihole, find_degenerate
+from .extract import LOW_DEGREE_EDGE_DELETION, check_trace, find_bihole, find_degenerate
 from .oracle import (
     OracleLimits,
     check_elimination_order,
@@ -50,6 +53,9 @@ EXIT_PARSE = 2
 EXIT_UNBALANCED = 3
 EXIT_VERIFY = 4
 EXIT_TOO_LARGE = 5
+
+# The largest side of a balanced graph that an edge-list header admits.
+MAX_SIDE = MAX_VERTICES // 2
 
 CSV_HEADER = [
     "model",
@@ -88,10 +94,12 @@ def _failed_checks(g, witness, trace, d: int, exact: int | None = None) -> list[
     """Names of the checks an extraction fails; empty when it passes them all.
 
     ``witness``: the witness is a bi-hole (d = 0) or its elimination order
-    replays (d >= 1).  ``trace``: :func:`check_trace` accepts the trace; a
-    :class:`TraceMismatch` counts as a failure.  ``floor_bound``: the size
-    reaches the trace's floor bound, which ``check_trace`` has tied to g.
-    ``exact``: the size is at most the exact optimum, when one is given.
+    replays (d >= 1).  ``trace``: :func:`check_trace` accepts the trace (a
+    :class:`TraceMismatch` counts as a failure), and the witness's sets are
+    exactly the vertices that no pair step of the trace removed.
+    ``floor_bound``: the size reaches the trace's floor bound, which
+    ``check_trace`` has tied to g.  ``exact``: the size is at most the exact
+    optimum, when one is given.
     """
     if d == 0:
         valid = is_bihole(g, witness.left_set, witness.right_set)
@@ -103,9 +111,15 @@ def _failed_checks(g, witness, trace, d: int, exact: int | None = None) -> list[
         replayed = check_trace(g, trace, d)
     except TraceMismatch:
         replayed = False
+    pairs = [(s.a, s.b) for s in trace.steps if s.kind != LOW_DEGREE_EDGE_DELETION]
+    gone_left, gone_right = {a for a, _ in pairs}, {b for _, b in pairs}
+    kept = (
+        tuple(i for i in range(g.left_count) if i not in gone_left),
+        tuple(j for j in range(g.right_count) if j not in gone_right),
+    )
     checks = {
         "witness": valid,
-        "trace": replayed,
+        "trace": replayed and (tuple(witness.left_set), tuple(witness.right_set)) == kept,
         "floor_bound": witness.size >= trace.initial_report.floor_bound,
         "exact": exact is None or witness.size <= exact,
     }
@@ -136,25 +150,24 @@ def _cmd_bound(args) -> int:
 
         print(json.dumps(report.to_json()))
         return EXIT_OK
-    print(f"n: {report.n}")
-    print(f"d: {report.d}")
-    print(f"floor_bound: {report.floor_bound}")
-    print(
+    lines = [
+        f"n: {report.n}",
+        f"d: {report.d}",
+        f"floor_bound: {report.floor_bound}",
         f"strengthened: {report.strengthened} "
-        f"(~{decimal_string(report.strengthened)}), ceil {report.ceil_strengthened}"
-    )
-    print(
+        f"(~{decimal_string(report.strengthened)}), ceil {report.ceil_strengthened}",
         f"average_degree_bound: {report.average_degree_bound} "
-        f"(~{decimal_string(report.average_degree_bound)})"
-    )
+        f"(~{decimal_string(report.average_degree_bound)})",
+    ]
     if report.log_reference is None:
-        print("log_reference: n/a (average degree <= 1)")
+        lines.append("log_reference: n/a (average degree <= 1)")
     else:
         hyp = "holds" if report.log_size_hypothesis_met else "fails"
-        print(
+        lines.append(
             f"log_reference: ~{decimal_string(report.log_reference)} "
             f"(eps = {report.log_reference_eps}, size hypothesis {hyp})"
         )
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -196,17 +209,20 @@ def _cmd_gen(args) -> int:
 
 
 def _parse_n_range(text: str) -> list[int]:
-    """Accepts '4-8' (inclusive) or a comma list '4,6,8'."""
+    """Accepts '4-8' (inclusive) or a comma list '4,6,8'.  Refuses any n over
+    ``MAX_SIDE`` before the list is built."""
     text = text.strip()
     if "-" in text and "," not in text:
         lo_text, hi_text = text.split("-", 1)
-        lo, hi = int(lo_text), int(hi_text)
-        values = list(range(lo, hi + 1)) if 1 <= lo <= hi else []
+        values = range(int(lo_text), int(hi_text) + 1)
+        ends = [values[0], values[-1]] if values else []
     else:
-        values = [int(part) for part in text.split(",") if part.strip()]
-    if not values or any(v < 1 for v in values):
+        values = ends = [int(part) for part in text.split(",") if part.strip()]
+    if not ends or min(ends) < 1:
         raise ValueError(f"bad n range {text!r}")
-    return values
+    if max(ends) > MAX_SIDE:
+        raise ValueError(f"n range {text!r} goes past the largest side size, {MAX_SIDE}")
+    return list(values)
 
 
 def _experiment_cells(args) -> list[tuple[str, int, float | None, int, int]]:

@@ -1,8 +1,9 @@
 """Graph construction, complements, text round-trips, and generator behaviour."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference_parse import parse_edge_list as reference_parse_edge_list
 
 from biholes import bigraph
 from biholes.bigraph import (
@@ -17,6 +18,7 @@ from biholes.bigraph import (
     serialize,
 )
 from biholes.errors import (
+    BiholesError,
     EmptySide,
     IndexOutOfRange,
     InvalidProbability,
@@ -178,6 +180,77 @@ def test_parse_malformed_edge_line_carries_lineno():
 def test_parse_edge_out_of_range_names_line():
     with pytest.raises(IndexOutOfRange, match="line 2"):
         parse_edge_list("2 2\n0 5\n")
+
+
+# Texts that mix every line shape the format has, good and bad: comments,
+# blank lines, tabs and other whitespace, int() spellings ("+1", "1_0", "٣"),
+# short, long and out-of-range lines, and bad headers.
+TOKENS = ["0", "1", "2", "3", "-1", "+1", "1_0", "٣", "007", "x", "#", "#c", "9" * 25]
+SEPARATORS = [" ", "\t", "  ", " \t", "\x0b", "\u3000"]
+LINES = st.one_of(
+    st.builds("{1}{0}{2}".format, st.sampled_from(SEPARATORS), st.integers(0, 3), st.integers(0, 3)),
+    st.builds(
+        lambda sep, tokens: sep.join(tokens),
+        st.sampled_from(SEPARATORS),
+        st.lists(st.sampled_from(TOKENS), max_size=3),
+    ),
+    st.sampled_from(["", "  ", "# comment", "\t# indented comment", "#"]),
+)
+
+
+@st.composite
+def edge_list_texts(draw):
+    lines = draw(st.lists(LINES, max_size=30))
+    if draw(st.booleans()):
+        header = f"{draw(st.integers(-1, 4))} {draw(st.integers(0, 4))}"
+        lines.insert(draw(st.integers(0, min(2, len(lines)))), header)
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+def _outcome(parse, text):
+    """The graph parse builds from text, or the error it raises."""
+    try:
+        g = parse(text)
+    except BiholesError as exc:
+        return type(exc), str(exc), getattr(exc, "lineno", None)
+    return g.left_count, g.right_count, g.left_adj, g.right_adj, g.edge_count
+
+
+# Line 2 has three tokens and line 3 one: an even token count overall.
+EVEN_TOKENS = "2 2\n0 1 1\n1\n"
+# An out-of-range line (20002) in one chunk, a malformed one in a later chunk.
+RANGE_THEN_MALFORMED = "3 3\n" + "0 0\n" * 20000 + "0 9\n" + "1 1\n" * 20000 + "x\n"
+# A comment line and a CRLF where the first 64 KiB of the body ends.
+STRADDLED = "2 2\r\n" + "0 1\r\n" * 13107 + "  # comment\r\n\r\n" + "1 0\r\n" * 9 + "1 1"
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None])
+# No deadline: the two pinned many-chunk texts take tens of milliseconds.
+@settings(max_examples=300, deadline=None)
+@given(text=edge_list_texts())
+@example(text=EVEN_TOKENS)
+@example(text="2 2\n0 5\n0\n")
+@example(text=RANGE_THEN_MALFORMED)
+@example(text=STRADDLED)
+def test_parse_matches_the_line_reader(chunk, text):
+    """Same graph, or same error, as the reference at chunk sizes 1, 7 and
+    the default (None)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(bigraph, "_CHUNK", chunk)
+        assert _outcome(parse_edge_list, text) == _outcome(reference_parse_edge_list, text)
+
+
+def test_parse_names_the_first_bad_line_in_file_order():
+    with pytest.raises(MalformedEdgeLine, match="^line 2: ") as info:
+        parse_edge_list(EVEN_TOKENS)
+    assert info.value.lineno == 2
+    with pytest.raises(IndexOutOfRange, match="^line 2: "):
+        parse_edge_list("2 2\n0 5\n0\n")
+    with pytest.raises(IndexOutOfRange, match=r"^line 20002: edge \(0, 9\)"):
+        parse_edge_list(RANGE_THEN_MALFORMED)
+    assert sorted(parse_edge_list(STRADDLED).edges()) == [(0, 1), (1, 0), (1, 1)]
 
 
 def test_serialize_canonical():

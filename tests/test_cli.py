@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import resource
 import subprocess
 import sys
 import time
@@ -25,6 +26,7 @@ from biholes.cli import (
     main,
 )
 from biholes.errors import TraceMismatch
+from biholes.extract import BiholeWitness, find_bihole
 
 C6_TEXT = "3 3\n0 0\n0 1\n1 1\n1 2\n2 0\n2 2\n"
 
@@ -93,6 +95,14 @@ def test_bound_rejects_hostile_eps_within_a_second(c6_path, capsys, eps):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_bound_formats_the_whole_report_before_printing(c6_path, capsys):
+    # 1/10**4300 has 4301 digits, one over CPython's int-to-str limit.
+    assert main(["bound", c6_path, "--eps", "1e-4300"]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 # -- extract -------------------------------------------------------------------
 
 
@@ -159,6 +169,17 @@ def test_extract_verify_checks_floor_bound(c6_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "check_trace", lambda *args: True)
     assert main(["extract", c6_path, "--verify"]) == EXIT_VERIFY
     assert capsys.readouterr().err == "verification failed: failed checks: floor_bound\n"
+
+
+def test_verify_ties_the_witness_to_the_trace():
+    """A bi-hole that still reaches the floor bound, but is not the set the
+    trace's peel left, fails the trace check."""
+    g = generate("gnp", 40, seed=3, p=0.1)
+    witness, trace = find_bihole(g)
+    shrunk = BiholeWitness(witness.left_set[:-1], witness.right_set[:-1])
+    assert shrunk.size >= trace.initial_report.floor_bound
+    assert cli._failed_checks(g, witness, trace, 0) == []
+    assert cli._failed_checks(g, shrunk, trace, 0) == ["trace"]
 
 
 # -- oracle --------------------------------------------------------------------
@@ -351,6 +372,31 @@ def test_experiment_rejects_unknown_model(tmp_path):
 def test_experiment_rejected_sweep_writes_no_file(tmp_path, bad):
     out = tmp_path / "out.csv"
     assert main(["experiment", "--n-range", "4-5", "--trials", "1", *bad, "-o", str(out)]) == EXIT_PARSE
+    assert not out.exists()
+
+
+# 5 * 10**6 is the largest side an edge-list header admits for a balanced graph.
+@pytest.mark.parametrize("n_range", ["1-10000000000", "4,5000001"])
+def test_experiment_refuses_n_over_the_side_cap_within_a_second(tmp_path, capsys, n_range):
+    # A child process first, capped at 1 GiB of address space: where the
+    # range is not refused it is built as a list, or swept, and only a
+    # process can be cut off.
+    out = tmp_path / "out.csv"
+    argv = ["experiment", "--n-range", n_range, "--trials", "1", "-o", str(out)]
+    env = {"PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    child = subprocess.run(
+        [sys.executable, "-m", "biholes.cli", *argv],
+        capture_output=True,
+        env=env,
+        timeout=10,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+    )
+    assert child.returncode == EXIT_PARSE
+    start = time.perf_counter()
+    assert main(argv) == EXIT_PARSE
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
 
 
