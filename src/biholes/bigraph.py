@@ -23,13 +23,24 @@ lines in bulk: about 64 KiB of text at a time goes through ``str.split``
 and ``map(int, ...)``, and one ``min``/``max`` pass checks every index
 against the header.  Only when that bulk check fails are the edge lines
 walked one by one, to find the line to name.
+
+``gnp`` draws one SplitMix64 value per potential edge in row-major order,
+so a (model, n, seed, p) tuple names one graph on every platform.  SplitMix64
+is counter-based (draw k of seed s depends only on s + (k + 1) * gamma mod
+2**64; Steele, Lea & Flood, OOPSLA 2014), so the draws are computed in bulk,
+many per big-int operation, without changing a bit of the stream.  No model
+accepts a side size n with 2n over ``MAX_VERTICES``.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, repeat
 from typing import Iterable, Iterator, NoReturn
 
 from .errors import (
@@ -173,15 +184,22 @@ def build_graph(
             )
         left_sets[u].add(v)
     left_adj = tuple(tuple(sorted(s)) for s in left_sets)
+    return BipartiteGraph(
+        left_count, right_count, left_adj, _mirror(left_adj, right_count),
+        sum(map(len, left_adj)),
+    )
+
+
+def _mirror(
+    left_adj: tuple[tuple[int, ...], ...], right_count: int
+) -> tuple[tuple[int, ...], ...]:
+    """The right-side adjacency of sorted left rows."""
     # Walking u upwards appends to each right list in ascending order.
     right_lists: list[list[int]] = [[] for _ in range(right_count)]
     for u, nbrs in enumerate(left_adj):
         for v in nbrs:
             right_lists[v].append(u)
-    return BipartiteGraph(
-        left_count, right_count, left_adj, tuple(map(tuple, right_lists)),
-        sum(map(len, left_adj)),
-    )
+    return tuple(map(tuple, right_lists))
 
 
 # -- text format ------------------------------------------------------------
@@ -311,13 +329,18 @@ def parse_edge_list(text: str) -> BipartiteGraph:
 def serialize(g: BipartiteGraph) -> str:
     """Canonical text form: header, then edges sorted lexicographically, LF only."""
     lines = [f"{g.left_count} {g.right_count}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
+    for u, nbrs in enumerate(g.left_adj):
+        lines.extend(map(f"{u} ".__add__, map(str, nbrs)))
     return "\n".join(lines) + "\n"
 
 
 # -- generators --------------------------------------------------------------
 
 _MASK64 = (1 << 64) - 1
+# SplitMix64's increment (the golden-ratio gamma) and its two mixer multipliers.
+_GAMMA = 0x9E3779B97F4B7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 class SplitMix64:
@@ -326,17 +349,73 @@ class SplitMix64:
     Implemented here, rather than taken from a platform library, so that the
     same seed yields bit-identical streams on every platform and Python
     version.  State and outputs are 64-bit unsigned integers.
+
+    The generator is counter-based: draw k (from 0) of ``SplitMix64(s)`` is
+    the mixer applied to ``s + (k + 1) * gamma`` mod 2**64, so it can be
+    computed without the k draws before it (:meth:`draw`).
     """
 
     def __init__(self, seed: int):
         self._state = seed & _MASK64
 
+    @staticmethod
+    def draw(seed: int, k: int) -> int:
+        """Draw k (from 0) of ``SplitMix64(seed)``, in O(1)."""
+        return SplitMix64(seed + k * _GAMMA).next_u64()
+
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4B7C15) & _MASK64
+        self._state = (self._state + _GAMMA) & _MASK64
         z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
+
+
+# Draws per batch of the gnp kernel.  Each batch is one Python int of this
+# many 128-bit lanes (8 KiB at 512); larger batches gain little speed and
+# raise peak memory.  Fewer draws than this take the next power of two.
+_LANES = 512
+
+
+@functools.lru_cache(maxsize=16)
+def _packed(lanes: int) -> tuple[int, int, int, int]:
+    """(ONE, MASK, RAMP, STEP) for a batch of ``lanes`` 128-bit lanes: in
+    every lane k a 1, the 64-bit mask, (k + 1) * gamma and lanes * gamma,
+    the last two mod 2**64."""
+    one = int.from_bytes(b"\x01".ljust(16, b"\x00") * lanes, "little")
+    ramp = int.from_bytes(
+        b"".join(((k + 1) * _GAMMA & _MASK64).to_bytes(16, "little") for k in range(lanes)),
+        "little",
+    )
+    return one, one * _MASK64, ramp, (lanes * _GAMMA & _MASK64) * one
+
+
+def _gnp_keys(seed: int, count: int, threshold: int) -> list[int]:
+    """The indices k < count, ascending, at which draw k of
+    ``SplitMix64(seed)`` is below ``threshold`` (0 <= threshold <= 2**64).
+
+    Up to ``_LANES`` draws at a time are held one per 128-bit lane of one
+    Python int, so each step of the mixer is one big-int operation.  Every
+    lane is masked to 64 bits before each multiply, so its product stays in
+    the lane, and the masks also clear the bits a right shift pulls in from
+    the lane above.  Bit 64 of (threshold + 2**64 - 1) - z is set exactly
+    when the draw z is below the threshold.
+    """
+    lanes = min(_LANES, 1 << (count - 1).bit_length())
+    one, mask, ramp, step = _packed(lanes)
+    upper = (threshold + _MASK64) * one
+    state = ((seed & _MASK64) * one + ramp) & mask
+    keys: list[int] = []
+    for start in range(0, count, lanes):
+        z = ((state ^ (state >> 30)) & mask) * _MIX1 & mask
+        z = ((z ^ (z >> 27)) & mask) * _MIX2 & mask
+        z = (z ^ (z >> 31)) & mask
+        kept = ((upper - z) >> 64) & one
+        if kept:
+            flags = kept.to_bytes(16 * lanes, "little")[0::16]
+            keys.extend(compress(range(start, min(start + lanes, count)), flags))
+        state = (state + step) & mask
+    return keys
 
 
 GENERATOR_MODELS = ("gnp", "complete", "edgeless", "matching", "cycle", "crown")
@@ -346,9 +425,15 @@ def check_model(model: str, n: int, p: float | Fraction | None = None) -> None:
     """Raise the error :func:`generate` would raise for these arguments.
 
     Draws nothing, so a caller can reject a whole sweep before it starts.
+    A side size n with 2n over ``MAX_VERTICES`` is refused, since no edge
+    list of that graph would parse.
     """
     if n < 1:
         raise InvalidSize(f"model {model!r} needs n >= 1, got {n}")
+    if 2 * n > MAX_VERTICES:
+        raise InvalidSize(
+            f"model {model!r} needs 2n <= {MAX_VERTICES} vertices, got n = {n}"
+        )
     name = model.lower()
     if name not in GENERATOR_MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {GENERATOR_MODELS}")
@@ -371,9 +456,11 @@ def generate(
     ``cycle`` (the 2n-cycle a_i ~ b_i and a_i ~ b_{(i+1) mod n}, n >= 2),
     and ``crown`` (complete minus the identity matching).
 
-    ``gnp`` draws one SplitMix64 value per potential edge in row-major
-    order and keeps the edge iff the draw is below floor(p * 2**64), so a
-    (model, n, seed, p) tuple names one graph forever.  The other models
+    ``gnp`` keeps edge (i, j) iff draw k = i*n + j of ``SplitMix64(seed)``
+    is below floor(p * 2**64), so a (model, n, seed, p) tuple names one graph
+    forever.  The draws are computed in bulk by :func:`_gnp_keys`, which the
+    counter property of SplitMix64 allows without changing the stream, and
+    the rows are cut from the sorted indices it returns.  The other models
     are deterministic and ignore the seed.
     """
     check_model(model, n, p)
@@ -389,9 +476,16 @@ def generate(
     elif name == "crown":
         edges = [(i, j) for i in range(n) for j in range(n) if i != j]
     else:  # gnp
-        threshold = int(Fraction(p) * (1 << 64))
-        rng = SplitMix64(seed)
-        edges = [
-            (i, j) for i in range(n) for j in range(n) if rng.next_u64() < threshold
-        ]
+        keys = _gnp_keys(seed, n * n, int(Fraction(p) * (1 << 64)))
+        # Each row is a tuple of an exact-size list slice.  Rows built from
+        # an iterator, which tuple() grows and then shrinks, raised the peak
+        # RSS of an experiment sweep by about 0.3 MB.
+        cols = list(map(operator.mod, keys, repeat(n)))
+        rows = []
+        hi = 0
+        for base in range(0, n * n, n):
+            lo, hi = hi, bisect_left(keys, base + n, hi)
+            rows.append(tuple(cols[lo:hi]))
+        left_adj = tuple(rows)
+        return BipartiteGraph(n, n, left_adj, _mirror(left_adj, n), len(keys))
     return build_graph(n, n, edges)

@@ -27,6 +27,7 @@ import argparse
 import csv
 import sys
 from fractions import Fraction
+from typing import Iterator
 
 from .bigraph import (
     GENERATOR_MODELS,
@@ -225,14 +226,18 @@ def _parse_n_range(text: str) -> list[int]:
     return list(values)
 
 
-def _experiment_cells(args) -> list[tuple[str, int, float | None, int, int]]:
-    """Validate the sweep and list its rows as (model, n, p, seed, d).
+def _experiment_cells(args) -> Iterator[tuple[str, int, float | None, int, int]]:
+    """Validate the sweep, then return an iterator over its rows as
+    (model, n, p, seed, d).
 
     Rows come in (model, n, p, d, trial) order.  Graph seeds are drawn from
     one SplitMix64 stream keyed by --seed, one per (model, n, p, trial) in
     that nested order, so the same arguments always name the same graphs
-    and every d reuses the same graph.  Every argument is checked here, so a
-    rejected sweep fails before any output is written.
+    and every d reuses the same graph.  The seed of trial t of the c-th
+    (model, n, p) cell is draw c * trials + t of that stream, computed on its
+    own by the counter property of SplitMix64, so no seed or row is stored.
+    Every argument is checked before this returns, so a rejected sweep fails
+    before any output is written.
     """
     models = [m.strip() for m in args.models.split(",") if m.strip()]
     for m in models:
@@ -248,22 +253,15 @@ def _experiment_cells(args) -> list[tuple[str, int, float | None, int, int]]:
     p_values = {model: ps if model == "gnp" else [None] for model in models}
     if "gnp" in models and not ps:
         raise ValueError("model gnp needs a --p-grid")
-    master = SplitMix64(args.seed)
-    seeds: dict[tuple, int] = {}
-    for model in models:
-        for n in ns:
-            for p in p_values[model]:
-                check_model(model, n, p)
-                for trial in range(args.trials):
-                    seeds[(model, n, p, trial)] = master.next_u64()
-    return [
-        (model, n, p, seeds[(model, n, p, trial)], d)
-        for model in models
-        for n in ns
-        for p in p_values[model]
+    cells = [(model, n, p) for model in models for n in ns for p in p_values[model]]
+    for cell in cells:
+        check_model(*cell)
+    return (
+        (model, n, p, SplitMix64.draw(args.seed, c * args.trials + trial), d)
+        for c, (model, n, p) in enumerate(cells)
         for d in ds
         for trial in range(args.trials)
-    ]
+    )
 
 
 def _one_row(model: str, n: int, p: float | None, seed: int, d: int, limits: OracleLimits):
@@ -297,8 +295,8 @@ def _cmd_experiment(args) -> int:
         args.output, "w", encoding="utf-8", newline=""
     )
     summary_stream = sys.stderr if args.output == "-" else sys.stdout
-    gaps: list[int] = []
-    violations = 0
+    rows = gap_sum = violations = 0
+    gap_min = None
     try:
         writer = csv.DictWriter(out, fieldnames=CSV_HEADER, lineterminator="\n")
         writer.writeheader()
@@ -307,17 +305,20 @@ def _cmd_experiment(args) -> int:
             row = _one_row(*cell, limits)
             writer.writerow(row)
             out.flush()
-            gaps.append(row["extracted"] - row["floor_bound"])
+            gap = row["extracted"] - row["floor_bound"]
+            rows += 1
+            gap_sum += gap
+            gap_min = gap if gap_min is None else min(gap_min, gap)
             if row["verified"] != "true":
                 violations += 1
     finally:
         if out is not sys.stdout:
             out.close()
-    if gaps:
-        mean_gap = decimal_string(Fraction(sum(gaps), len(gaps)), 6)
+    if rows:
+        mean_gap = decimal_string(Fraction(gap_sum, rows), 6)
         print(
-            f"rows: {len(gaps)}  violations: {violations}  "
-            f"gap min: {min(gaps)}  gap mean: {mean_gap}",
+            f"rows: {rows}  violations: {violations}  "
+            f"gap min: {gap_min}  gap mean: {mean_gap}",
             file=summary_stream,
         )
     else:

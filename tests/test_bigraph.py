@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference_gen import generate_gnp as reference_generate_gnp
 from reference_parse import parse_edge_list as reference_parse_edge_list
 
 from biholes import bigraph
@@ -334,3 +335,56 @@ def test_splitmix64_pinned_stream():
     ]
     rng = SplitMix64(1234567)
     assert rng.next_u64() == 12033586665282998430
+
+
+def test_splitmix64_draw_skips_ahead():
+    for seed in (0, 1, -3, 2**64 - 1, 2**70 + 5):
+        rng = SplitMix64(seed)
+        assert [SplitMix64.draw(seed, k) for k in range(50)] == [rng.next_u64() for _ in range(50)]
+
+
+def _adjacency(g: BipartiteGraph):
+    return g.left_adj, g.right_adj, g.edge_count
+
+
+# Side sizes whose n*n straddles a multiple of the default 512 lanes
+# (484 | 529, 1024 = 2 * 512, 2025 | 2116, 4096 = 8 * 512).
+LANE_EDGE_NS = [22, 23, 32, 33, 45, 46, 64]
+SEEDS = st.one_of(
+    st.integers(-(2**70), 2**70), st.sampled_from([0, -1, 2**64 - 1, 2**64, 2**64 + 1])
+)
+PROBABILITIES = st.one_of(
+    st.sampled_from([0, 1, 1 - 2**-53, 2**-60, 0.5]),
+    st.floats(0, 1),
+    st.fractions(0, 1, max_denominator=10**6),
+)
+
+
+@pytest.mark.parametrize("lanes", [1, 3, None])
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.one_of(st.integers(1, 70), st.sampled_from(LANE_EDGE_NS)),
+    seed=SEEDS,
+    p=PROBABILITIES,
+)
+@example(n=64, seed=2**64 - 1, p=1 - 2**-53)
+@example(n=23, seed=-1, p=2**-60)
+@example(n=1, seed=0, p=1)
+def test_gnp_matches_the_per_draw_reference(lanes, n, seed, p):
+    """Same graph as the one-call-per-draw reference at 1, 3 and the default
+    (None) lanes per batch."""
+    with pytest.MonkeyPatch.context() as mp:
+        if lanes is not None:
+            mp.setattr(bigraph, "_LANES", lanes)
+        g = generate("gnp", n, seed, p)
+    assert _adjacency(g) == _adjacency(reference_generate_gnp(n, seed, p))
+
+
+def test_gnp_matches_the_reference_on_a_dense_graph():
+    g = generate("gnp", 400, seed=2**64 - 1, p=0.5)
+    reference = reference_generate_gnp(400, 2**64 - 1, 0.5)
+    assert _adjacency(g) == _adjacency(reference)
+    assert serialize(g) == "".join(
+        [f"{g.left_count} {g.right_count}\n", *(f"{u} {v}\n" for u, v in g.edges())]
+    )
+

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import resource
+import signal
 import subprocess
 import sys
 import time
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biholes import cli
-from biholes.bigraph import GENERATOR_MODELS, generate, serialize
+from biholes.bigraph import GENERATOR_MODELS, SplitMix64, check_model, generate, serialize
 from biholes.cli import (
     CSV_HEADER,
     EXIT_OK,
@@ -25,7 +26,7 @@ from biholes.cli import (
     EXIT_VERIFY,
     main,
 )
-from biholes.errors import TraceMismatch
+from biholes.errors import InvalidSize, TraceMismatch
 from biholes.extract import BiholeWitness, find_bihole
 
 C6_TEXT = "3 3\n0 0\n0 1\n1 1\n1 2\n2 0\n2 2\n"
@@ -237,6 +238,37 @@ def test_gen_rejects_non_finite_p(capsys, p):
     assert captured.err == f"error: edge probability must be in [0, 1], got {p}\n"
 
 
+@pytest.mark.parametrize("model", GENERATOR_MODELS)
+def test_gen_refuses_sizes_no_edge_list_holds_within_a_second(tmp_path, capsys, model):
+    # A child process first, capped at 1 GiB of address space and 10 s:
+    # where the size is not refused, gnp draws forever and the fixed models
+    # allocate per vertex, and only a process can be cut off.
+    out = tmp_path / "g.txt"
+    argv = ["gen", model, "99999999999999999999", str(out), "--p", "0.5"]
+    env = {"PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    child = subprocess.run(
+        [sys.executable, "-m", "biholes.cli", *argv],
+        capture_output=True,
+        env=env,
+        timeout=10,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+    )
+    assert child.returncode == EXIT_PARSE
+    start = time.perf_counter()
+    assert main(argv) == EXIT_PARSE
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model", GENERATOR_MODELS)
+def test_gen_size_cap_is_the_edge_list_side_cap(model):
+    check_model(model, cli.MAX_SIDE, 0.5)
+    with pytest.raises(InvalidSize, match="vertices"):
+        check_model(model, cli.MAX_SIDE + 1, 0.5)
+
+
 # -- exit codes on bad input -----------------------------------------------------
 
 
@@ -373,6 +405,75 @@ def test_experiment_rejected_sweep_writes_no_file(tmp_path, bad):
     out = tmp_path / "out.csv"
     assert main(["experiment", "--n-range", "4-5", "--trials", "1", *bad, "-o", str(out)]) == EXIT_PARSE
     assert not out.exists()
+
+
+def _reference_cells(args):
+    """The sweep's rows as the eager seed-table code listed them: one
+    SplitMix64 stream, one draw per (model, n, p, trial) in that order."""
+    models = [m.strip() for m in args.models.split(",") if m.strip()]
+    ns = cli._parse_n_range(args.n_range)
+    ps = [float(x) for x in args.p_grid.split(",") if x.strip()] if args.p_grid else []
+    ds = [int(x) for x in args.d_set.split(",") if x.strip()] if args.d_set else [0]
+    p_values = {model: ps if model == "gnp" else [None] for model in models}
+    master = SplitMix64(args.seed)
+    seeds = {
+        (model, n, p, trial): master.next_u64()
+        for model in models
+        for n in ns
+        for p in p_values[model]
+        for trial in range(args.trials)
+    }
+    return [
+        (model, n, p, seeds[(model, n, p, trial)], d)
+        for model in models
+        for n in ns
+        for p in p_values[model]
+        for d in ds
+        for trial in range(args.trials)
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        EXPERIMENT_ARGS,
+        ["experiment", "--models", "gnp,edgeless,cycle", "--n-range", "3,5", "--p-grid", "0.2",
+         "--d-set", "2,0", "--trials", "3", "--seed", "-5"],
+        ["experiment", "--models", "crown,gnp", "--n-range", "2-4", "--trials", "1",
+         "--seed", str(2**64 + 9)],
+        ["experiment", "--trials", "0"],
+    ],
+)
+def test_experiment_rows_match_the_eager_seed_table(argv):
+    args = cli.build_parser().parse_args(argv + ["-o", "-"])
+    assert list(cli._experiment_cells(args)) == _reference_cells(args)
+
+
+def test_experiment_streams_rows_for_a_huge_trial_count(tmp_path):
+    # Under a 400 MB address-space cap, a sweep that stored a seed per trial
+    # ended in a MemoryError before writing anything.  Rows are made lazily,
+    # so the child is still writing them when it is stopped.
+    out = tmp_path / "t.csv"
+    argv = ["experiment", "--models", "edgeless", "--n-range", "2",
+            "--trials", "10000000000", "-o", str(out)]
+    env = {"PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    child = subprocess.Popen(
+        [sys.executable, "-m", "biholes.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20)),
+    )
+    try:
+        _, err = child.communicate(timeout=3)
+    except subprocess.TimeoutExpired:
+        child.kill()
+        _, err = child.communicate()
+    assert child.returncode == -signal.SIGKILL, err.decode()
+    assert b"Traceback" not in err and b"MemoryError" not in err
+    lines = out.read_text().splitlines()
+    assert lines[0] == ",".join(CSV_HEADER)
+    assert len(lines) >= 2 and lines[1].startswith("edgeless,2,,")
 
 
 # 5 * 10**6 is the largest side an edge-list header admits for a balanced graph.
