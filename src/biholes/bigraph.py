@@ -19,10 +19,13 @@ Edge-list text format
   number; when a file has several, the first one in file order is named
 
 The parser reads the lines up to the header one at a time and the edge
-lines in bulk: about 64 KiB of text at a time goes through ``str.split``
-and ``map(int, ...)``, and one ``min``/``max`` pass checks every index
-against the header.  Only when that bulk check fails are the edge lines
-walked one by one, to find the line to name.
+lines in bulk, about 64 KiB at a time.  A chunk in the form the serializer
+writes (``u v`` per line, one space, LF or CRLF) is decoded by one
+``json.loads`` call; any other chunk, say one with a comment or a tab, goes
+through ``str.split`` and ``map(int, ...)``.  One ``min``/``max`` pass
+checks every index against the header, and only when that fails are the
+edge lines walked one by one, to find the line to name.  Edges in strictly
+increasing order are cut into rows as they stand, with no per-edge set.
 
 ``gnp`` draws one SplitMix64 value per potential edge in row-major order,
 so a (model, n, seed, p) tuple names one graph on every platform.  SplitMix64
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import json
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -190,6 +194,20 @@ def build_graph(
     )
 
 
+def _rows(keys: list[int], values: list[int], ends: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+    """Rows cut from ascending keys: row i holds values[k] for the keys k at
+    or above ends[i - 1] (0 for row 0) and below ends[i]."""
+    # Each row is a tuple of an exact-size list slice.  Rows built from an
+    # iterator, which tuple() grows and then shrinks, raised the peak RSS of
+    # an experiment sweep by about 0.3 MB.
+    rows = []
+    hi = 0
+    for end in ends:
+        lo, hi = hi, bisect_left(keys, end, hi)
+        rows.append(tuple(values[lo:hi]))
+    return tuple(rows)
+
+
 def _mirror(
     left_adj: tuple[tuple[int, ...], ...], right_count: int
 ) -> tuple[tuple[int, ...], ...]:
@@ -260,22 +278,58 @@ def _chunks(text: str, pos: int) -> Iterator[str]:
         pos = end + 1
 
 
+# Deleting these characters leaves nothing of a chunk of integer lines.
+_CANONICAL_CHARS = str.maketrans("", "", "0123456789- \t\r\n")
+
+
+def _decode_chunk(chunk: str) -> list | None:
+    """The edge lines of a canonical chunk (``u v`` per line, one space) as
+    u, v, None, u, v, None, ... by one ``json.loads`` call, else None.
+
+    Past the character check the decoder meets only JSON integers, which
+    ``int()`` reads alike; a line of other than two moves a None or fails.
+    """
+    chunk = chunk.rstrip("\n")
+    if chunk.translate(_CANONICAL_CHARS):
+        return None
+    try:
+        flat = json.loads("[" + chunk.replace(" ", ",").replace("\n", ",null,") + ",null]")
+    except ValueError:  # not JSON, or an integer over 4300 digits
+        return None
+    lines = chunk.count("\n") + 1
+    if len(flat) != 3 * lines or flat[2::3].count(None) != lines:
+        return None
+    return flat
+
+
+def _split_chunk(chunk: str) -> list[int] | None:
+    """The edge lines of any chunk as u, v, u, v, ... by ``str.split`` and
+    ``int``; None when a line is bad."""
+    lines = chunk.split("\n")
+    if "#" in chunk:
+        lines = [line for line in lines if not line.lstrip().startswith("#")]
+        chunk = "\n".join(lines)
+    if not set(map(len, map(str.split, lines))) <= {0, 2}:
+        return None
+    try:
+        return list(map(int, chunk.split()))
+    except ValueError:
+        return None
+
+
 def _bulk_edges(text: str, pos: int, left: int, right: int):
     """The edge lines of text from offset pos on as two lists of endpoints
     (left ends, right ends), or None when any of those lines is bad."""
-    flat: list[int] = []
-    try:
-        for chunk in _chunks(text, pos):
-            lines = chunk.split("\n")
-            if "#" in chunk:
-                lines = [line for line in lines if not line.lstrip().startswith("#")]
-                chunk = "\n".join(lines)
-            if not set(map(len, map(str.split, lines))) <= {0, 2}:
+    us: list[int] = []
+    vs: list[int] = []
+    for chunk in _chunks(text, pos):
+        flat, step = _decode_chunk(chunk), 3
+        if flat is None:
+            flat, step = _split_chunk(chunk), 2
+            if flat is None:
                 return None
-            flat.extend(map(int, chunk.split()))
-    except ValueError:
-        return None
-    us, vs = flat[0::2], flat[1::2]
+        us += flat[0::step]
+        vs += flat[1::step]
     if us and not (0 <= min(us) and max(us) < left and 0 <= min(vs) and max(vs) < right):
         return None
     return us, vs
@@ -301,10 +355,9 @@ def parse_edge_list(text: str) -> BipartiteGraph:
     The lines up to the header are read one at a time, so a bad or over-cap
     header fails before anything is allocated.  The edge lines are then
     checked and converted in bulk, a chunk of lines at a time, by builtins
-    (``str.split``, ``map(int, ...)``, ``min``/``max``) rather than a Python
-    loop per line.  When that bulk check fails, the lines are walked again
-    one by one and the first bad line in file order raises: a
-    :class:`MalformedEdgeLine` carrying its number, or an
+    rather than a Python loop per line.  When that bulk check fails, the
+    lines are walked again one by one and the first bad line in file order
+    raises: a :class:`MalformedEdgeLine` carrying its number, or an
     :class:`IndexOutOfRange` naming it.
     """
     for lineno, raw, end in _lines(text, 0, 1):
@@ -323,14 +376,27 @@ def parse_edge_list(text: str) -> BipartiteGraph:
     edges = _bulk_edges(text, end + 1, left, right)
     if edges is None:
         _raise_first_bad_line(text, end + 1, lineno + 1, left, right)
-    return build_graph(left, right, zip(*edges))
+    return _parsed_graph(left, right, edges)
+
+
+def _parsed_graph(left: int, right: int, edges: tuple[list[int], list[int]]) -> BipartiteGraph:
+    """The graph of in-range edges (left ends, right ends).  Edges in strictly
+    increasing order, as :func:`serialize` writes them, are cut into rows
+    as they stand; others go through :func:`build_graph`."""
+    us, vs = edges
+    if all(map(operator.lt, zip(us, vs), zip(us[1:], vs[1:]))):
+        left_adj = _rows(us, vs, range(1, left + 1))
+        return BipartiteGraph(left, right, left_adj, _mirror(left_adj, right), len(us))
+    return build_graph(left, right, zip(us, vs))
 
 
 def serialize(g: BipartiteGraph) -> str:
     """Canonical text form: header, then edges sorted lexicographically, LF only."""
     lines = [f"{g.left_count} {g.right_count}"]
     for u, nbrs in enumerate(g.left_adj):
-        lines.extend(map(f"{u} ".__add__, map(str, nbrs)))
+        if nbrs:
+            pre = f"{u} "
+            lines.append(pre + ("\n" + pre).join(map(str, nbrs)))
     return "\n".join(lines) + "\n"
 
 
@@ -477,15 +543,6 @@ def generate(
         edges = [(i, j) for i in range(n) for j in range(n) if i != j]
     else:  # gnp
         keys = _gnp_keys(seed, n * n, int(Fraction(p) * (1 << 64)))
-        # Each row is a tuple of an exact-size list slice.  Rows built from
-        # an iterator, which tuple() grows and then shrinks, raised the peak
-        # RSS of an experiment sweep by about 0.3 MB.
-        cols = list(map(operator.mod, keys, repeat(n)))
-        rows = []
-        hi = 0
-        for base in range(0, n * n, n):
-            lo, hi = hi, bisect_left(keys, base + n, hi)
-            rows.append(tuple(cols[lo:hi]))
-        left_adj = tuple(rows)
+        left_adj = _rows(keys, list(map(operator.mod, keys, repeat(n))), range(n, n * n + 1, n))
         return BipartiteGraph(n, n, left_adj, _mirror(left_adj, n), len(keys))
     return build_graph(n, n, edges)

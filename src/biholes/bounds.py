@@ -48,6 +48,11 @@ _LOG_DIGITS = 30
 _DECIMAL_SIGNIFICANT_DIGITS = 12
 
 
+# Contexts of their own, so that no result depends on the caller's context.
+_LOG_CONTEXT = decimal.Context(prec=_LOG_DIGITS, rounding=decimal.ROUND_HALF_EVEN)
+_DECIMAL_CONTEXT = decimal.Context(prec=_DECIMAL_SIGNIFICANT_DIGITS, rounding=decimal.ROUND_HALF_EVEN)
+
+
 def potential(x: int, d: int = 0) -> Fraction:
     """min(1, (d+1)/(x+1)) for a vertex of degree x; equals 1 iff x <= d."""
     if x <= d:
@@ -110,10 +115,8 @@ def average_degree_bound(g: BipartiteGraph) -> Fraction:
 
 def _ln(x: Fraction) -> Fraction:
     """Natural log of a positive rational, correctly rounded to 30 digits."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = _LOG_DIGITS
-        value = (decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator)).ln()
-    return Fraction(value)
+    value = _LOG_CONTEXT.divide(decimal.Decimal(x.numerator), decimal.Decimal(x.denominator))
+    return Fraction(value.ln(_LOG_CONTEXT))
 
 
 def log_reference_bound(g: BipartiteGraph, eps: Fraction) -> Fraction:
@@ -138,10 +141,11 @@ def decimal_string(x: Fraction, digits: int = _DECIMAL_SIGNIFICANT_DIGITS) -> st
     """Decimal rendering of a rational, correctly rounded to ``digits``
     significant digits (round-half-even).  Informational only; the rational
     fields stay authoritative."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = digits
-        value = decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator)
-    return str(value)
+    ctx = _DECIMAL_CONTEXT
+    if digits != ctx.prec:
+        ctx = decimal.Context(prec=digits, rounding=decimal.ROUND_HALF_EVEN)
+    value = ctx.divide(decimal.Decimal(x.numerator), decimal.Decimal(x.denominator))
+    return ctx.to_sci_string(value)
 
 
 def rational_to_json(x: Fraction) -> dict:

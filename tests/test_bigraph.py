@@ -162,7 +162,7 @@ def test_parse_malformed_header():
 
 def test_parse_caps_the_header_before_allocating(monkeypatch):
     built = []
-    monkeypatch.setattr(bigraph, "build_graph", lambda left, right, edges: built.append(left))
+    monkeypatch.setattr(bigraph, "_parsed_graph", lambda left, right, edges: built.append(left))
     for text in (f"{MAX_VERTICES // 2} {MAX_VERTICES // 2 + 1}\n", "1000000000 1000000000\n"):
         with pytest.raises(MalformedHeader, match="cap"):
             parse_edge_list(text)
@@ -185,8 +185,10 @@ def test_parse_edge_out_of_range_names_line():
 
 # Texts that mix every line shape the format has, good and bad: comments,
 # blank lines, tabs and other whitespace, int() spellings ("+1", "1_0", "٣"),
-# short, long and out-of-range lines, and bad headers.
+# JSON values that are not integers (for the json.loads path), short, long
+# and out-of-range lines, and bad headers.
 TOKENS = ["0", "1", "2", "3", "-1", "+1", "1_0", "٣", "007", "x", "#", "#c", "9" * 25]
+TOKENS += ["null", "true", "NaN", "Infinity", "1.5", "1e3", "-0", "[1]", '"1"', "[" * 3000]
 SEPARATORS = [" ", "\t", "  ", " \t", "\x0b", "\u3000"]
 LINES = st.one_of(
     st.builds("{1}{0}{2}".format, st.sampled_from(SEPARATORS), st.integers(0, 3), st.integers(0, 3)),
@@ -252,6 +254,73 @@ def test_parse_names_the_first_bad_line_in_file_order():
     with pytest.raises(IndexOutOfRange, match=r"^line 20002: edge \(0, 9\)"):
         parse_edge_list(RANGE_THEN_MALFORMED)
     assert sorted(parse_edge_list(STRADDLED).edges()) == [(0, 1), (1, 0), (1, 1)]
+
+
+@st.composite
+def canonical_texts(draw):
+    """Texts in the form serialize writes, one "u v" per line with a single
+    space, but with edges sorted, sorted with duplicates, or in drawn order,
+    some out of range, LF or CRLF, with or without a final line end."""
+    edges = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=40))
+    order = draw(st.sampled_from(["unique", "sorted", "drawn"]))
+    if order != "drawn":
+        edges = sorted(set(edges) if order == "unique" else edges)
+    lines = [f"{draw(st.integers(0, 5))} {draw(st.integers(0, 5))}"]
+    lines += [f"{u} {v}" for u, v in edges]
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None])
+@settings(max_examples=300)
+@given(text=canonical_texts())
+def test_parse_matches_the_line_reader_on_canonical_text(chunk, text):
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(bigraph, "_CHUNK", chunk)
+        assert _outcome(parse_edge_list, text) == _outcome(reference_parse_edge_list, text)
+
+
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        ("2 2\n0 1 null 1 1\n", 2),
+        # Five integers keep every null of the decoded chunk in a third place.
+        ("2 2\n0 1\n1 1 1 1 1\n", 3),
+    ],
+)
+def test_parse_rejects_lines_that_json_would_decode(text, lineno):
+    with pytest.raises(MalformedEdgeLine, match=f"^line {lineno}: ") as info:
+        parse_edge_list(text)
+    assert info.value.lineno == lineno
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None])
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+def test_serialized_text_takes_the_decoder_and_row_slicing(monkeypatch, chunk, eol):
+    """Serializer output never reaches the str.split tokeniser or build_graph,
+    so a silent fallback cannot hide a lost speedup."""
+    graphs = [generate("gnp", 30, seed=3, p=0.3), generate("complete", 5),
+              generate("edgeless", 4), build_graph(0, 0, []), build_graph(2, 3, [(1, 2)])]
+
+    def refuse(*args):
+        raise AssertionError(f"slow path taken on {args[0]!r}")
+
+    monkeypatch.setattr(bigraph, "_split_chunk", refuse)
+    monkeypatch.setattr(bigraph, "build_graph", refuse)
+    if chunk is not None:
+        monkeypatch.setattr(bigraph, "_CHUNK", chunk)
+    for g in graphs:
+        assert parse_edge_list(serialize(g).replace("\n", eol)) == g
+
+
+@settings(max_examples=100)
+@given(balanced_graphs())
+@example(generate("edgeless", 3))
+@example(build_graph(2, 3, [(1, 0), (1, 2)]))
+def test_serialize_matches_one_line_per_edge(g):
+    lines = [f"{g.left_count} {g.right_count}"] + [f"{u} {v}" for u, v in g.edges()]
+    assert serialize(g) == "\n".join(lines) + "\n"
 
 
 def test_serialize_canonical():

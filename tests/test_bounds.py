@@ -1,6 +1,7 @@
 """Bound computations: anchors, exact-rational invariants, and adversarial
 degree sequences where floating point gets the floor wrong."""
 
+import decimal
 import math
 from fractions import Fraction
 
@@ -133,6 +134,18 @@ def test_decimal_string_twelve_significant_digits():
     assert decimal_string(Fraction(2)) == "2"
     assert decimal_string(Fraction(-6, 11)) == "-0.545454545455"
     assert decimal_string(Fraction(1, 3), digits=4) == "0.3333"
+
+
+def test_decimal_rendering_ignores_the_callers_context():
+    g = generate("gnp", 30, seed=5, p=0.3)
+    values = [Fraction(2, 3), Fraction(-6, 11), Fraction(10**20, 3), Fraction(1, 3 * 10**9)]
+    default = [decimal_string(x) for x in values], log_reference_bound(g, Fraction(1, 2))
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.rounding, ctx.capitals = 3, decimal.ROUND_DOWN, 0
+        ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True
+        hostile = [decimal_string(x) for x in values], log_reference_bound(g, Fraction(1, 2))
+    assert decimal_string(Fraction(2, 3)) == "0.666666666667"
+    assert hostile == default
 
 
 def test_rational_to_json():

@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour: output shapes, exit codes, determinism."""
 
 import contextlib
+import decimal
 import io
 import json
 import resource
@@ -120,6 +121,20 @@ def test_extract_trace(c6_path, capsys):
     assert [s["kind"] for s in trace["steps"]] == ["pair_case1", "pair_case1"]
     assert trace["bound_values"][0] == {"num": "1", "den": "3", "decimal": "0.333333333333"}
     assert trace["initial_report"]["floor_bound"] == 1
+
+
+def test_extract_trace_bytes_ignore_the_callers_decimal_context(tmp_path, capsys):
+    path = tmp_path / "gnp.txt"
+    path.write_text(serialize(generate("gnp", 30, seed=5, p=0.3)))
+    argv = ["extract", str(path), "--d", "1", "--trace"]
+    assert main(argv) == EXIT_OK
+    default = capsys.readouterr().out
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.rounding, ctx.capitals = 3, decimal.ROUND_DOWN, 0
+        ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True
+        assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == default
+    assert '"log_reference": {' in default
 
 
 def test_extract_degenerate(tmp_path, capsys):
