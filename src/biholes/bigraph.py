@@ -54,6 +54,7 @@ from .errors import (
     InvalidSize,
     MalformedEdgeLine,
     MalformedHeader,
+    NegativeD,
     UnbalancedGraph,
 )
 
@@ -65,6 +66,7 @@ __all__ = [
     "SplitMix64",
     "build_graph",
     "require_balanced",
+    "require_nonnegative_d",
     "parse_edge_list",
     "serialize",
     "generate",
@@ -174,6 +176,12 @@ def require_balanced(g: BipartiteGraph, op: str) -> None:
         raise UnbalancedGraph(f"{op} needs a balanced graph, got {g.left_count} x {g.right_count}")
 
 
+def require_nonnegative_d(d: int) -> None:
+    """Raise :class:`NegativeD` unless the degeneracy parameter d is >= 0."""
+    if d < 0:
+        raise NegativeD(f"degeneracy parameter must be >= 0, got {d}")
+
+
 def build_graph(
     left_count: int, right_count: int, edges: Iterable[tuple[int, int]]
 ) -> BipartiteGraph:
@@ -279,7 +287,7 @@ def _chunks(text: str, pos: int) -> Iterator[str]:
 
 
 # Deleting these characters leaves nothing of a chunk of integer lines.
-_CANONICAL_CHARS = str.maketrans("", "", "0123456789- \t\r\n")
+_CANONICAL_CHARS = str.maketrans("", "", "0123456789- \r\n")
 
 
 def _decode_chunk(chunk: str) -> list | None:
@@ -290,7 +298,7 @@ def _decode_chunk(chunk: str) -> list | None:
     ``int()`` reads alike; a line of other than two moves a None or fails.
     """
     chunk = chunk.rstrip("\n")
-    if chunk.translate(_CANONICAL_CHARS):
+    if chunk.translate(_CANONICAL_CHARS) or "  " in chunk:
         return None
     try:
         flat = json.loads("[" + chunk.replace(" ", ",").replace("\n", ",null,") + ",null]")

@@ -28,8 +28,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bigraph import BipartiteGraph, Side, require_balanced
-from .errors import DegreeTooSmall, NegativeD
+from .bigraph import BipartiteGraph, Side, require_balanced, require_nonnegative_d
+from .errors import DegreeTooSmall
 
 __all__ = [
     "potential",
@@ -204,8 +204,7 @@ def bound_report(g: BipartiteGraph, d: int = 0, eps: Fraction = Fraction(1, 2)) 
     eps must lie in (0, 1) even when the log reference is not reported.
     """
     require_balanced(g, "bound_report")
-    if d < 0:
-        raise NegativeD(f"degeneracy parameter must be >= 0, got {d}")
+    require_nonnegative_d(d)
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise ValueError(f"eps must be in (0, 1), got {eps}")

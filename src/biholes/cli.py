@@ -40,7 +40,7 @@ from .bigraph import (
 )
 from .bounds import bound_report, decimal_string
 from .errors import BiholesError, InstanceTooLarge, NegativeD, TraceMismatch, UnbalancedGraph
-from .extract import LOW_DEGREE_EDGE_DELETION, check_trace, find_bihole, find_degenerate
+from .extract import check_trace, find_bihole, find_degenerate, survivors
 from .oracle import (
     OracleLimits,
     check_elimination_order,
@@ -86,6 +86,11 @@ def _oracle_limits(flag_value: int | None) -> OracleLimits:
     return OracleLimits() if flag_value is None else OracleLimits(flag_value, flag_value)
 
 
+def _find(g, d: int):
+    """(witness, trace): the bi-hole extractor at d = 0, else the degenerate one."""
+    return find_bihole(g) if d == 0 else find_degenerate(g, d)
+
+
 def _exact(g, d: int, limits: OracleLimits) -> int:
     """The oracle optimum: the bi-hole search at d = 0, else the degenerate one."""
     return max_bihole_exact(g, limits) if d == 0 else max_degenerate_exact(g, d, limits)
@@ -112,15 +117,10 @@ def _failed_checks(g, witness, trace, d: int, exact: int | None = None) -> list[
         replayed = check_trace(g, trace, d)
     except TraceMismatch:
         replayed = False
-    pairs = [(s.a, s.b) for s in trace.steps if s.kind != LOW_DEGREE_EDGE_DELETION]
-    gone_left, gone_right = {a for a, _ in pairs}, {b for _, b in pairs}
-    kept = (
-        tuple(i for i in range(g.left_count) if i not in gone_left),
-        tuple(j for j in range(g.right_count) if j not in gone_right),
-    )
+    witness_sets = (tuple(witness.left_set), tuple(witness.right_set))
     checks = {
         "witness": valid,
-        "trace": replayed and (tuple(witness.left_set), tuple(witness.right_set)) == kept,
+        "trace": replayed and witness_sets == survivors(g, trace.steps),
         "floor_bound": witness.size >= trace.initial_report.floor_bound,
         "exact": exact is None or witness.size <= exact,
     }
@@ -176,7 +176,7 @@ def _cmd_extract(args) -> int:
     import json
 
     g = _read_graph(args.input)
-    witness, trace = find_bihole(g) if args.d == 0 else find_degenerate(g, args.d)
+    witness, trace = _find(g, args.d)
     if args.verify:
         failed = _failed_checks(g, witness, trace, args.d)
         if failed:
@@ -266,7 +266,7 @@ def _experiment_cells(args) -> Iterator[tuple[str, int, float | None, int, int]]
 
 def _one_row(model: str, n: int, p: float | None, seed: int, d: int, limits: OracleLimits):
     g = generate(model, n, seed=seed, p=p)
-    witness, trace = find_bihole(g) if d == 0 else find_degenerate(g, d)
+    witness, trace = _find(g, d)
     try:
         exact = _exact(g, d, limits)
     except InstanceTooLarge:

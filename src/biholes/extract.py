@@ -40,10 +40,11 @@ The strengthened bound of the working graph never decreases along the peel,
 and the final edgeless working graph's value equals the witness size, which
 is why the witness size always reaches ceil(strengthened) and hence the
 floor bound.  Every step is recorded (in original vertex labels, with the
-degrees that justified it).  The peel and :func:`check_trace` share one
-step routine: ``_next_step`` applies the rule above and ``_apply`` carries
-the step out, so the audit replays the whole run with the peel's own rule
-and requires every recorded step to equal the step the rule takes.
+degrees that justified it).  One generator, ``_peel``, carries out the rule
+until the working graph is edgeless; the peel collects its steps, and
+:func:`check_trace` replays the whole run through it, requiring every
+recorded step to equal the step the rule takes.  The witness is every
+vertex that no pair step removes.
 
 For d >= 1 the witness is a vertex set whose induced subgraph *in the
 original graph* is d-degenerate: edges deleted at a low-degree vertex come
@@ -58,10 +59,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
+from itertools import compress
+from typing import Iterable, Iterator
 
-from .bigraph import BipartiteGraph, Side, VertexRef, require_balanced
+from .bigraph import BipartiteGraph, Side, VertexRef, require_balanced, require_nonnegative_d
 from .bounds import BoundReport, bound_report, rational_to_json
-from .errors import NegativeD, TraceMismatch
+from .errors import TraceMismatch
 from .oracle import StuckCore, degeneracy_certificate
 
 __all__ = [
@@ -170,10 +173,6 @@ class DegenerateWitness:
 _SIDES = (Side.LEFT, Side.RIGHT)
 
 
-def _rank(side: Side) -> int:
-    return 0 if side is Side.LEFT else 1
-
-
 class _WorkingGraph:
     """Mutable peeling state, kept in the original index space.
 
@@ -222,7 +221,6 @@ class _WorkingGraph:
         self.top_order = [[], []]
         self.top_members = [set(), set()]
         self.top_start = [0, 0]
-        self.removed = (bytearray(self.n), bytearray(self.n))
         self.max = [top, top]
         self.edge_count = g.edge_count
         self.scale = math.lcm(*range(d + 2, top + 2))
@@ -232,9 +230,6 @@ class _WorkingGraph:
         # gain[x]: change in total when a live vertex drops from degree x to x - 1
         self.gain = [0] + [self.term[x - 1] - self.term[x] for x in range(1, top + 1)]
         self.total = sum(self.term[x] for side in self.deg for x in side)
-
-    def degree(self, s: int, i: int) -> int:
-        return self.deg[s][i]
 
     def max_deg(self, s: int) -> int:
         x = self.max[s]
@@ -295,13 +290,13 @@ class _WorkingGraph:
         nbrs = ladj[a]
         return a, self._lowest_max(1, lambda j: j not in nbrs), 1
 
-    def low_degree_vertex(self, d: int) -> VertexRef | None:
-        """The vertex of minimum degree in [1, d]; Left side first, then
-        ascending index.  None when no such vertex exists."""
+    def low_degree_vertex(self, d: int) -> tuple[int, int] | None:
+        """(side, index) of the vertex of minimum degree in [1, d]; Left
+        side first, then ascending index.  None when no such vertex exists."""
         for x in range(1, min(d, len(self.cnt[0]) - 1) + 1):
             for s in (0, 1):
                 if self.cnt[s][x]:
-                    return VertexRef(_SIDES[s], self._lowest(s, x))
+                    return s, self._lowest(s, x)
         return None
 
     def _cut(self, s: int, i: int) -> int:
@@ -338,7 +333,6 @@ class _WorkingGraph:
         deg_a = self._cut(0, a)
         deg_b = self._cut(1, b)
         self.total -= self.term[deg_a] + self.term[deg_b]
-        self.removed[0][a] = self.removed[1][b] = 1
 
     def isolate(self, s: int, i: int) -> None:
         deg = self._cut(s, i)
@@ -351,48 +345,46 @@ class _WorkingGraph:
         num = self.total + self.term[self.max_deg(0)] + self.term[self.max_deg(1)]
         return Fraction(num - 2 * self.scale, 2 * self.scale)
 
-    def survivors(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Live vertices of an edgeless working graph, ascending per side."""
-        return tuple(
-            tuple(i for i, gone in enumerate(removed) if not gone) for removed in self.removed
-        )
+
+def _peel(work: _WorkingGraph, d: int) -> Iterator[PeelStep]:
+    """Carry out the deterministic rule on ``work`` until it is edgeless,
+    yielding each step once it is done: the low-degree vertex when d >= 1
+    and one exists, else the selected pair."""
+    while work.edge_count > 0:
+        da, db = work.max_deg(0), work.max_deg(1)
+        low = work.low_degree_vertex(d) if d >= 1 else None
+        if low is not None:
+            s, i = low
+            degrees = (da, db, work.deg[s][i], None)
+            work.isolate(s, i)
+            v = VertexRef(_SIDES[s], i)
+            yield PeelStep(kind=LOW_DEGREE_EDGE_DELETION, degrees_before=degrees, v=v)
+        else:
+            a, b, case = work.select_pair()
+            degrees = (da, db, work.deg[0][a], work.deg[1][b])
+            work.remove_pair(a, b)
+            kind = PAIR_CASE1 if case == 1 else PAIR_CASE2
+            yield PeelStep(kind=kind, degrees_before=degrees, a=a, b=b)
 
 
-def _next_step(work: _WorkingGraph, d: int) -> PeelStep:
-    """The step the deterministic rule takes on a working graph with edges:
-    the low-degree vertex when d >= 1 and one exists, else the selected pair."""
-    da, db = work.max_deg(0), work.max_deg(1)
-    v = work.low_degree_vertex(d) if d >= 1 else None
-    if v is not None:
-        degrees = (da, db, work.degree(_rank(v.side), v.index), None)
-        return PeelStep(kind=LOW_DEGREE_EDGE_DELETION, degrees_before=degrees, v=v)
-    a, b, case = work.select_pair()
-    return PeelStep(
-        kind=PAIR_CASE1 if case == 1 else PAIR_CASE2,
-        degrees_before=(da, db, work.degree(0, a), work.degree(1, b)),
-        a=a,
-        b=b,
-    )
-
-
-def _apply(work: _WorkingGraph, step: PeelStep) -> None:
-    """Carry out a step that :func:`_next_step` returned."""
-    if step.kind == LOW_DEGREE_EDGE_DELETION:
-        work.isolate(_rank(step.v.side), step.v.index)
-    else:
-        work.remove_pair(step.a, step.b)
+def survivors(g: BipartiteGraph, steps: Iterable[PeelStep]) -> tuple[tuple[int, ...], ...]:
+    """(lefts, rights): the vertices of g that no pair step of a peel of g
+    removes, ascending per side."""
+    kept = (bytearray(b"\1") * g.left_count, bytearray(b"\1") * g.right_count)
+    for step in steps:
+        if step.kind != LOW_DEGREE_EDGE_DELETION:
+            kept[0][step.a] = kept[1][step.b] = 0
+    return tuple(tuple(compress(range(len(side)), side)) for side in kept)
 
 
 def _run_peel(g: BipartiteGraph, d: int):
     work = _WorkingGraph(g, d)
     steps: list[PeelStep] = []
     values = [work.strengthened()]
-    while work.edge_count > 0:
-        step = _next_step(work, d)
-        _apply(work, step)
+    for step in _peel(work, d):
         steps.append(step)
         values.append(work.strengthened())
-    lefts, rights = work.survivors()
+    lefts, rights = survivors(g, steps)
     return lefts, rights, tuple(steps), tuple(values)
 
 
@@ -400,8 +392,7 @@ def _extract(g: BipartiteGraph, d: int, op: str):
     """(lefts, rights, trace) of the peel of g at d; ``op`` names the caller
     in the error raised on an unbalanced graph."""
     require_balanced(g, op)
-    if d < 0:
-        raise NegativeD(f"degeneracy parameter must be >= 0, got {d}")
+    require_nonnegative_d(d)
     lefts, rights, steps, values = _run_peel(g, d)
     trace = PeelTrace(steps=steps, initial_report=bound_report(g, d), bound_values=values)
     return lefts, rights, trace
@@ -451,18 +442,17 @@ def check_trace(g: BipartiteGraph, trace: PeelTrace, d: int) -> bool:
     ``floor_bound`` equal to half the input graph's potential sum, floored.
     """
     require_balanced(g, "check_trace")
-    if d < 0:
-        raise NegativeD(f"degeneracy parameter must be >= 0, got {d}")
+    require_nonnegative_d(d)
     work = _WorkingGraph(g, d)
     floor = work.total // (2 * work.scale)
     values = [work.strengthened()]
+    replay = _peel(work, d)
     for pos, step in enumerate(trace.steps):
-        if work.edge_count == 0:
+        expected = next(replay, None)
+        if expected is None:
             raise TraceMismatch(f"step {pos}: {step} recorded after the peel ends")
-        expected = _next_step(work, d)
         if step != expected:
             raise TraceMismatch(f"step {pos}: recorded {step} but the rule takes {expected}")
-        _apply(work, expected)
         values.append(work.strengthened())
     if work.edge_count > 0:
         raise TraceMismatch(

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
-from .bigraph import BipartiteGraph, Side, VertexRef, require_balanced
-from .errors import IndexOutOfRange, InstanceTooLarge, NegativeD
+from .bigraph import BipartiteGraph, Side, VertexRef, require_balanced, require_nonnegative_d
+from .errors import IndexOutOfRange, InstanceTooLarge
 
 __all__ = [
     "OracleLimits",
@@ -280,8 +280,7 @@ def max_degenerate_exact(g: BipartiteGraph, d: int, limits: OracleLimits | None 
     """
     limits = limits or OracleLimits()
     require_balanced(g, "max_degenerate_exact")
-    if d < 0:
-        raise NegativeD(f"degeneracy parameter must be >= 0, got {d}")
+    require_nonnegative_d(d)
     n = g.left_count
     if n > limits.max_side_degenerate:
         raise InstanceTooLarge(

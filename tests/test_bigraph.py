@@ -314,6 +314,26 @@ def test_serialized_text_takes_the_decoder_and_row_slicing(monkeypatch, chunk, e
         assert parse_edge_list(serialize(g).replace("\n", eol)) == g
 
 
+@pytest.mark.parametrize("chunk", [64, None])
+@pytest.mark.parametrize("sep", ["\t", "  "])
+def test_non_canonical_separators_skip_the_decoder(monkeypatch, chunk, sep):
+    """A tab or two spaces between the indices fail the character check, so
+    such a chunk goes straight to str.split without a failed json.loads."""
+    calls = []
+    loads = bigraph.json.loads
+
+    def counting_loads(*args, **kwargs):
+        calls.append(args)
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(bigraph.json, "loads", counting_loads)
+    if chunk is not None:
+        monkeypatch.setattr(bigraph, "_CHUNK", chunk)
+    g = generate("gnp", 60, seed=4, p=0.3)
+    assert parse_edge_list(serialize(g).replace(" ", sep)) == g
+    assert calls == []
+
+
 @settings(max_examples=100)
 @given(balanced_graphs())
 @example(generate("edgeless", 3))

@@ -2,6 +2,7 @@
 that what comes out is at least as large as the bounds promise."""
 
 import math
+import re
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -309,6 +310,39 @@ def test_check_trace_reads_stored_claims():
         replace(report, floor_bound=report.floor_bound + 1),
     ):
         assert not check_trace(g, replace(tr, initial_report=forged), 0)
+
+
+def test_check_trace_rejects_a_step_after_the_peel_ends():
+    for g in (c6(), generate("gnp", 30, seed=5, p=0.3)):
+        _, tr = find_bihole(g)
+        extra = tr.steps[-1]
+        extended = replace(tr, steps=tr.steps + (extra,))
+        message = f"step {len(tr.steps)}: {extra} recorded after the peel ends"
+        with pytest.raises(TraceMismatch, match=f"^{re.escape(message)}$"):
+            check_trace(g, extended, 0)
+
+
+def test_check_trace_names_the_edges_a_truncated_trace_leaves():
+    """c6 loses 4 of its 6 edges in the first step; on gnp the count left is
+    that of the edges between the vertices no recorded step removed."""
+    def rejects(g, tr, k, left):
+        message = f"^trace ends after {k} steps with {left} edges left$"
+        with pytest.raises(TraceMismatch, match=message):
+            check_trace(g, replace(tr, steps=tr.steps[:k]), 0)
+
+    rejects(c6(), find_bihole(c6())[1], 0, 6)
+    rejects(c6(), find_bihole(c6())[1], 1, 2)
+    g = generate("gnp", 30, seed=5, p=0.3)
+    _, tr = find_bihole(g)
+    for k in (1, 10, len(tr.steps) - 1):
+        gone_left = {s.a for s in tr.steps[:k]}
+        gone_right = {s.b for s in tr.steps[:k]}
+        left = sum(
+            1 for u, nbrs in enumerate(g.left_adj) if u not in gone_left
+            for v in nbrs if v not in gone_right
+        )
+        assert left > 0
+        rejects(g, tr, k, left)
 
 
 def test_check_trace_rejects_truncated_trace():
