@@ -296,15 +296,17 @@ def _decode_chunk(chunk: str) -> list | None:
 
     Past the character check the decoder meets only JSON integers, which
     ``int()`` reads alike; a line of other than two moves a None or fails.
+    A chunk with other than one space per line (a blank line, a space at
+    either end of a line, two in a row) would fail, so it is not decoded.
     """
     chunk = chunk.rstrip("\n")
-    if chunk.translate(_CANONICAL_CHARS) or "  " in chunk:
+    lines = chunk.count("\n") + 1
+    if chunk.translate(_CANONICAL_CHARS) or chunk.count(" ") != lines:
         return None
     try:
         flat = json.loads("[" + chunk.replace(" ", ",").replace("\n", ",null,") + ",null]")
     except ValueError:  # not JSON, or an integer over 4300 digits
         return None
-    lines = chunk.count("\n") + 1
     if len(flat) != 3 * lines or flat[2::3].count(None) != lines:
         return None
     return flat

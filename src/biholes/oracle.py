@@ -3,13 +3,18 @@
 Everything in this module is deliberately simple: exhaustive search over
 bitmasks and greedy peeling, with no shared machinery with the constructive
 extractor, so that it is obviously correct; side-size limits keep it from
-being invoked on instances it cannot finish.  The bi-hole and biclique
-optima tabulate the subset ANDs of each half of one side (2 x 2^(n/2)
-entries) and test target sizes t = 1, 2, ... in turn, pairing only
-half-masks with at least t bits and stopping at the first t that fails.
-Most of the cost is the pairs that pass that filter at the failing t; it
-never exceeds one visit per subset of the side (2^n).  The degenerate
-optimum enumerates balanced pairs of subsets outright.
+being invoked on instances it cannot finish, and fixed ceilings that no
+limit lifts keep its tables within about 1 GB.  The bi-hole and biclique
+optima bucket the distinct subset ANDs of each half of one side by subset
+size (at most 2 x 2^(n/2) entries, built by set doubling) and test target
+sizes t = 1, 2, ... in turn, pairing only half-masks with at least t bits
+and stopping at the first t that fails.  Most of the cost is the pairs that
+pass that filter at the failing t, each half-mask tested against the other
+list by one C-level ``any``; it never exceeds one visit per subset of the
+side (2^n).  The degenerate optimum enumerates balanced pairs of subsets
+outright, counting the edges between S and T by one AND of S's packed rows
+with T repeated, so that only pairs within the edge budget reach the
+peeling check.
 :func:`degeneracy_certificate` keeps its candidates in a heap so that it
 scales to extracted witnesses; its output is an elimination order that
 :func:`check_elimination_order` replays naively.
@@ -19,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .bigraph import BipartiteGraph, Side, VertexRef, require_balanced, require_nonnegative_d
@@ -40,11 +46,14 @@ __all__ = [
 class OracleLimits:
     """Largest side sizes the exhaustive searches will accept.
 
-    The bi-hole/biclique search tabulates 2^(n/2) subset ANDs per half of
-    one side and pairs them by target size, so its memory grows as 2^(n/2)
-    and its time at most as the 2^n left subsets; the degenerate search
-    enumerates balanced pairs of subsets (C(2n, n) of them), hence the much
-    smaller default for the latter.
+    The bi-hole/biclique search buckets up to 2^(n/2) subset ANDs per half
+    of one side and pairs them by target size, so its memory grows as
+    2^(n/2) and its time at most as the 2^n left subsets; the degenerate
+    search lists all 2^n subset masks and enumerates balanced pairs of
+    subsets (C(2n, n) of them), hence the much smaller default for the
+    latter.  No limit lifts a search past its ceiling, the largest side
+    whose tables fit in about 1 GB: 45 for the bi-hole/biclique search,
+    23 for the degenerate one.
     """
 
     max_side_bihole: int = 22
@@ -53,6 +62,19 @@ class OracleLimits:
     def __post_init__(self):
         if self.max_side_bihole < 1 or self.max_side_degenerate < 1:
             raise ValueError(f"oracle limits must be positive, got {self}")
+
+
+# The ceilings.  At n = 45 the worst case, every subset AND distinct, peaks
+# at 934 MB of half-buckets; at n = 23 the subset masks plus two sizes of
+# repeated masks peak at 606 MB, and n = 24 runs out of 1 GiB of address
+# space (CPython 3.11, x86-64).
+_BIHOLE_CEILING = 45
+_DEGENERATE_CEILING = 23
+
+
+def _require_side(n: int, limit: int, ceiling: int, search: str) -> None:
+    if n > min(limit, ceiling):
+        raise InstanceTooLarge(f"side {n} exceeds {search} oracle limit {min(limit, ceiling)}")
 
 
 @dataclass(frozen=True)
@@ -171,33 +193,35 @@ def _left_masks(g: BipartiteGraph) -> list[int]:
     return [sum(1 << r for r in nbrs) for nbrs in g.left_adj]
 
 
-def _common_mask_table(masks: list[int], full: int) -> list[int]:
-    """table[s] = AND over i in s of masks[i], for every subset s of the block."""
-    table = [full] * (1 << len(masks))
-    for s in range(1, 1 << len(masks)):
-        low = s & -s
-        table[s] = table[s ^ low] & masks[low.bit_length() - 1]
-    return table
-
-
 def _masks_by_size(masks: list[int], full: int) -> list[set[int]]:
-    """buckets[k] = the distinct ANDs over k-element subsets of the block."""
-    buckets: list[set[int]] = [set() for _ in range(len(masks) + 1)]
-    for s, m in enumerate(_common_mask_table(masks, full)):
-        buckets[s.bit_count()].add(m)
+    """buckets[k] = the distinct ANDs over k-element subsets of the block.
+
+    Built by set doubling: taking in mask m adds to bucket k the ANDs of
+    bucket k - 1 with m, so each step is one C-level pass per bucket and
+    duplicates are dropped as they arise.
+    """
+    buckets: list[set[int]] = [{full}]
+    for m in masks:
+        buckets.append(set())
+        for k in range(len(buckets) - 1, 0, -1):
+            buckets[k].update(map(m.__and__, buckets[k - 1]))
     return buckets
 
 
 def _attains(lo: list[set[int]], hi: list[set[int]], t: int) -> bool:
     """True iff some t-subset, k members from the low half and t - k from
     the high half, has at least t bits in the AND of its masks."""
+    at_least_t = t.__le__
     for k in range(max(0, t - len(hi) + 1), min(t, len(lo) - 1) + 1):
         lows = [m for m in lo[k] if m.bit_count() >= t]
         if not lows:
             continue
         highs = [m for m in hi[t - k] if m.bit_count() >= t]
-        if any((a & b).bit_count() >= t for a in lows for b in highs):
-            return True
+        if len(highs) < len(lows):
+            lows, highs = highs, lows
+        for a in lows:
+            if any(map(at_least_t, map(int.bit_count, map(a.__and__, highs)))):
+                return True
     return False
 
 
@@ -208,8 +232,8 @@ def _best_balanced(masks: list[int], n: int) -> int:
     |S| = t exactly has at least t common bits, because dropping members of
     a larger S only adds common bits; so attainment is monotone in t and the
     search tries t = 1, 2, ... until one fails.  The AND over S factors
-    through the two halves of the index range, whose subset ANDs are
-    tabulated once and bucketed by subset size; for each t only half-masks
+    through the two halves of the index range, whose distinct subset ANDs
+    are bucketed once by subset size; for each t only half-masks
     with at least t bits take part, and the first good pair ends the test.
     """
     full = (1 << n) - 1
@@ -231,8 +255,7 @@ def max_bihole_exact(g: BipartiteGraph, limits: OracleLimits | None = None) -> i
     limits = limits or OracleLimits()
     require_balanced(g, "max_bihole_exact")
     n = g.left_count
-    if n > limits.max_side_bihole:
-        raise InstanceTooLarge(f"side {n} exceeds bi-hole oracle limit {limits.max_side_bihole}")
+    _require_side(n, limits.max_side_bihole, _BIHOLE_CEILING, "bi-hole")
     full = (1 << n) - 1
     non_nbrs = [full & ~m for m in _left_masks(g)]
     return _best_balanced(non_nbrs, n)
@@ -243,8 +266,7 @@ def max_biclique_exact(g: BipartiteGraph, limits: OracleLimits | None = None) ->
     limits = limits or OracleLimits()
     require_balanced(g, "max_biclique_exact")
     n = g.left_count
-    if n > limits.max_side_bihole:
-        raise InstanceTooLarge(f"side {n} exceeds biclique oracle limit {limits.max_side_bihole}")
+    _require_side(n, limits.max_side_bihole, _BIHOLE_CEILING, "biclique")
     return _best_balanced(_left_masks(g), n)
 
 
@@ -282,10 +304,7 @@ def max_degenerate_exact(g: BipartiteGraph, d: int, limits: OracleLimits | None 
     require_balanced(g, "max_degenerate_exact")
     require_nonnegative_d(d)
     n = g.left_count
-    if n > limits.max_side_degenerate:
-        raise InstanceTooLarge(
-            f"side {n} exceeds degenerate oracle limit {limits.max_side_degenerate}"
-        )
+    _require_side(n, limits.max_side_degenerate, _DEGENERATE_CEILING, "degenerate")
     left_masks = _left_masks(g)
     # unified vertex space: left i -> bit i, right j -> bit n + j
     unified = [m << n for m in left_masks]
@@ -293,14 +312,18 @@ def max_degenerate_exact(g: BipartiteGraph, d: int, limits: OracleLimits | None 
     by_size: list[list[int]] = [[] for _ in range(n + 1)]
     for mask in range(1 << n):
         by_size[mask.bit_count()].append(mask)
+    # row i of S sits in bits [i n, (i + 1) n) of one int, and T repeated n
+    # times lines up with every row, so one AND counts the S-T edges
+    shifted = [m << (i * n) for i, m in enumerate(left_masks)]
+    ones = sum(1 << (i * n) for i in range(n))
     for k in range(n, 0, -1):
-        budget = _max_degenerate_edge_budget(2 * k, d)
-        for s_mask in by_size[k]:
-            rows = [left_masks[i] for i in range(n) if s_mask >> i & 1]
-            for t_mask in by_size[k]:
-                edges = sum((row & t_mask).bit_count() for row in rows)
-                if edges > budget:
-                    continue
+        within_budget = _max_degenerate_edge_budget(2 * k, d).__ge__
+        size_k = by_size[k]
+        repeated = list(map(ones.__mul__, size_k))
+        for s_mask in size_k:
+            rows = sum(shifted[i] for i in range(n) if s_mask >> i & 1)
+            edges = map(int.bit_count, map(rows.__and__, repeated))
+            for t_mask in compress(size_k, map(within_budget, edges)):
                 if _peels_to_empty(unified, s_mask | (t_mask << n), d):
                     return k
     return 0

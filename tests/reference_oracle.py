@@ -1,10 +1,14 @@
-"""Reference bi-hole/biclique optimum: the plain split-half loop, kept as a test oracle.
+"""Reference exhaustive optima, kept as test oracles.
 
-It visits every pair of half-subsets (up to 2^(n/2) x 2^(n/2)) and keeps the
-best min(|S|, |AND over S|), pruning only blocks that cannot beat the best so
+The bi-hole/biclique optimum is the plain split-half loop: it visits every
+pair of half-subsets (up to 2^(n/2) x 2^(n/2)) and keeps the best
+min(|S|, |AND over S|), pruning only blocks that cannot beat the best so
 far.  It is slow but computes the defining maximum directly, which is what
 the equivalence tests compare the size-targeted search in
-:mod:`biholes.oracle` against.
+:mod:`biholes.oracle` against.  The degenerate optimum is the balanced-pair
+enumeration with the S-T edge count summed row by row, which the tests
+compare the packed edge count of :func:`biholes.oracle.max_degenerate_exact`
+against.
 """
 
 from __future__ import annotations
@@ -54,3 +58,49 @@ def reference_max_bihole(g: BipartiteGraph) -> int:
 
 def reference_max_biclique(g: BipartiteGraph) -> int:
     return reference_best_balanced(_neighbour_masks(g), g.left_count)
+
+
+def _max_degenerate_edge_budget(m: int, d: int) -> int:
+    """Most edges a d-degenerate graph on m vertices can have."""
+    if m <= d + 1:
+        return m * (m - 1) // 2
+    return d * m - d * (d + 1) // 2
+
+
+def _peels_to_empty(unified_adj: list[int], alive: int, d: int) -> bool:
+    """Greedy degeneracy check: keep removing any vertex of degree <= d."""
+    while alive:
+        rest = alive
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            rest ^= low
+            if (unified_adj[v] & alive).bit_count() <= d:
+                alive ^= 1 << v
+                break
+        else:
+            return False
+    return True
+
+
+def reference_max_degenerate(g: BipartiteGraph, d: int) -> int:
+    """The largest k with a balanced k x k induced d-degenerate subgraph."""
+    n = g.left_count
+    left_masks = _neighbour_masks(g)
+    # unified vertex space: left i -> bit i, right j -> bit n + j
+    unified = [m << n for m in left_masks]
+    unified += [sum(1 << l for l in nbrs) for nbrs in g.right_adj]
+    by_size: list[list[int]] = [[] for _ in range(n + 1)]
+    for mask in range(1 << n):
+        by_size[mask.bit_count()].append(mask)
+    for k in range(n, 0, -1):
+        budget = _max_degenerate_edge_budget(2 * k, d)
+        for s_mask in by_size[k]:
+            rows = [left_masks[i] for i in range(n) if s_mask >> i & 1]
+            for t_mask in by_size[k]:
+                edges = sum((row & t_mask).bit_count() for row in rows)
+                if edges > budget:
+                    continue
+                if _peels_to_empty(unified, s_mask | (t_mask << n), d):
+                    return k
+    return 0

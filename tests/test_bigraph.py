@@ -334,6 +334,32 @@ def test_non_canonical_separators_skip_the_decoder(monkeypatch, chunk, sep):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "form",
+    [
+        lambda text: text.replace("\n", "\n\n"),  # a blank line after every line
+        lambda text: " " + text.replace("\n", "\n "),  # a space at the start of every line
+        lambda text: text.replace("\n", " \n"),  # a space at the end of every line
+        lambda text: text.replace("\n", " \r\n"),  # the same before a CRLF
+    ],
+    ids=["blank-lines", "leading-spaces", "trailing-spaces", "trailing-spaces-crlf"],
+)
+def test_blank_lines_and_edge_spaces_skip_the_decoder(monkeypatch, form):
+    """A chunk with other than one space per line cannot decode, so it goes
+    straight to str.split without a failed json.loads."""
+    calls = []
+    loads = bigraph.json.loads
+
+    def counting_loads(*args, **kwargs):
+        calls.append(args)
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(bigraph.json, "loads", counting_loads)
+    g = generate("gnp", 400, seed=4, p=0.5)
+    assert parse_edge_list(form(serialize(g))) == g
+    assert calls == []
+
+
 @settings(max_examples=100)
 @given(balanced_graphs())
 @example(generate("edgeless", 3))

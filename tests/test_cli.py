@@ -222,6 +222,53 @@ def test_oracle_limit_flag(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "5"
 
 
+def _run_under_1gib(argv):
+    """Run the CLI in a child process capped at 1 GiB of address space."""
+    env = {"PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    return subprocess.run(
+        [sys.executable, "-m", "biholes.cli", *argv],
+        capture_output=True,
+        env=env,
+        timeout=20,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+    )
+
+
+@pytest.mark.parametrize("d", ["0", "1"])
+def test_oracle_refuses_sides_past_its_ceiling_within_a_second(tmp_path, capsys, d):
+    # A child process first: where no ceiling holds, the search's tables
+    # exhaust the 1 GiB cap and the process dies of a MemoryError.
+    path = tmp_path / "g60.txt"
+    path.write_text(serialize(generate("gnp", 60, seed=5, p=0.5)))
+    argv = ["oracle", str(path), "--limits", "60", "--d", d]
+    child = _run_under_1gib(argv)
+    assert child.returncode == EXIT_TOO_LARGE, child.stderr.decode()[-500:]
+    assert child.stdout == b""
+    start = time.perf_counter()
+    assert main(argv) == EXIT_TOO_LARGE
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_experiment_leaves_exact_empty_past_the_oracle_ceiling(tmp_path):
+    out = tmp_path / "sweep.csv"
+    argv = ["experiment", "--models", "gnp", "--n-range", "60", "--p-grid", "0.5",
+            "--d-set", "0,1", "--trials", "1", "--seed", "1", "--oracle-max", "60",
+            "-o", str(out)]
+    child = _run_under_1gib(argv)
+    assert child.returncode == EXIT_OK, child.stderr.decode()[-500:]
+    first = out.read_text()
+    out.unlink()
+    start = time.perf_counter()
+    assert main(argv) == EXIT_OK
+    assert time.perf_counter() - start < 1
+    assert out.read_text() == first
+    rows = [line.split(",") for line in first.splitlines()[1:]]
+    assert [(row[4], row[9], row[10]) for row in rows] == [("0", "", "true"), ("1", "", "true")]
+
+
 # -- gen -----------------------------------------------------------------------
 
 

@@ -5,14 +5,17 @@ brute force (enumerate every subset pair, test the defining property) on
 graphs small enough for that to be instant.
 """
 
+import ast
 import itertools
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biholes.bigraph import BipartiteGraph, Side, SplitMix64, VertexRef, build_graph, generate
+from biholes import oracle
 from biholes.errors import IndexOutOfRange, InstanceTooLarge, NegativeD, UnbalancedGraph
 from biholes.oracle import (
     OracleLimits,
@@ -24,11 +27,14 @@ from biholes.oracle import (
     max_biclique_exact,
     max_degenerate_exact,
     _best_balanced,
+    _masks_by_size,
 )
 from reference_oracle import (
+    _and_table,
     reference_best_balanced,
     reference_max_bihole,
     reference_max_biclique,
+    reference_max_degenerate,
 )
 from reference_peel import reference_certificate
 
@@ -266,6 +272,56 @@ def test_oracle_size_limits():
         max_degenerate_exact(generate("edgeless", 9), 1)
 
 
+def test_oracle_ceilings_hold_past_any_limit():
+    lifted = OracleLimits(max_side_bihole=10**6, max_side_degenerate=10**6)
+    with pytest.raises(InstanceTooLarge, match="limit 45$"):
+        max_bihole_exact(generate("edgeless", 46), lifted)
+    with pytest.raises(InstanceTooLarge, match="limit 45$"):
+        max_biclique_exact(generate("edgeless", 46), lifted)
+    with pytest.raises(InstanceTooLarge, match="limit 23$"):
+        max_degenerate_exact(generate("edgeless", 24), 1, lifted)
+    assert max_bihole_exact(generate("edgeless", 45), lifted) == 45
+    assert max_biclique_exact(generate("edgeless", 45), lifted) == 0
+
+
+def _biholes_imports(source: str) -> set[str]:
+    """The dotted names of the biholes modules a module's source imports;
+    importing the package itself counts as "biholes"."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = f"biholes.{module}" if module else "biholes"
+            if module == "biholes":
+                targets = [f"biholes.{alias.name}" for alias in node.names]
+            else:
+                targets = [module]
+        elif isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        else:
+            continue
+        names.update(t for t in targets if t.split(".")[0] == "biholes")
+    return names
+
+
+def test_oracle_stays_independent_of_the_extractor():
+    """The brute-force ground truth shares no code with the extractor: the
+    oracle module imports only the graph type and the errors."""
+    allowed = {"biholes.bigraph", "biholes.errors"}
+    assert _biholes_imports(Path(oracle.__file__).read_text()) <= allowed
+    forbidden = [
+        "from .extract import find_bihole",
+        "from . import extract",
+        "from biholes.extract import find_bihole",
+        "from biholes import extract",
+        "import biholes.extract",
+        "import biholes",
+    ]
+    for line in forbidden:
+        assert not _biholes_imports(line) <= allowed, line
+
+
 # -- cross-checks against the reference definitions ----------------------------------
 
 
@@ -279,6 +335,21 @@ def test_bihole_matches_brute_force_exhaustively():
         if i % 7 == 0:
             assert max_bihole_exact(g) == brute_max_bihole(g)
             assert max_biclique_exact(g) == brute_max_biclique(g)
+
+
+def test_degenerate_matches_reference_on_seeded_gnp():
+    rng = SplitMix64(2021)
+    for n in range(1, 9):
+        for p in (0.1, 0.3, 0.5, 0.7, 0.9):
+            g = generate("gnp", n, seed=rng.next_u64(), p=p)
+            for d in range(4):
+                assert max_degenerate_exact(g, d) == reference_max_degenerate(g, d), (n, p, d)
+
+
+@settings(max_examples=100)
+@given(balanced_graphs(max_n=6), st.integers(0, 3))
+def test_degenerate_matches_reference(g, d):
+    assert max_degenerate_exact(g, d) == reference_max_degenerate(g, d)
 
 
 def test_degenerate_matches_subset_definition():
@@ -326,6 +397,17 @@ def test_best_balanced_matches_split_half_reference(case):
     complements = [full & ~m for m in masks]
     assert _best_balanced(masks, n) == reference_best_balanced(masks, n)
     assert _best_balanced(complements, n) == reference_best_balanced(complements, n)
+
+
+@settings(max_examples=200)
+@given(mask_lists(max_n=12))
+def test_masks_by_size_equals_the_table_buckets(case):
+    n, masks = case
+    full = (1 << n) - 1
+    expected = [set() for _ in range(n + 1)]
+    for s, m in enumerate(_and_table(masks, full)):
+        expected[s.bit_count()].add(m)
+    assert _masks_by_size(masks, full) == expected
 
 
 def test_bihole_matches_reference_on_seeded_gnp_at_full_size():
