@@ -125,7 +125,7 @@ class BipartiteGraph:
         adj = self.left_adj if side is Side.LEFT else self.right_adj
         if not adj:
             raise EmptySide(f"max_degree of empty side {side.value}")
-        return max(len(nbrs) for nbrs in adj)
+        return max(map(len, adj))
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges in lexicographic (left, right) order."""

@@ -1,7 +1,9 @@
 """Exact degree-sequence lower bounds for balanced bipartite graphs.
 
-Everything here is computed with ``fractions.Fraction``, so floors and
-ceilings are exact no matter how adversarial the degree sequence is.  The
+Everything here is exact rational arithmetic, so floors and ceilings are
+exact no matter how adversarial the degree sequence is: the potential sum
+is summed in integers over one lcm denominator and returned as a
+``fractions.Fraction``, as is every other value.  The
 single deliberately approximate quantity is :func:`log_reference_bound`,
 which needs a logarithm; it is computed to 30 correctly-rounded significant
 digits and is report-only, never part of a correctness check.
@@ -23,6 +25,7 @@ The quantities, for a balanced n x n graph G with degeneracy parameter d:
 from __future__ import annotations
 
 import decimal
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -61,20 +64,22 @@ def potential(x: int, d: int = 0) -> Fraction:
 
 
 def _degree_multiset(g: BipartiteGraph) -> Counter:
-    counts: Counter = Counter()
-    for nbrs in g.left_adj:
-        counts[len(nbrs)] += 1
-    for nbrs in g.right_adj:
-        counts[len(nbrs)] += 1
+    counts = Counter(map(len, g.left_adj))
+    counts.update(map(len, g.right_adj))
     return counts
 
 
 def caro_wei_sum(g: BipartiteGraph, d: int = 0) -> Fraction:
-    """Sum of potential(deg(v), d) over all vertices of g (any shape)."""
-    total = Fraction(0)
-    for deg, count in _degree_multiset(g).items():
-        total += count * potential(deg, d)
-    return total
+    """Sum of potential(deg(v), d) over all vertices of g (any shape).
+
+    Summed in integers over one denominator, the lcm of x + 1 over the
+    degrees x > d (1 when there are none), so one Fraction is built."""
+    counts = _degree_multiset(g)
+    scale = math.lcm(*(x + 1 for x in counts if x > d))
+    total = sum(
+        count * (scale if x <= d else scale // (x + 1) * (d + 1)) for x, count in counts.items()
+    )
+    return Fraction(total, scale)
 
 
 def floor_bound(g: BipartiteGraph, d: int = 0) -> int:
@@ -98,9 +103,11 @@ def _strengthened(g: BipartiteGraph, d: int, total: Fraction) -> Fraction:
     """strengthened_bound of g, given its potential sum ``total``."""
     if g.left_count == 0:
         return Fraction(0)
-    total += potential(g.max_degree(Side.LEFT), d)
-    total += potential(g.max_degree(Side.RIGHT), d)
-    return total / 2 - 1
+    num, den = total.numerator, total.denominator
+    for x in (g.max_degree(Side.LEFT), g.max_degree(Side.RIGHT)):
+        top, bottom = (1, 1) if x <= d else (d + 1, x + 1)
+        num, den = num * bottom + top * den, den * bottom
+    return Fraction(num - 2 * den, 2 * den)
 
 
 def average_degree_bound(g: BipartiteGraph) -> Fraction:
@@ -113,8 +120,10 @@ def average_degree_bound(g: BipartiteGraph) -> Fraction:
     return Fraction(n) / (avg + 1) - 2
 
 
+@functools.lru_cache(maxsize=64)
 def _ln(x: Fraction) -> Fraction:
-    """Natural log of a positive rational, correctly rounded to 30 digits."""
+    """Natural log of a positive rational, correctly rounded to 30 digits.
+    Cached: every d of an experiment asks for the same graph's log."""
     value = _LOG_CONTEXT.divide(decimal.Decimal(x.numerator), decimal.Decimal(x.denominator))
     return Fraction(value.ln(_LOG_CONTEXT))
 

@@ -59,7 +59,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import compress
+from itertools import compress, repeat
 from typing import Iterable, Iterator
 
 from .bigraph import BipartiteGraph, Side, VertexRef, require_balanced, require_nonnegative_d
@@ -197,7 +197,11 @@ class _WorkingGraph:
     ``total`` is ``scale`` times the sum of potential(deg v, d) over live
     vertices.  ``scale`` is the lcm of x + 1 over d < x <= the initial
     maximum degree, so every potential is a whole multiple of 1/scale and
-    the sum is kept exactly as an int, updated per changed degree.
+    the sum is kept exactly as an int, updated per changed degree.  The
+    strengthened bound is likewise an int, its numerator over ``2 * scale``;
+    the peel turns these into Fractions for ``bound_values``, and the replay
+    never does.  ``max[s]`` is exact between steps: the constructor and
+    ``_peel`` refresh it once after each step.
     """
 
     def __init__(self, g: BipartiteGraph, d: int):
@@ -222,6 +226,7 @@ class _WorkingGraph:
         self.top_members = [set(), set()]
         self.top_start = [0, 0]
         self.max = [top, top]
+        self.refresh_max()
         self.edge_count = g.edge_count
         self.scale = math.lcm(*range(d + 2, top + 2))
         self.term = [
@@ -231,13 +236,13 @@ class _WorkingGraph:
         self.gain = [0] + [self.term[x - 1] - self.term[x] for x in range(1, top + 1)]
         self.total = sum(self.term[x] for side in self.deg for x in side)
 
-    def max_deg(self, s: int) -> int:
-        x = self.max[s]
-        cnt = self.cnt[s]
-        while x > 0 and not cnt[x]:
-            x -= 1
-        self.max[s] = x
-        return x
+    def refresh_max(self) -> None:
+        """Move each side's max-degree pointer down to its current maximum."""
+        for s, cnt in enumerate(self.cnt):
+            x = self.max[s]
+            while x and not cnt[x]:
+                x -= 1
+            self.max[s] = x
 
     def _lowest(self, s: int, x: int) -> int:
         """Lowest index of degree x on side s, for a nonempty bucket
@@ -249,7 +254,7 @@ class _WorkingGraph:
 
     def _sort_max(self, s: int) -> None:
         """Make ``top_*[s]`` describe side s's current max bucket."""
-        x = self.max_deg(s)
+        x = self.max[s]
         if self.top_x[s] == x:
             return
         deg = self.deg[s]
@@ -339,32 +344,34 @@ class _WorkingGraph:
         self.total += self.term[0] - self.term[deg]
         self.cnt[s][0] += 1
 
-    def strengthened(self) -> Fraction:
-        """Strengthened bound of the current working graph.  With no live
-        vertex, total is 0 and both max-degree terms are scale, so it is 0."""
-        num = self.total + self.term[self.max_deg(0)] + self.term[self.max_deg(1)]
-        return Fraction(num - 2 * self.scale, 2 * self.scale)
+    def strengthened(self) -> int:
+        """Strengthened bound of the current working graph, as its numerator
+        over ``2 * scale``.  With no live vertex, total is 0 and both
+        max-degree terms are scale, so it is 0."""
+        return self.total + self.term[self.max[0]] + self.term[self.max[1]] - 2 * self.scale
 
 
-def _peel(work: _WorkingGraph, d: int) -> Iterator[PeelStep]:
+def _peel(work: _WorkingGraph, d: int) -> Iterator[tuple]:
     """Carry out the deterministic rule on ``work`` until it is edgeless,
-    yielding each step once it is done: the low-degree vertex when d >= 1
-    and one exists, else the selected pair."""
+    yielding each step's PeelStep fields (kind, degrees_before, a, b, v)
+    once it is done: the low-degree vertex when d >= 1 and one exists, else
+    the selected pair.  Both max-degree pointers are refreshed once per step."""
+    maxes = work.max
     while work.edge_count > 0:
-        da, db = work.max_deg(0), work.max_deg(1)
+        da, db = maxes
         low = work.low_degree_vertex(d) if d >= 1 else None
         if low is not None:
             s, i = low
             degrees = (da, db, work.deg[s][i], None)
             work.isolate(s, i)
-            v = VertexRef(_SIDES[s], i)
-            yield PeelStep(kind=LOW_DEGREE_EDGE_DELETION, degrees_before=degrees, v=v)
+            work.refresh_max()
+            yield LOW_DEGREE_EDGE_DELETION, degrees, None, None, VertexRef(_SIDES[s], i)
         else:
             a, b, case = work.select_pair()
             degrees = (da, db, work.deg[0][a], work.deg[1][b])
             work.remove_pair(a, b)
-            kind = PAIR_CASE1 if case == 1 else PAIR_CASE2
-            yield PeelStep(kind=kind, degrees_before=degrees, a=a, b=b)
+            work.refresh_max()
+            yield PAIR_CASE1 if case == 1 else PAIR_CASE2, degrees, a, b, None
 
 
 def survivors(g: BipartiteGraph, steps: Iterable[PeelStep]) -> tuple[tuple[int, ...], ...]:
@@ -380,12 +387,13 @@ def survivors(g: BipartiteGraph, steps: Iterable[PeelStep]) -> tuple[tuple[int, 
 def _run_peel(g: BipartiteGraph, d: int):
     work = _WorkingGraph(g, d)
     steps: list[PeelStep] = []
-    values = [work.strengthened()]
-    for step in _peel(work, d):
-        steps.append(step)
-        values.append(work.strengthened())
+    nums = [work.strengthened()]
+    for fields in _peel(work, d):
+        steps.append(PeelStep(*fields))
+        nums.append(work.strengthened())
     lefts, rights = survivors(g, steps)
-    return lefts, rights, tuple(steps), tuple(values)
+    den = 2 * work.scale
+    return lefts, rights, tuple(steps), tuple(Fraction(x, den) for x in nums)
 
 
 def _extract(g: BipartiteGraph, d: int, op: str):
@@ -425,6 +433,16 @@ def find_degenerate(g: BipartiteGraph, d: int) -> tuple[DegenerateWitness, PeelT
     return DegenerateWitness(lefts, rights, tuple(order)), trace
 
 
+def _equals(value, num: int, den: int) -> bool:
+    """value == num / den; an int or a Fraction is compared by
+    cross-multiplication, anything else against a Fraction."""
+    if type(value) is int:
+        return value * den == num
+    if type(value) is Fraction:
+        return value.numerator * den == num * value.denominator
+    return value == Fraction(num, den)
+
+
 def check_trace(g: BipartiteGraph, trace: PeelTrace, d: int) -> bool:
     """Replay a trace against the graph it claims to describe.
 
@@ -432,36 +450,48 @@ def check_trace(g: BipartiteGraph, trace: PeelTrace, d: int) -> bool:
     must equal the step the rule takes at that point, kind, vertices and
     degrees alike, and the replay must end on an edgeless working graph, so
     a forged, reordered, truncated or extended trace is rejected.  The
-    first difference raises :class:`TraceMismatch` naming both steps.
+    first difference raises :class:`TraceMismatch` naming both steps; the
+    rule's steps are field tuples, and only that message builds a PeelStep.
 
-    The strengthened bound is recomputed after every replayed step.  Returns
-    True iff that sequence is nondecreasing and the trace's stored claims
-    agree with it: ``bound_values`` equals it entry for entry, and
+    The strengthened bound is recomputed after every replayed step, as an
+    int numerator over the working graph's one denominator.  Returns True
+    iff that sequence is nondecreasing and the trace's stored claims agree
+    with it: ``bound_values`` equals it entry for entry, and
     ``initial_report`` names this graph's side size and this d, with its
     ``strengthened`` value equal to the first replayed value and its
     ``floor_bound`` equal to half the input graph's potential sum, floored.
+    A stored int or Fraction is compared by cross-multiplication, so no
+    Fraction is built; any other value by ``==`` against a Fraction.
     """
     require_balanced(g, "check_trace")
     require_nonnegative_d(d)
     work = _WorkingGraph(g, d)
-    floor = work.total // (2 * work.scale)
-    values = [work.strengthened()]
+    den = 2 * work.scale
+    floor = work.total // den
+    nums = [work.strengthened()]
     replay = _peel(work, d)
     for pos, step in enumerate(trace.steps):
         expected = next(replay, None)
         if expected is None:
             raise TraceMismatch(f"step {pos}: {step} recorded after the peel ends")
-        if step != expected:
-            raise TraceMismatch(f"step {pos}: recorded {step} but the rule takes {expected}")
-        values.append(work.strengthened())
+        if step.__class__ is not PeelStep or (
+            (step.kind, step.degrees_before, step.a, step.b, step.v) != expected
+        ):
+            raise TraceMismatch(
+                f"step {pos}: recorded {step} but the rule takes {PeelStep(*expected)}"
+            )
+        nums.append(work.strengthened())
     if work.edge_count > 0:
         raise TraceMismatch(
             f"trace ends after {len(trace.steps)} steps with {work.edge_count} edges left"
         )
     report = trace.initial_report
+    stored = tuple(trace.bound_values)
     return (
-        tuple(trace.bound_values) == tuple(values)
-        and (report.n, report.d, report.strengthened) == (work.n, d, values[0])
+        len(stored) == len(nums)
+        and all(map(_equals, stored, nums, repeat(den)))
+        and (report.n, report.d) == (work.n, d)
+        and _equals(report.strengthened, nums[0], den)
         and report.floor_bound == floor
-        and all(values[i] <= values[i + 1] for i in range(len(values) - 1))
+        and all(map(int.__le__, nums, nums[1:]))
     )

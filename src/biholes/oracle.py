@@ -208,15 +208,18 @@ def _masks_by_size(masks: list[int], full: int) -> list[set[int]]:
     return buckets
 
 
-def _attains(lo: list[set[int]], hi: list[set[int]], t: int) -> bool:
+def _attains(lo: list, hi: list, t: int) -> bool:
     """True iff some t-subset, k members from the low half and t - k from
-    the high half, has at least t bits in the AND of its masks."""
+    the high half, has at least t bits in the AND of its masks.
+
+    Each filtered list is stored back into its bucket: t only grows, and a
+    mask with fewer than t bits has fewer than every later t."""
     at_least_t = t.__le__
     for k in range(max(0, t - len(hi) + 1), min(t, len(lo) - 1) + 1):
-        lows = [m for m in lo[k] if m.bit_count() >= t]
+        lows = lo[k] = [m for m in lo[k] if m.bit_count() >= t]
         if not lows:
             continue
-        highs = [m for m in hi[t - k] if m.bit_count() >= t]
+        highs = hi[t - k] = [m for m in hi[t - k] if m.bit_count() >= t]
         if len(highs) < len(lows):
             lows, highs = highs, lows
         for a in lows:

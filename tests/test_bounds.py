@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biholes import bounds
@@ -24,6 +24,8 @@ from biholes.bounds import (
     strengthened_bound,
 )
 from biholes.errors import DegreeTooSmall, NegativeD, UnbalancedGraph
+from reference_bounds import caro_wei_sum as reference_caro_wei_sum
+from reference_bounds import strengthened_bound as reference_strengthened_bound
 
 
 def c6() -> BipartiteGraph:
@@ -243,6 +245,33 @@ def test_monotone_in_d(g):
     assert strongs == sorted(strongs)
     max_deg = max(len(t) for t in g.left_adj + g.right_adj)
     assert floor_bound(g, max_deg) == g.left_count
+
+
+@settings(max_examples=200)
+@given(balanced_graphs(), st.integers(0, 6))
+@example(build_graph(0, 0, []), 0)
+@example(generate("edgeless", 3), 2)
+@example(generate("complete", 3), 3)
+@example(generate("cycle", 4), 6)
+def test_integer_sums_match_the_fraction_loop(g, d):
+    """The one-denominator sums equal the per-degree Fraction loop, also on
+    the empty graph and where no degree exceeds d, so the lcm is 1."""
+    total = reference_caro_wei_sum(g, d)
+    strengthened = reference_strengthened_bound(g, d)
+    assert caro_wei_sum(g, d) == total
+    assert floor_bound(g, d) == math.floor(total / 2)
+    assert strengthened_bound(g, d) == strengthened
+    rep = bound_report(g, d)
+    assert (rep.floor_bound, rep.strengthened) == (math.floor(total / 2), strengthened)
+
+
+def test_bound_report_reuses_the_log_across_d():
+    bounds._ln.cache_clear()
+    g = generate("gnp", 12, seed=3, p=0.4)
+    logs = {bound_report(g, d).log_reference for d in (0, 1, 2)}
+    info = bounds._ln.cache_info()
+    assert len(logs) == 1 and (info.misses, info.hits) == (1, 2)
+    assert info.maxsize is not None
 
 
 # -- adversarial exactness ------------------------------------------------------

@@ -4,6 +4,7 @@ that what comes out is at least as large as the bounds promise."""
 import math
 import re
 import time
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from heapq import heappush
@@ -415,6 +416,39 @@ def test_check_trace_rejects_any_mutation(n, p, seed, d, data):
     assert check_trace(g, replace(tr, initial_report=forged), d) is False
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 16),
+    st.sampled_from([0.1, 0.5, 0.9]),
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 3),
+    st.data(),
+)
+def test_check_trace_verdict_ignores_the_numeric_type(n, p, seed, d, data):
+    """Stored claims are compared by value: the verdict is that of comparing
+    them with the true Fractions, whether they are ints, floats, or
+    Fractions one unit of the replay's denominator off."""
+    g = generate("gnp", n, seed=seed, p=p)
+    _, tr = find_degenerate(g, d)
+    unit = Fraction(1, 2 * extract._WorkingGraph(g, d).scale)
+    true = tr.bound_values
+    pos = data.draw(st.integers(0, len(true) - 1))
+    for values in (
+        tuple(int(v) for v in true),
+        tuple(float(v) for v in true),
+        tuple(int(v) if v.denominator == 1 else v for v in true),
+        tuple(float(v) if float(v) == v else v for v in true),
+        true[:pos] + (true[pos] + unit,) + true[pos + 1 :],
+        true[:pos] + (true[pos] - unit,) + true[pos + 1 :],
+    ):
+        assert check_trace(g, replace(tr, bound_values=values), d) is (values == true)
+    report = tr.initial_report
+    value = report.strengthened
+    for forged in (int(value), float(value), value + unit, value - unit):
+        claims = replace(tr, initial_report=replace(report, strengthened=forged))
+        assert check_trace(g, claims, d) is (forged == value)
+
+
 # -- guarantees, property-based ------------------------------------------------------
 
 
@@ -508,6 +542,45 @@ def test_peel_pushes_heaps_only_for_low_buckets(monkeypatch):
     assert check_trace(g, find_degenerate(g, 2)[1], 2)
     low = {id(heap) for work in works[2:] for side in work.queue for heap in side[1:3]}
     assert pushed and all(id(heap) in low for heap in pushed)
+
+
+def test_check_trace_builds_no_fraction_or_step_per_step(monkeypatch):
+    """The replay compares field tuples and integer numerators, so a matching
+    check_trace constructs O(1) Fractions and PeelSteps, not one per step."""
+    g = generate("gnp", 400, seed=1, p=0.5)
+    _, tr = find_degenerate(g, 2)
+    built = Counter()
+    new, init = Fraction.__new__, PeelStep.__init__
+
+    def counting_new(cls, *args, **kwargs):
+        built[Fraction] += 1
+        return new(cls, *args, **kwargs)
+
+    def counting_init(self, *args, **kwargs):
+        built[PeelStep] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(extract.Fraction, "__new__", staticmethod(counting_new))
+    monkeypatch.setattr(extract.PeelStep, "__init__", counting_init)
+    assert check_trace(g, tr, 2)
+    assert len(tr.steps) > 300
+    assert built[Fraction] <= 2 and built[PeelStep] == 0
+
+
+def test_peel_refreshes_each_max_pointer_once_per_step(monkeypatch):
+    calls = []
+    refresh = extract._WorkingGraph.refresh_max
+
+    def counting_refresh(self):
+        calls.append(self)
+        refresh(self)
+
+    monkeypatch.setattr(extract._WorkingGraph, "refresh_max", counting_refresh)
+    g = generate("gnp", 60, seed=2, p=0.3)
+    for d in (0, 2):
+        calls.clear()
+        _, tr = find_degenerate(g, d)
+        assert len(calls) == len(tr.steps) + 1
 
 
 def test_peel_scales_to_sparse_n1600():
