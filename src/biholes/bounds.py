@@ -111,21 +111,24 @@ def _strengthened(g: BipartiteGraph, d: int, total: Fraction) -> Fraction:
 
 
 def average_degree_bound(g: BipartiteGraph) -> Fraction:
-    """n/(average degree + 1) - 2, computed exactly; 0 on the empty graph."""
+    """n/(average degree + 1) - 2, computed exactly; 0 on the empty graph.
+
+    With m edges the average degree is m/n, so the value is
+    (n^2 - 2(m + n)) / (m + n), built as one Fraction."""
     require_balanced(g, "average_degree_bound")
     n = g.left_count
     if n == 0:
         return Fraction(0)
-    avg = Fraction(g.edge_count, n)
-    return Fraction(n) / (avg + 1) - 2
+    return Fraction(n * n - 2 * (g.edge_count + n), g.edge_count + n)
 
 
 @functools.lru_cache(maxsize=64)
-def _ln(x: Fraction) -> Fraction:
-    """Natural log of a positive rational, correctly rounded to 30 digits.
-    Cached: every d of an experiment asks for the same graph's log."""
-    value = _LOG_CONTEXT.divide(decimal.Decimal(x.numerator), decimal.Decimal(x.denominator))
-    return Fraction(value.ln(_LOG_CONTEXT))
+def _ln(num: int, den: int) -> tuple[int, int]:
+    """Natural log of the positive rational num/den, correctly rounded to 30
+    digits, as an integer ratio.  Cached: every d of an experiment asks for
+    the same graph's log."""
+    value = _LOG_CONTEXT.divide(decimal.Decimal(num), decimal.Decimal(den))
+    return value.ln(_LOG_CONTEXT).as_integer_ratio()
 
 
 def log_reference_bound(g: BipartiteGraph, eps: Fraction) -> Fraction:
@@ -134,16 +137,23 @@ def log_reference_bound(g: BipartiteGraph, eps: Fraction) -> Fraction:
     Approximate by necessity (the log is rounded to 30 significant digits)
     and report-only: it carries an unspecified degree threshold, so it never
     participates in correctness checks.  Requires average degree > 1.
+    With m edges, avg_deg = m/n and the value is eps n^2 ln(m/n) / (2m),
+    multiplied out in integers and built as one Fraction.
     """
     require_balanced(g, "log_reference_bound")
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
-    n = g.left_count
-    avg = Fraction(g.edge_count, n) if n else Fraction(0)
-    if avg <= 1:
+    return _log_reference(g.left_count, g.edge_count, eps)
+
+
+def _log_reference(n: int, m: int, eps: Fraction) -> Fraction:
+    """log_reference_bound of a graph with side n and m edges, eps in (0, 1)."""
+    if m <= n:
+        avg = Fraction(m, n) if n else Fraction(0)
         raise DegreeTooSmall(f"log reference needs average degree > 1, got {avg}")
-    return eps / 2 * n * _ln(avg) / avg
+    top, bottom = _ln(m, n)
+    return Fraction(eps.numerator * n * n * top, 2 * eps.denominator * m * bottom)
 
 
 def decimal_string(x: Fraction, digits: int = _DECIMAL_SIGNIFICANT_DIGITS) -> str:
@@ -218,18 +228,19 @@ def bound_report(g: BipartiteGraph, d: int = 0, eps: Fraction = Fraction(1, 2)) 
     if not 0 < eps < 1:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
     n = g.left_count
+    m = g.edge_count
     total = caro_wei_sum(g, d)
-    fb = math.floor(total / 2)
+    fb = total.numerator // (2 * total.denominator)
     strengthened = _strengthened(g, d, total)
     avg_bound = average_degree_bound(g)
     log_ref = None
     log_eps = None
     hypothesis = None
-    avg = Fraction(g.edge_count, n) if n else Fraction(0)
-    if avg > 1:
+    # the average degree m/n exceeds 1, and n >= (1 + eps) m/n, in integers
+    if m > n:
         log_eps = eps
-        log_ref = log_reference_bound(g, log_eps)
-        hypothesis = n >= (1 + log_eps) * avg
+        log_ref = _log_reference(n, m, eps)
+        hypothesis = n * n * eps.denominator >= (eps.denominator + eps.numerator) * m
     report = BoundReport(
         n=n,
         d=d,

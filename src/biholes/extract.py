@@ -19,22 +19,24 @@ for each, maximum-degree right vertices in ascending order; the first
 nonadjacent hit wins and yields case 1.
 
 The working graph is a bucket queue in the style of Matula & Beck's
-smallest-last ordering and Batagelj & Zaversnik's O(m) core decomposition:
-per-side integer degree arrays with a count of live vertices per degree,
-and a max-degree pointer per side that only moves down, since degrees only
-fall.  Deleting an edge is a few integer list updates.  The ascending-order
-tie-breaks need ordered buckets only where they are queried: buckets 1..d
-are lazy min-heaps, read by the low-degree rule, and a bucket above d is
-read only while it is the max bucket, which never gains members, so it is
-sorted once, when the pointer reaches it.  At d = 0 no heap is used at all.
-The tracked bound is kept as one exact integer numerator, updated by a
-precomputed difference for each vertex whose degree changes.  A step
-therefore costs time in proportion to the input degrees of the vertices it
-cuts (plus a log factor for pushes into buckets 1..d and the one sort per
-max bucket), and never rescans all n vertices.  The one extra cost is in
-pair selection: each max-degree left vertex visited costs a subset test
-bounded by its degree in the input graph, and the scan goes past the first
-only when that vertex is adjacent to the whole right max-degree bucket.
+smallest-last ordering and Batagelj & Zaversnik's O(m) core decomposition,
+cut down to the buckets this rule reads: each side's max bucket and the
+buckets 1..d.  Per-side integer degree arrays hold the live degrees, and a
+max-degree pointer per side only moves down, since degrees only fall.
+Buckets 1..d are counted min-heaps, read by the low-degree rule (at d = 0
+there are none).  Above d nothing is counted: a vertex is registered lazily
+in one bucket at or above its degree, the buckets are drained top down,
+once each, as the max pointer passes them, and each max bucket is sorted
+once.  So deleting an edge between two vertices of degree above d + 1
+outside the max buckets is one load, one store, two comparisons and one add
+to the tracked bound, which is kept as one exact integer numerator.  A step
+costs time in proportion to the input degrees of the vertices it cuts (plus
+a log factor for pushes into buckets 1..d and the one sort per max bucket),
+the drains visit O(n + m) entries over the whole peel, and no step rescans
+all n vertices.  The one extra cost is in pair selection: each max-degree
+left vertex visited costs a subset test bounded by its degree in the input
+graph, and the scan goes past the first only when that vertex is adjacent
+to the whole right max-degree bucket.
 
 The strengthened bound of the working graph never decreases along the peel,
 and the final edgeless working graph's value equals the witness size, which
@@ -176,23 +178,28 @@ _SIDES = (Side.LEFT, Side.RIGHT)
 class _WorkingGraph:
     """Mutable peeling state, kept in the original index space.
 
-    Sides are numbered 0 (Left) and 1 (Right).  ``deg[s][i]`` is the live
-    degree of vertex i and ``cnt[s][x]`` the number of live vertices of
-    degree x.  A vertex whose edges are cut, or that is removed, has degree
-    0, so deleting an edge is a few integer list updates and the graph's
-    own neighbour tuples are walked, never edited: a neighbour of degree 0
-    has lost the edge already, and any other neighbour still has it.
-    Degrees only fall, so a vertex enters each degree at most once and the
-    per-side max-degree pointers only move down.
+    Sides are numbered 0 (Left) and 1 (Right), and ``deg[s][i]`` is the live
+    degree of vertex i.  A vertex whose edges are cut, or that is removed,
+    has degree 0, so the graph's own neighbour tuples are walked, never
+    edited: a neighbour of degree 0 has lost the edge already, and any other
+    neighbour still has it.  Degrees only fall, so the per-side max-degree
+    pointers only move down.
 
-    ``queue[s][x]`` lists the vertices that entered degree x; an entry is
-    stale once the vertex's degree is no longer x.  For 1 <= x <= d it is a
-    min-heap, read only by ``low_degree_vertex``.  A bucket above d is read
-    only while it is the max bucket, and the max bucket never gains
-    members, so it is sorted once, when the pointer reaches it:
-    ``top_order[s]`` holds its live entrants in ascending order,
-    ``top_members[s]`` those still in it, and ``top_start[s]`` the first
-    position that may still hold a member.
+    ``queue[s][x]`` is bucket x.  For 1 <= x <= d it is a min-heap of the
+    vertices that entered degree x (stale once they leave it) and
+    ``cnt[s][x]`` counts its live vertices; no degree above d is counted.
+
+    Above d each vertex is registered in one bucket at or above its degree,
+    at first that of its input degree; of the edge deletions, only a max
+    bucket member's drop registers it, at its new degree.  ``refresh_max``
+    drains the buckets below the lowest drained one, ``low[s]``, each once,
+    until one holds a vertex of its own degree: those vertices form the max
+    bucket, which never gains members (``top_order[s]`` ascending,
+    ``top_members[s]`` those still in it, ``top_start[s]`` the first position
+    that may still hold one), and every other entry above d is registered
+    again at its degree.  A registration is made at the current degree, so
+    each re-registration is paid for by a drop since the last one: the
+    drains visit at most n + m entries per side.
 
     ``total`` is ``scale`` times the sum of potential(deg v, d) over live
     vertices.  ``scale`` is the lcm of x + 1 over d < x <= the initial
@@ -213,14 +220,14 @@ class _WorkingGraph:
         self.ladj = [set(nbrs) for nbrs in g.left_adj]
         self.deg = ([len(nbrs) for nbrs in g.left_adj], [len(nbrs) for nbrs in g.right_adj])
         top = max(max(self.deg[0], default=0), max(self.deg[1], default=0))
-        self.cnt = ([0] * (top + 1), [0] * (top + 1))
         # filled in ascending index order, so each list already is a valid heap
         self.queue = ([[] for _ in range(top + 1)], [[] for _ in range(top + 1)])
         for s in (0, 1):
-            cnt, queue = self.cnt[s], self.queue[s]
+            queue = self.queue[s]
             for i, x in enumerate(self.deg[s]):
-                cnt[x] += 1
                 queue[x].append(i)
+        self.cnt = tuple([len(q) for q in queue[: min(d, top) + 1]] for queue in self.queue)
+        self.low = [top + 1, top + 1]
         self.top_x = [-1, -1]
         self.top_order = [[], []]
         self.top_members = [set(), set()]
@@ -237,12 +244,48 @@ class _WorkingGraph:
         self.total = sum(self.term[x] for side in self.deg for x in side)
 
     def refresh_max(self) -> None:
-        """Move each side's max-degree pointer down to its current maximum."""
-        for s, cnt in enumerate(self.cnt):
-            x = self.max[s]
-            while x and not cnt[x]:
+        """Move each side's max-degree pointer down to its current maximum.
+
+        A side whose max bucket still has members keeps its pointer.  Else
+        the buckets above d below ``low[s]`` are drained downward until one
+        yields members, and past them the counts of buckets d..1 are read."""
+        d = self.d
+        for s in (0, 1):
+            if self.top_members[s]:
+                continue
+            x = self.low[s]
+            while x > d + 1:
                 x -= 1
+                if self._drain(s, x):
+                    break
+            else:
+                cnt = self.cnt[s]
+                x = min(self.max[s], len(cnt) - 1)
+                while x and not cnt[x]:
+                    x -= 1
             self.max[s] = x
+
+    def _drain(self, s: int, x: int) -> bool:
+        """Empty bucket x > d of side s, the highest not yet drained: its
+        entries of degree x become the sorted max bucket, and every other
+        entry still above d is registered at its degree, which is below x.
+        Returns whether the bucket held a vertex of degree x."""
+        queue, deg, d = self.queue[s], self.deg[s], self.d
+        order = []
+        for j in queue[x]:
+            y = deg[j]
+            if y == x:
+                order.append(j)
+            elif y > d:
+                queue[y].append(j)
+        queue[x] = []
+        self.low[s] = x
+        if not order:
+            return False
+        order.sort()
+        self.top_x[s], self.top_order[s], self.top_members[s] = x, order, set(order)
+        self.top_start[s] = 0
+        return True
 
     def _lowest(self, s: int, x: int) -> int:
         """Lowest index of degree x on side s, for a nonempty bucket
@@ -251,17 +294,6 @@ class _WorkingGraph:
         while deg[heap[0]] != x:
             heappop(heap)
         return heap[0]
-
-    def _sort_max(self, s: int) -> None:
-        """Make ``top_*[s]`` describe side s's current max bucket."""
-        x = self.max[s]
-        if self.top_x[s] == x:
-            return
-        deg = self.deg[s]
-        order = sorted(i for i in self.queue[s][x] if deg[i] == x)
-        self.queue[s][x] = []
-        self.top_x[s], self.top_order[s], self.top_members[s] = x, order, set(order)
-        self.top_start[s] = 0
 
     def _lowest_max(self, s: int, accept=None) -> int | None:
         """Lowest member of side s's sorted max bucket that ``accept``
@@ -283,10 +315,9 @@ class _WorkingGraph:
 
         The scan visits max-degree left vertices in ascending order and stops
         at the first whose neighbourhood misses part of the right max-degree
-        bucket; its lowest missed vertex is the pair partner.
+        bucket; its lowest missed vertex is the pair partner.  Only called
+        when no vertex has degree 1..d, so both max buckets lie above d.
         """
-        self._sort_max(0)
-        self._sort_max(1)
         ladj = self.ladj
         cand_b = self.top_members[1]
         a = self._lowest_max(0, lambda i: not cand_b <= ladj[i])
@@ -298,7 +329,7 @@ class _WorkingGraph:
     def low_degree_vertex(self, d: int) -> tuple[int, int] | None:
         """(side, index) of the vertex of minimum degree in [1, d]; Left
         side first, then ascending index.  None when no such vertex exists."""
-        for x in range(1, min(d, len(self.cnt[0]) - 1) + 1):
+        for x in range(1, len(self.cnt[0])):
             for s in (0, 1):
                 if self.cnt[s][x]:
                     return s, self._lowest(s, x)
@@ -306,30 +337,37 @@ class _WorkingGraph:
 
     def _cut(self, s: int, i: int) -> int:
         """Delete every edge at vertex i of side s and take it out of its
-        bucket; returns its former degree."""
+        bucket; returns its former degree.  A neighbour of degree above
+        d + 1 outside the max bucket only has its degree lowered."""
         t = 1 - s
-        deg, cnt, queue, gain = self.deg[t], self.cnt[t], self.queue[t], self.gain
-        top_x, members, d = self.top_x[t], self.top_members[t], self.d
+        deg, cnt, queue, gain, d = self.deg[t], self.cnt[t], self.queue[t], self.gain, self.d
+        top, members = self.top_x[t], self.top_members[t]
+        lo = d + 1
         delta = 0
         for j in self.nbrs[s][i]:
             x = deg[j]
-            if not x:
-                continue
-            y = deg[j] = x - 1
-            cnt[x] -= 1
-            cnt[y] += 1
-            if x == top_x:
-                members.discard(j)
-            if y > d:
-                queue[y].append(j)
-            elif y:
-                heappush(queue[y], j)
-            delta += gain[x]
+            if lo < x != top:
+                deg[j] = x - 1
+                delta += gain[x]
+            elif x:
+                y = deg[j] = x - 1
+                delta += gain[x]
+                if x == top:
+                    members.discard(j)
+                    if y > d:
+                        queue[y].append(j)
+                        continue
+                if x <= d:
+                    cnt[x] -= 1
+                if y:
+                    cnt[y] += 1
+                    heappush(queue[y], j)
         x = self.deg[s][i]
         self.deg[s][i] = 0
-        self.cnt[s][x] -= 1
         if x == self.top_x[s]:
             self.top_members[s].discard(i)
+        elif x <= d:
+            self.cnt[s][x] -= 1
         self.edge_count -= x
         self.total += delta
         return x
@@ -342,7 +380,6 @@ class _WorkingGraph:
     def isolate(self, s: int, i: int) -> None:
         deg = self._cut(s, i)
         self.total += self.term[0] - self.term[deg]
-        self.cnt[s][0] += 1
 
     def strengthened(self) -> int:
         """Strengthened bound of the current working graph, as its numerator
@@ -355,7 +392,9 @@ def _peel(work: _WorkingGraph, d: int) -> Iterator[tuple]:
     """Carry out the deterministic rule on ``work`` until it is edgeless,
     yielding each step's PeelStep fields (kind, degrees_before, a, b, v)
     once it is done: the low-degree vertex when d >= 1 and one exists, else
-    the selected pair.  Both max-degree pointers are refreshed once per step."""
+    the selected pair.  A low-degree step's v is its vertex's (side rank,
+    index); :func:`_step` turns the fields into a PeelStep.  Both max-degree
+    pointers are refreshed once per step."""
     maxes = work.max
     while work.edge_count > 0:
         da, db = maxes
@@ -365,13 +404,26 @@ def _peel(work: _WorkingGraph, d: int) -> Iterator[tuple]:
             degrees = (da, db, work.deg[s][i], None)
             work.isolate(s, i)
             work.refresh_max()
-            yield LOW_DEGREE_EDGE_DELETION, degrees, None, None, VertexRef(_SIDES[s], i)
+            yield LOW_DEGREE_EDGE_DELETION, degrees, None, None, low
         else:
             a, b, case = work.select_pair()
             degrees = (da, db, work.deg[0][a], work.deg[1][b])
             work.remove_pair(a, b)
             work.refresh_max()
             yield PAIR_CASE1 if case == 1 else PAIR_CASE2, degrees, a, b, None
+
+
+def _step(kind: str, degrees: tuple, a, b, v) -> PeelStep:
+    """The PeelStep of one field tuple of :func:`_peel`."""
+    return PeelStep(kind, degrees, a, b, None if v is None else VertexRef(_SIDES[v[0]], v[1]))
+
+
+def _is_vertex(w, v) -> bool:
+    """Whether a recorded step's ``v`` field w names what :func:`_peel`
+    yields as v: exactly a VertexRef of that side rank and index, or None."""
+    if v is None or w is None:
+        return w is v
+    return w.__class__ is VertexRef and w.side is _SIDES[v[0]] and w.index == v[1]
 
 
 def survivors(g: BipartiteGraph, steps: Iterable[PeelStep]) -> tuple[tuple[int, ...], ...]:
@@ -389,7 +441,7 @@ def _run_peel(g: BipartiteGraph, d: int):
     steps: list[PeelStep] = []
     nums = [work.strengthened()]
     for fields in _peel(work, d):
-        steps.append(PeelStep(*fields))
+        steps.append(_step(*fields))
         nums.append(work.strengthened())
     lefts, rights = survivors(g, steps)
     den = 2 * work.scale
@@ -451,7 +503,9 @@ def check_trace(g: BipartiteGraph, trace: PeelTrace, d: int) -> bool:
     degrees alike, and the replay must end on an edgeless working graph, so
     a forged, reordered, truncated or extended trace is rejected.  The
     first difference raises :class:`TraceMismatch` naming both steps; the
-    rule's steps are field tuples, and only that message builds a PeelStep.
+    rule's steps are field tuples, and only that message builds a PeelStep
+    or a VertexRef.  A recorded ``v`` matches only if it is exactly a
+    VertexRef of the replayed vertex's side and index.
 
     The strengthened bound is recomputed after every replayed step, as an
     int numerator over the working graph's one denominator.  Returns True
@@ -474,11 +528,13 @@ def check_trace(g: BipartiteGraph, trace: PeelTrace, d: int) -> bool:
         expected = next(replay, None)
         if expected is None:
             raise TraceMismatch(f"step {pos}: {step} recorded after the peel ends")
-        if step.__class__ is not PeelStep or (
-            (step.kind, step.degrees_before, step.a, step.b, step.v) != expected
+        if (
+            step.__class__ is not PeelStep
+            or (step.kind, step.degrees_before, step.a, step.b) != expected[:4]
+            or not _is_vertex(step.v, expected[4])
         ):
             raise TraceMismatch(
-                f"step {pos}: recorded {step} but the rule takes {PeelStep(*expected)}"
+                f"step {pos}: recorded {step} but the rule takes {_step(*expected)}"
             )
         nums.append(work.strengthened())
     if work.edge_count > 0:

@@ -106,7 +106,7 @@ def is_bihole(g: BipartiteGraph, left_set: Iterable[int], right_set: Iterable[in
         return False
     rset = set(rights)
     for l in lefts:
-        if any(r in rset for r in g.left_adj[l]):
+        if not rset.isdisjoint(g.left_adj[l]):
             return False
     return True
 
@@ -129,8 +129,8 @@ def degeneracy_certificate(
     rset = set(rights)
     lset = set(lefts)
     adj = (
-        {l: {r for r in g.left_adj[l] if r in rset} for l in lefts},
-        {r: {l for l in g.right_adj[r] if l in lset} for r in rights},
+        {l: rset.intersection(g.left_adj[l]) for l in lefts},
+        {r: lset.intersection(g.right_adj[r]) for r in rights},
     )
     # (degree, side rank, index) for every vertex whose degree is <= d; an
     # entry is stale once its vertex is gone or its degree has fallen
@@ -176,11 +176,11 @@ def check_elimination_order(
     lset, rset = set(lefts), set(rights)
     for v in order:
         if v.side is Side.LEFT:
-            if sum(1 for r in g.left_adj[v.index] if r in rset) > d:
+            if len(rset.intersection(g.left_adj[v.index])) > d:
                 return False
             lset.discard(v.index)
         else:
-            if sum(1 for l in g.right_adj[v.index] if l in lset) > d:
+            if len(lset.intersection(g.right_adj[v.index])) > d:
                 return False
             rset.discard(v.index)
     return True

@@ -24,6 +24,7 @@ from biholes.bounds import (
     strengthened_bound,
 )
 from biholes.errors import DegreeTooSmall, NegativeD, UnbalancedGraph
+import reference_bounds
 from reference_bounds import caro_wei_sum as reference_caro_wei_sum
 from reference_bounds import strengthened_bound as reference_strengthened_bound
 
@@ -272,6 +273,58 @@ def test_bound_report_reuses_the_log_across_d():
     info = bounds._ln.cache_info()
     assert len(logs) == 1 and (info.misses, info.hits) == (1, 2)
     assert info.maxsize is not None
+
+
+def _numeric_types(rep: BoundReport) -> list:
+    return [
+        type(v)
+        for v in (rep.strengthened, rep.average_degree_bound, rep.log_reference, rep.log_reference_eps)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    balanced_graphs(max_n=9),
+    st.integers(0, 6),
+    st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(9, 10), Fraction(1, 1000)]),
+)
+@example(build_graph(0, 0, []), 0, Fraction(1, 2))
+@example(generate("edgeless", 3), 2, Fraction(1, 2))
+@example(generate("matching", 5), 1, Fraction(1, 3))
+@example(generate("cycle", 4), 0, Fraction(9, 10))
+@example(generate("complete", 4), 3, Fraction(1, 4))
+def test_bound_report_matches_the_fraction_expressions(g, d, eps):
+    """The integer forms of the average-degree bound, the log reference and
+    its size hypothesis equal the Fraction expressions in the average
+    degree, also on the empty graph and at average degree <= 1, where the
+    log reference is left out."""
+    rep = bound_report(g, d, eps)
+    ref = reference_bounds.bound_report(g, d, eps)
+    assert rep == ref
+    assert _numeric_types(rep) == _numeric_types(ref)
+    assert average_degree_bound(g) == ref.average_degree_bound
+    if ref.log_reference is None:
+        assert g.edge_count <= g.left_count
+    else:
+        assert log_reference_bound(g, eps) == ref.log_reference
+
+
+def test_bound_report_builds_each_fraction_once(monkeypatch):
+    """One Fraction each for eps, the potential sum, the strengthened bound,
+    the average-degree bound and the log reference, where the Fraction
+    expressions build 19 with the log not yet cached."""
+    g = generate("gnp", 12, seed=3, p=0.4)
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    bounds._ln.cache_clear()
+    monkeypatch.setattr(bounds.Fraction, "__new__", staticmethod(counting_new))
+    rep = bound_report(g, 1)
+    assert rep.log_reference is not None and len(built) <= 5
 
 
 # -- adversarial exactness ------------------------------------------------------

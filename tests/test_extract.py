@@ -593,3 +593,154 @@ def test_peel_scales_to_sparse_n1600():
     assert check_elimination_order(g, w.left_set, w.right_set, 2, w.elimination_order)
     assert w.size >= tr.initial_report.ceil_strengthened
     assert elapsed < 5.0, f"find_degenerate + check_trace took {elapsed:.2f} s"
+
+
+# -- the lazy bucket queue: edge cases and the amortized drain bound -----------------
+
+
+def _lopsided(n: int) -> BipartiteGraph:
+    """Left 0 sees every right vertex and right j also sees left j, so the
+    left max degree is n and the right one 2: the right side's first drain
+    walks down from the shared top."""
+    return build_graph(n, n, [(0, j) for j in range(n)] + [(j, j) for j in range(1, n)])
+
+
+def _hub_and_block(k: int, m: int) -> BipartiteGraph:
+    """Left 0 sees k pendant rights and K_{m,m} sits on lefts 1..m and rights
+    0..m-1: at d >= 1 the pendants' low-degree steps move the left max
+    pointer from k down to m before the first pair step."""
+    edges = [(0, m + j) for j in range(k)] + [(1 + i, j) for i in range(m) for j in range(m)]
+    return build_graph(m + k, m + k, edges)
+
+
+def _sinking_member() -> BipartiteGraph:
+    """Lefts 0 and 1 share the max bucket at degree 6.  At d >= 1 left 0
+    loses its three pendant rights 0..2 while left 1 keeps the max at 6, so
+    a member drops three degrees before the pointer leaves 6."""
+    edges = [(0, j) for j in range(6)] + [(1, j) for j in range(3, 9)]
+    edges += [(2, j) for j in range(6, 9)] + [(3, j) for j in range(6, 9)]
+    edges += [(4, j) for j in range(3, 6)]
+    return build_graph(9, 9, edges)
+
+
+def _first_pair_step(steps) -> int:
+    return next(k for k, step in enumerate(steps) if step.kind != LOW_DEGREE_EDGE_DELETION)
+
+
+def _matches_reference(g: BipartiteGraph, d: int):
+    """The steps of g's peel at d, after checking the peel against the rescan
+    reference and its trace against the replay."""
+    lefts, rights, steps, values = got = _run_peel(g, d)
+    assert got == reference_peel(g, d)
+    report = extract.bound_report(g, d)
+    assert check_trace(g, PeelTrace(steps=steps, initial_report=report, bound_values=values), d)
+    return steps
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13])
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_lazy_buckets_on_complete_bipartite(n, d):
+    """K_{n,n}: every pair step is case 2, which empties both max buckets."""
+    steps = _matches_reference(generate("complete", n), d)
+    assert all(step.kind in (PAIR_CASE2, LOW_DEGREE_EDGE_DELETION) for step in steps)
+    if d == 0:
+        assert len(steps) == n
+
+
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_lazy_buckets_when_one_side_starts_far_below_the_top(d):
+    steps = _matches_reference(_lopsided(12), d)
+    assert steps[0].degrees_before[:2] == (12, 2)
+
+
+@pytest.mark.parametrize("g", [generate("gnp", 20, seed=4, p=0.3), generate("complete", 4), c6()])
+def test_lazy_buckets_with_no_bucket_above_d(g):
+    top = max(map(len, g.left_adj + g.right_adj))
+    for d in (top, top + 3):
+        steps = _matches_reference(g, d)
+        assert all(step.kind == LOW_DEGREE_EDGE_DELETION for step in steps)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_low_degree_steps_move_a_max_pointer_several_levels(d):
+    steps = _matches_reference(_hub_and_block(6, 3), d)
+    first = _first_pair_step(steps)
+    assert steps[0].degrees_before[0] == 6 and steps[first].degrees_before[0] == 3
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_a_max_bucket_member_drops_several_degrees(d):
+    steps = _matches_reference(_sinking_member(), d)
+    first = _first_pair_step(steps)
+    assert first == 3 and steps[first].degrees_before[0] == 6
+    assert (steps[first].a, steps[first + 1].degrees_before[0]) == (1, 3)
+
+
+def _count_drained_entries(monkeypatch) -> Counter:
+    """Count, per working graph and side, the entries its drains visit."""
+    visited = Counter()
+    drain = extract._WorkingGraph._drain
+
+    def counting_drain(self, s, x):
+        visited[id(self), s] += len(self.queue[s][x])
+        return drain(self, s, x)
+
+    monkeypatch.setattr(extract._WorkingGraph, "_drain", counting_drain)
+    return visited
+
+
+@pytest.mark.parametrize("n, p, d", [(400, 0.5, 0), (1600, 10 / 1600, 2)])
+def test_drains_visit_at_most_n_plus_twice_the_edges_per_side(monkeypatch, n, p, d):
+    """Every registration is made at the vertex's degree at the time, so each
+    re-registration is paid for by a degree drop: the drains of a whole
+    peel and of its replay visit O(n + m) entries."""
+    visited = _count_drained_entries(monkeypatch)
+    g = generate("gnp", n, seed=1, p=p)
+    _, tr = find_degenerate(g, d)
+    assert check_trace(g, tr, d)
+    assert len(visited) == 4
+    assert all(count <= n + 2 * g.edge_count for count in visited.values())
+
+
+def test_check_trace_builds_no_vertex_ref(monkeypatch):
+    """The replay compares a recorded VertexRef's side and index with the
+    (side rank, index) the rule yields, so a matching check_trace builds
+    none, though the trace holds hundreds of low-degree steps."""
+    g = generate("gnp", 400, seed=1, p=0.025)
+    _, tr = find_degenerate(g, 2)
+    built = []
+    init = VertexRef.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(VertexRef, "__init__", counting_init)
+    assert check_trace(g, tr, 2)
+    assert sum(step.kind == LOW_DEGREE_EDGE_DELETION for step in tr.steps) > 300
+    assert built == []
+
+
+def test_check_trace_wants_exactly_a_vertex_ref():
+    """A recorded v matches only as a VertexRef of the replayed side and index."""
+    g = generate("crown", 4)
+    _, tr = find_degenerate(g, 2)
+    k = next(k for k, step in enumerate(tr.steps) if step.v is not None)
+    v = tr.steps[k].v
+    other = Side.RIGHT if v.side is Side.LEFT else Side.LEFT
+
+    class Ref(VertexRef):
+        pass
+
+    forgeries = [
+        None,
+        (v.side, v.index),
+        Ref(v.side, v.index),
+        VertexRef(other, v.index),
+        VertexRef(v.side, v.index + 1),
+        VertexRef(v.side.value, v.index),
+    ]
+    for forged_v in forgeries:
+        steps = tr.steps[:k] + (replace(tr.steps[k], v=forged_v),) + tr.steps[k + 1 :]
+        with pytest.raises(TraceMismatch, match=f"step {k}: recorded"):
+            check_trace(g, replace(tr, steps=steps), 2)

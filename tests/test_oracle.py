@@ -32,6 +32,9 @@ from biholes.oracle import (
 from reference_oracle import (
     _and_table,
     reference_best_balanced,
+    reference_check_elimination_order,
+    reference_degeneracy_certificate,
+    reference_is_bihole,
     reference_max_bihole,
     reference_max_biclique,
     reference_max_degenerate,
@@ -216,6 +219,37 @@ def test_certificate_matches_rescan_reference(n, p, seed, d, data):
     assert degeneracy_certificate(g, lefts, rights, d) == reference_certificate(
         g, lefts, rights, d
     )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 14),
+    st.sampled_from([0.05, 0.1, 0.2, 0.3, 0.5, 0.8]),
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 3),
+    st.data(),
+)
+def test_witness_checks_match_the_per_neighbour_loops(n, p, seed, d, data):
+    """The set-operation checks return the verdicts, orders and stuck cores
+    of the per-neighbour loops, for valid, shuffled and corrupted orders."""
+    g = generate("gnp", n, seed=seed, p=p)
+    lefts = data.draw(st.sets(st.integers(0, n - 1)))
+    rights = data.draw(st.sets(st.integers(0, n - 1)))
+    assert is_bihole(g, lefts, rights) == reference_is_bihole(g, lefts, rights)
+    cert = degeneracy_certificate(g, lefts, rights, d)
+    assert cert == reference_degeneracy_certificate(g, lefts, rights, d)
+    members = [VertexRef(Side.LEFT, l) for l in sorted(lefts)]
+    members += [VertexRef(Side.RIGHT, r) for r in sorted(rights)]
+    orders = [data.draw(st.permutations(members))]
+    if not isinstance(cert, StuckCore):
+        orders.append(cert)
+    if members:
+        orders.append(orders[0][1:])
+        orders.append(orders[0] + orders[0][:1])
+    orders.append(orders[0] + [VertexRef(Side.RIGHT, data.draw(st.integers(0, n - 1)))])
+    for order in orders:
+        verdict = check_elimination_order(g, lefts, rights, d, order)
+        assert verdict == reference_check_elimination_order(g, lefts, rights, d, order)
 
 
 # -- exhaustive optima -------------------------------------------------------------
