@@ -1,7 +1,7 @@
 """Bipartite graphs with two-sided adjacency, text I/O, and seeded generators.
 
 Vertices on each side are indexed 0..count-1.  Adjacency is stored from both
-sides as sorted tuples.  Graph values are treated as immutable.
+sides as strictly increasing tuples.  Graph values are treated as immutable.
 
 Edge-list text format
 ---------------------
@@ -94,9 +94,11 @@ class VertexRef:
 class BipartiteGraph:
     """An immutable bipartite graph on ``left_count`` + ``right_count`` vertices.
 
-    ``left_adj[i]`` is the sorted tuple of right-side neighbours of left
-    vertex ``i`` and ``right_adj[j]`` mirrors it exactly; ``edge_count`` is
-    kept consistent with both.  Use :func:`build_graph` to construct one.
+    ``left_adj[i]`` is the strictly increasing tuple of right-side
+    neighbours of left vertex ``i`` and ``right_adj[j]`` mirrors it exactly;
+    ``edge_count`` is kept consistent with both.  The peel looks up
+    adjacency by binary search in these rows.  Use :func:`build_graph` to
+    construct one.
     """
 
     __slots__ = ("left_count", "right_count", "left_adj", "right_adj", "edge_count")

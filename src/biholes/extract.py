@@ -33,10 +33,15 @@ to the tracked bound, which is kept as one exact integer numerator.  A step
 costs time in proportion to the input degrees of the vertices it cuts (plus
 a log factor for pushes into buckets 1..d and the one sort per max bucket),
 the drains visit O(n + m) entries over the whole peel, and no step rescans
-all n vertices.  The one extra cost is in pair selection: each max-degree
-left vertex visited costs a subset test bounded by its degree in the input
-graph, and the scan goes past the first only when that vertex is adjacent
-to the whole right max-degree bucket.
+all n vertices.  The one extra cost is in pair selection, which reads
+adjacency off the input graph's sorted rows: each max-degree left vertex
+visited costs a binary search per member of the right max-degree bucket,
+and the scan goes past the first only when that vertex is adjacent to the
+whole bucket.  A row whose covering tests have spent as many probes as it
+has entries is turned into a set once (the rent-or-buy rule of Karlin,
+Manasse, Rudolph & Sleator's competitive snoopy caching, 1988), so a row
+costs O(its degree) probes before its set, and the set is built only where
+it pays for itself.
 
 The strengthened bound of the working graph never decreases along the peel,
 and the final edgeless working graph's value equals the witness size, which
@@ -58,6 +63,7 @@ the induced witness is attached as an independently checkable certificate.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -175,6 +181,12 @@ class DegenerateWitness:
 _SIDES = (Side.LEFT, Side.RIGHT)
 
 
+def _in_row(row: tuple[int, ...], j: int) -> bool:
+    """Whether j is in the strictly increasing tuple row, by binary search."""
+    p = bisect_left(row, j)
+    return p < len(row) and row[p] == j
+
+
 class _WorkingGraph:
     """Mutable peeling state, kept in the original index space.
 
@@ -209,15 +221,17 @@ class _WorkingGraph:
     the peel turns these into Fractions for ``bound_values``, and the replay
     never does.  ``max[s]`` is exact between steps: the constructor and
     ``_peel`` refresh it once after each step.
+
+    ``ladj[i]`` is, for left vertex i, the number of binary-search probes
+    its covering tests have spent on its input row, or, once that reaches
+    the row's length, the row as a set; no set is built up front.
     """
 
     def __init__(self, g: BipartiteGraph, d: int):
         self.n = g.left_count
         self.d = d
         self.nbrs = (g.left_adj, g.right_adj)
-        # read, never edited: select_pair only tests pairs of live vertices,
-        # between which an edge is live iff it is in the input graph
-        self.ladj = [set(nbrs) for nbrs in g.left_adj]
+        self.ladj = [0] * self.n
         self.deg = ([len(nbrs) for nbrs in g.left_adj], [len(nbrs) for nbrs in g.right_adj])
         top = max(max(self.deg[0], default=0), max(self.deg[1], default=0))
         # filled in ascending index order, so each list already is a valid heap
@@ -309,6 +323,23 @@ class _WorkingGraph:
                 return i
         return None
 
+    def _covers(self, i: int, cand_b: set) -> bool:
+        """Whether left vertex i is adjacent to every vertex of ``cand_b``,
+        the right max bucket.  Until ``ladj[i]`` is a set, each member is
+        looked up by binary search in i's input row, and a covering test
+        adds its probes to ``ladj[i]``; once they reach the row's length,
+        the row becomes a set."""
+        adj = self.ladj[i]
+        if adj.__class__ is set:
+            return cand_b <= adj
+        row = self.nbrs[0][i]
+        for j in cand_b:
+            if not _in_row(row, j):
+                return False
+        adj += len(cand_b)
+        self.ladj[i] = set(row) if adj >= len(row) else adj
+        return True
+
     def select_pair(self) -> tuple[int, int, int]:
         """(a, b, case): first nonadjacent max-degree pair in ascending scan
         order, else the lexicographically smallest max-degree pair (case 2).
@@ -317,14 +348,25 @@ class _WorkingGraph:
         at the first whose neighbourhood misses part of the right max-degree
         bucket; its lowest missed vertex is the pair partner.  Only called
         when no vertex has degree 1..d, so both max buckets lie above d.
+
+        Between live vertices an edge is live iff it is in the input graph,
+        so adjacency is read off the input's strictly increasing rows.  A
+        left vertex covering the right max bucket has at least as many live
+        neighbours as the bucket has members, so a bucket larger than the
+        left max degree is missed by the first vertex scanned.
         """
-        ladj = self.ladj
         cand_b = self.top_members[1]
-        a = self._lowest_max(0, lambda i: not cand_b <= ladj[i])
+        if len(cand_b) > self.max[0]:
+            a = self._lowest_max(0)
+        else:
+            a = self._lowest_max(0, lambda i: not self._covers(i, cand_b))
         if a is None:
             return self._lowest_max(0), self._lowest_max(1), 2
-        nbrs = ladj[a]
-        return a, self._lowest_max(1, lambda j: j not in nbrs), 1
+        adj = self.ladj[a]
+        if adj.__class__ is set:
+            return a, self._lowest_max(1, lambda j: j not in adj), 1
+        row = self.nbrs[0][a]
+        return a, self._lowest_max(1, lambda j: not _in_row(row, j)), 1
 
     def low_degree_vertex(self, d: int) -> tuple[int, int] | None:
         """(side, index) of the vertex of minimum degree in [1, d]; Left

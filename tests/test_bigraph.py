@@ -380,6 +380,69 @@ def test_serialize_parse_round_trip(g):
     assert parse_edge_list(serialize(g)) == g
 
 
+# -- the row-order precondition ---------------------------------------------------
+#
+# The peel looks up adjacency by binary search in a graph's rows, so every
+# constructor must return strictly increasing rows on both sides.
+
+
+def assert_strictly_increasing_rows(g: BipartiteGraph) -> None:
+    for row in g.left_adj + g.right_adj:
+        assert all(map(int.__lt__, row, row[1:])), row
+
+
+@st.composite
+def shuffled_edge_lists(draw, max_n=7):
+    """(left_count, right_count, edges): distinct edges with some repeated,
+    in a random order."""
+    left = draw(st.integers(1, max_n))
+    right = draw(st.integers(1, max_n))
+    edge = st.tuples(st.integers(0, left - 1), st.integers(0, right - 1))
+    edges = draw(st.lists(edge, unique=True))
+    repeats = draw(st.lists(st.sampled_from(edges), max_size=len(edges))) if edges else []
+    return left, right, draw(st.permutations(edges + repeats))
+
+
+@settings(max_examples=100)
+@given(shuffled_edge_lists())
+def test_build_graph_rows_strictly_increase(case):
+    assert_strictly_increasing_rows(build_graph(*case))
+
+
+@settings(max_examples=100)
+@given(shuffled_edge_lists(), st.data())
+def test_parsed_rows_strictly_increase(case, data):
+    """Comments, blank lines, CRLF endings and shuffled, repeated edge lines."""
+    left, right, edges = case
+    lines = [f"{u} {v}" for u, v in edges]
+    for _ in range(data.draw(st.integers(0, 3))):
+        extra = data.draw(st.sampled_from(["# note", ""]))
+        lines.insert(data.draw(st.integers(0, len(lines))), extra)
+    eol = data.draw(st.sampled_from(["\n", "\r\n"]))
+    g = parse_edge_list(eol.join(["# shuffled", f"{left} {right}", *lines]) + eol)
+    assert_strictly_increasing_rows(g)
+    assert g == build_graph(left, right, edges)
+
+
+@settings(max_examples=60)
+@given(
+    st.sampled_from(bigraph.GENERATOR_MODELS),
+    st.integers(2, 12),
+    st.integers(0, 2**64 - 1),
+    st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
+)
+def test_generated_rows_strictly_increase(model, n, seed, p):
+    g = generate(model, n, seed=seed, p=p if model == "gnp" else None)
+    assert_strictly_increasing_rows(g)
+    assert_strictly_increasing_rows(g.complement())
+
+
+@settings(max_examples=100)
+@given(shuffled_edge_lists())
+def test_complement_rows_strictly_increase(case):
+    assert_strictly_increasing_rows(build_graph(*case).complement())
+
+
 # -- generators ---------------------------------------------------------------
 
 

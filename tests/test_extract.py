@@ -4,6 +4,7 @@ that what comes out is at least as large as the bounds promise."""
 import math
 import re
 import time
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -744,3 +745,148 @@ def test_check_trace_wants_exactly_a_vertex_ref():
         steps = tr.steps[:k] + (replace(tr.steps[k], v=forged_v),) + tr.steps[k + 1 :]
         with pytest.raises(TraceMismatch, match=f"step {k}: recorded"):
             check_trace(g, replace(tr, steps=steps), 2)
+
+
+# -- pair selection on the input's sorted rows ------------------------------------
+
+
+def _selections(monkeypatch) -> list[tuple[int, int, int, bool]]:
+    """Record each select_pair call of every working graph as (left rows
+    held as sets before it, after it, the case, whether a's row is a set)."""
+    calls = []
+    select = extract._WorkingGraph.select_pair
+
+    def recording_select(self):
+        before = sum(entry.__class__ is set for entry in self.ladj)
+        a, b, case = pair = select(self)
+        after = sum(entry.__class__ is set for entry in self.ladj)
+        calls.append((before, after, case, self.ladj[a].__class__ is set))
+        return pair
+
+    monkeypatch.setattr(extract._WorkingGraph, "select_pair", recording_select)
+    return calls
+
+
+def _first_step(steps) -> tuple:
+    return steps[0].kind, steps[0].a, steps[0].b
+
+
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_a_right_max_bucket_larger_than_the_left_rows(monkeypatch, d):
+    """Five rights of degree 2 against lefts of degree 3: no left row can
+    cover the bucket, so left 0 is taken with no covering test, with its
+    lowest missed right, 3."""
+    edges = [(i, j) for i in (0, 1) for j in range(3)] + [(i, j) for i in (2, 3) for j in (3, 4)]
+    g = build_graph(6, 6, edges)
+    steps = _matches_reference(g, d)
+    if d == 0:
+        assert _first_step(steps) == (PAIR_CASE1, 0, 3)
+        tested = []
+        covers = extract._WorkingGraph._covers
+
+        def recording_covers(self, i, cand_b):
+            tested.append(i)
+            return covers(self, i, cand_b)
+
+        monkeypatch.setattr(extract._WorkingGraph, "_covers", recording_covers)
+        assert extract._WorkingGraph(g, d).select_pair() == (0, 3, 1) and tested == []
+
+
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_a_missed_right_above_every_entry_of_the_row(d):
+    """Left 0's row (0, 1, 2) misses right 5 of the max bucket {1, 2, 5},
+    which a binary search places past the row's end."""
+    g = build_graph(6, 6, [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (1, 5), (2, 5)])
+    steps = _matches_reference(g, d)
+    if d == 0:
+        assert _first_step(steps) == (PAIR_CASE1, 0, 5)
+
+
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_a_partner_scan_past_many_adjacent_rights(d):
+    """Left 0 sees rights 0..k-1 of the max bucket {0..k} and right k + 1
+    outside it, so its partner search passes k neighbours before right k."""
+    k = 10
+    edges = [(0, j) for j in range(k)] + [(0, k + 1)]
+    edges += [(1, j) for j in range(k + 1)] + [(2, k)]
+    steps = _matches_reference(build_graph(k + 2, k + 2, edges), d)
+    if d == 0:
+        assert _first_step(steps) == (PAIR_CASE1, 0, k)
+
+
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_complete_rows_become_sets_at_the_first_covering_test(monkeypatch, d):
+    """On K_{8,8} each left row covers the 8-member right bucket, which
+    spends as many probes as the row has entries."""
+    calls = _selections(monkeypatch)
+    steps = _matches_reference(generate("complete", 8), d)
+    pairs = sum(step.kind == PAIR_CASE2 for step in steps)
+    # once for the peel, once for its replay
+    assert calls == ([(0, 8, 2, True)] + [(8, 8, 2, True)] * (pairs - 1)) * 2
+
+
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_rows_become_sets_mid_peel(monkeypatch, d):
+    """K_{8,8} less the edge (7, 7): the first covering tests spend 7 probes
+    on rows of 8, so the rows switch at the second step."""
+    calls = _selections(monkeypatch)
+    g = build_graph(8, 8, [(i, j) for i in range(8) for j in range(8) if (i, j) != (7, 7)])
+    _matches_reference(g, d)
+    assert calls[:2] == [(0, 0, 2, False), (0, 6, 2, True)]
+
+
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_a_case1_partner_read_off_a_set_row(monkeypatch, d):
+    calls = _selections(monkeypatch)
+    _matches_reference(generate("gnp", 10, seed=18, p=0.9), d)
+    assert any(case == 1 and is_set for _, _, case, is_set in calls)
+
+
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_crown_rows_never_become_sets(monkeypatch, d):
+    """The crown's right max bucket always outnumbers its left degree."""
+    calls = _selections(monkeypatch)
+    steps = _matches_reference(generate("crown", 8), d)
+    assert all(step.kind != PAIR_CASE2 for step in steps)
+    assert calls and all(after == 0 for _, after, _, _ in calls)
+
+
+def test_dense_gnp_builds_no_row_set(monkeypatch):
+    calls = _selections(monkeypatch)
+    g = generate("gnp", 400, seed=1, p=0.5)
+    for d in (0, 2):
+        _, tr = find_degenerate(g, d)
+        assert check_trace(g, tr, d)
+    assert len(calls) > 300 and all(after == 0 for _, after, _, _ in calls)
+
+
+@pytest.mark.parametrize("d", [0, 2])
+def test_working_graph_builds_no_neighbour_sets(d):
+    """The engine's own state is O(n + max degree) lists, not a copy of the
+    edges: about 0.1 MB on gnp 400, p 0.5, where per-row sets took 3.3 MB."""
+    g = generate("gnp", 400, seed=1, p=0.5)
+    tracemalloc.start()
+    try:
+        extract._WorkingGraph(g, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024, f"peak {peak} bytes"
+
+
+@pytest.mark.parametrize("g", [generate("complete", 60), generate("gnp", 400, seed=1, p=0.5)])
+def test_binary_search_probes_stay_linear_in_the_edges(monkeypatch, g):
+    """A row's covering tests spend fewer than twice its length in probes
+    before it becomes a set."""
+    probes = []
+    bisect_left = extract.bisect_left
+
+    def counting_bisect_left(row, j):
+        probes.append(j)
+        return bisect_left(row, j)
+
+    monkeypatch.setattr(extract, "bisect_left", counting_bisect_left)
+    for d in (0, 2):
+        probes.clear()
+        steps = _run_peel(g, d)[2]
+        assert len(probes) <= 2 * g.edge_count + len(steps)
