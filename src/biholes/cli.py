@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import sys
 from fractions import Fraction
 from typing import Iterator
@@ -331,7 +330,6 @@ def _cmd_experiment(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """A new parser for the ``bihole`` command line."""
     parser = argparse.ArgumentParser(
         prog="bihole",
         description="Degree-sequence bounds and constructive extraction of "
@@ -378,15 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser :func:`main` reads with, built once per process: building
-    one costs about 15 times what parsing a command line does."""
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (BiholesError, ValueError, ZeroDivisionError, OSError) as exc:

@@ -350,21 +350,13 @@ class _WorkingGraph:
         when no vertex has degree 1..d, so both max buckets lie above d.
 
         Between live vertices an edge is live iff it is in the input graph,
-        so adjacency is read off the input's strictly increasing rows.  A
-        left vertex covering the right max bucket has at least as many live
-        neighbours as the bucket has members, so a bucket larger than the
-        left max degree is missed by the first vertex scanned.
+        so adjacency is read off the input's strictly increasing rows: by
+        ``_covers`` for the scan, and by binary search for the partner.
         """
         cand_b = self.top_members[1]
-        if len(cand_b) > self.max[0]:
-            a = self._lowest_max(0)
-        else:
-            a = self._lowest_max(0, lambda i: not self._covers(i, cand_b))
+        a = self._lowest_max(0, lambda i: not self._covers(i, cand_b))
         if a is None:
             return self._lowest_max(0), self._lowest_max(1), 2
-        adj = self.ladj[a]
-        if adj.__class__ is set:
-            return a, self._lowest_max(1, lambda j: j not in adj), 1
         row = self.nbrs[0][a]
         return a, self._lowest_max(1, lambda j: not _in_row(row, j)), 1
 

@@ -609,36 +609,6 @@ def test_experiment_marks_failed_rows_unverified(tmp_path, capsys, monkeypatch, 
     assert "violations: 1" in capsys.readouterr().out
 
 
-# -- entry point -------------------------------------------------------------------
-
-
-def test_main_calls_share_one_parser(c6_path, monkeypatch, capsys):
-    built = []
-    build = cli.build_parser
-
-    def counting_build():
-        built.append(build())
-        return built[-1]
-
-    cli._parser.cache_clear()
-    monkeypatch.setattr(cli, "build_parser", counting_build)
-    assert main(["oracle", c6_path]) == EXIT_OK
-    assert main(["bound", c6_path, "--json"]) == EXIT_OK
-    assert len(built) == 1 and cli._parser() is built[0]
-    assert build() is not build()
-
-
-def test_main_parses_again_after_a_failed_parse(c6_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["extract"])
-    assert exc.value.code == EXIT_PARSE
-    assert "required: input" in capsys.readouterr().err
-    assert main(["extract", c6_path, "--verify"]) == EXIT_OK
-    assert json.loads(capsys.readouterr().out) == {"left": [2], "right": [1], "size": 1}
-    args = cli._parser().parse_args(["extract", c6_path])
-    assert (args.d, args.trace, args.verify) == (0, False, False)
-
-
 # -- hostile command lines ----------------------------------------------------------
 
 HOSTILE_FLAGS = [
