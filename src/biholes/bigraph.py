@@ -20,12 +20,12 @@ Edge-list text format
 
 The parser reads the lines up to the header one at a time and the edge
 lines in bulk, about 64 KiB at a time.  A chunk in the form the serializer
-writes (``u v`` per line, one space, LF or CRLF) is decoded by one
-``json.loads`` call; any other chunk, say one with a comment or a tab, goes
-through ``str.split`` and ``map(int, ...)``.  One ``min``/``max`` pass
-checks every index against the header, and only when that fails are the
-edge lines walked one by one, to find the line to name.  Edges in strictly
-increasing order are cut into rows as they stand, with no per-edge set.
+writes (``u v`` per line, one space, LF or CRLF) is decoded, two ints a line,
+by one ``json.loads`` call; any other chunk, say one with a comment or a tab,
+goes through ``str.split`` and ``map(int, ...)``.  Edges in strictly
+increasing order are cut into rows as they stand, and the header bounds only
+the first and last left index and each row's ends; others go through per-row
+sets.  Only a bad line makes the parser walk the lines one by one, to name it.
 
 ``gnp`` draws one SplitMix64 value per potential edge in row-major order,
 so a (model, n, seed, p) tuple names one graph on every platform.  SplitMix64
@@ -288,30 +288,24 @@ def _chunks(text: str, pos: int) -> Iterator[str]:
         pos = end + 1
 
 
-# Deleting these characters leaves nothing of a chunk of integer lines.
-_CANONICAL_CHARS = str.maketrans("", "", "0123456789- \r\n")
+# Deleting these characters from a chunk in the form the serializer writes
+# leaves its separators: " \n" for every line but the last, then " ".
+_NUMBER_CHARS = str.maketrans("", "", "0123456789-\r")
 
 
 def _decode_chunk(chunk: str) -> list | None:
-    """The edge lines of a canonical chunk (``u v`` per line, one space) as
-    u, v, None, u, v, None, ... by one ``json.loads`` call, else None.
-
-    Past the character check the decoder meets only JSON integers, which
-    ``int()`` reads alike; a line of other than two moves a None or fails.
-    A chunk with other than one space per line (a blank line, a space at
-    either end of a line, two in a row) would fail, so it is not decoded.
-    """
+    """The edge lines of a chunk with one space per line and one LF between
+    lines (CRs aside) as u, v, u, v, ... by one ``json.loads`` call, else
+    None.  JSON reads a run of digits and ``-`` only as an integer that
+    ``int()`` reads alike, and a CR as whitespace, so a line gives two ints."""
     chunk = chunk.rstrip("\n")
-    lines = chunk.count("\n") + 1
-    if chunk.translate(_CANONICAL_CHARS) or chunk.count(" ") != lines:
+    seps = chunk.translate(_NUMBER_CHARS)
+    if seps != " \n" * (len(seps) >> 1) + " ":
         return None
     try:
-        flat = json.loads("[" + chunk.replace(" ", ",").replace("\n", ",null,") + ",null]")
-    except ValueError:  # not JSON, or an integer over 4300 digits
+        return json.loads("[" + chunk.replace(" ", ",").replace("\n", ",") + "]")
+    except ValueError:  # an empty or ill-formed number, or one over 4300 digits
         return None
-    if len(flat) != 3 * lines or flat[2::3].count(None) != lines:
-        return None
-    return flat
 
 
 def _split_chunk(chunk: str) -> list[int] | None:
@@ -329,27 +323,21 @@ def _split_chunk(chunk: str) -> list[int] | None:
         return None
 
 
-def _bulk_edges(text: str, pos: int, left: int, right: int):
-    """The edge lines of text from offset pos on as two lists of endpoints
-    (left ends, right ends), or None when any of those lines is bad."""
+def _bulk_edges(text: str, pos: int) -> tuple[list[int], list[int]] | None:
+    """The edge lines of text from offset pos on as (left ends, right ends),
+    or None when any of those lines is malformed."""
     us: list[int] = []
     vs: list[int] = []
     for chunk in _chunks(text, pos):
-        flat, step = _decode_chunk(chunk), 3
+        flat = _decode_chunk(chunk) or _split_chunk(chunk)
         if flat is None:
-            flat, step = _split_chunk(chunk), 2
-            if flat is None:
-                return None
-        us += flat[0::step]
-        vs += flat[1::step]
-    if us and not (0 <= min(us) and max(us) < left and 0 <= min(vs) and max(vs) < right):
-        return None
+            return None
+        us += flat[0::2]
+        vs += flat[1::2]
     return us, vs
 
 
-def _raise_first_bad_line(
-    text: str, pos: int, lineno: int, left: int, right: int
-) -> NoReturn:
+def _raise_first_bad_line(text: str, pos: int, lineno: int, left: int, right: int) -> NoReturn:
     """Raise the error for the first malformed or out-of-range edge line of
     text from offset pos on, whose first line is numbered lineno."""
     for lineno, raw, _ in _lines(text, pos, lineno):
@@ -367,10 +355,10 @@ def parse_edge_list(text: str) -> BipartiteGraph:
     The lines up to the header are read one at a time, so a bad or over-cap
     header fails before anything is allocated.  The edge lines are then
     checked and converted in bulk, a chunk of lines at a time, by builtins
-    rather than a Python loop per line.  When that bulk check fails, the
-    lines are walked again one by one and the first bad line in file order
-    raises: a :class:`MalformedEdgeLine` carrying its number, or an
-    :class:`IndexOutOfRange` naming it.
+    rather than a Python loop per line.  When a line is malformed or an index
+    does not fit, the lines are walked again one by one and the first bad
+    line in file order raises: a :class:`MalformedEdgeLine` carrying its
+    number, or an :class:`IndexOutOfRange` naming it.
     """
     for lineno, raw, end in _lines(text, 0, 1):
         header = _data_line(raw, lineno, header=True)
@@ -385,20 +373,31 @@ def parse_edge_list(text: str) -> BipartiteGraph:
         raise MalformedHeader(
             f"line {lineno}: {left} + {right} vertices exceed the cap of {MAX_VERTICES}"
         )
-    edges = _bulk_edges(text, end + 1, left, right)
-    if edges is None:
-        _raise_first_bad_line(text, end + 1, lineno + 1, left, right)
-    return _parsed_graph(left, right, edges)
+    edges = _bulk_edges(text, end + 1)
+    if edges is not None:
+        try:
+            return _parsed_graph(left, right, edges)
+        except IndexOutOfRange:
+            pass
+    _raise_first_bad_line(text, end + 1, lineno + 1, left, right)
 
 
 def _parsed_graph(left: int, right: int, edges: tuple[list[int], list[int]]) -> BipartiteGraph:
-    """The graph of in-range edges (left ends, right ends).  Edges in strictly
-    increasing order, as :func:`serialize` writes them, are cut into rows
-    as they stand; others go through :func:`build_graph`."""
+    """The graph of the edges (left ends, right ends), or IndexOutOfRange.
+    Edges in strictly increasing order are cut into rows as they stand and
+    checked on the ends of the left ends and of each row, others by min/max."""
     us, vs = edges
-    if all(map(operator.lt, zip(us, vs), zip(us[1:], vs[1:]))):
+    # A strided sample rejects most shuffled lists before an O(m log m) sort.
+    ordered = us[::64] == sorted(us[::64]) and us == sorted(us)
+    if ordered and (not us or 0 <= us[0] and us[-1] < left):
         left_adj = _rows(us, vs, range(1, left + 1))
-        return BipartiteGraph(left, right, left_adj, _mirror(left_adj, right), len(us))
+        for row in left_adj:
+            if row and not (0 <= row[0] and row[-1] < right and all(map(operator.lt, row, row[1:]))):
+                break
+        else:
+            return BipartiteGraph(left, right, left_adj, _mirror(left_adj, right), len(us))
+    if us and not (0 <= min(us) and max(us) < left and 0 <= min(vs) and max(vs) < right):
+        raise IndexOutOfRange(f"an edge does not fit a {left} x {right} graph")
     return build_graph(left, right, zip(us, vs))
 
 

@@ -226,6 +226,38 @@ EVEN_TOKENS = "2 2\n0 1 1\n1\n"
 RANGE_THEN_MALFORMED = "3 3\n" + "0 0\n" * 20000 + "0 9\n" + "1 1\n" * 20000 + "x\n"
 # A comment line and a CRLF where the first 64 KiB of the body ends.
 STRADDLED = "2 2\r\n" + "0 1\r\n" * 13107 + "  # comment\r\n\r\n" + "1 0\r\n" * 9 + "1 1"
+# Sorted lines of K_{200,200}'s first 60 rows: over 64 KiB, so two chunks.
+SIXTY_ROWS = "200 200\n" + "".join(f"{u} {v}\n" for u in range(60) for v in range(200))
+
+
+def _repeat_line_at_first_cut(text: str) -> str:
+    """text with the line that ends its first default-size chunk of edge
+    lines repeated as the first line of the next chunk."""
+    cut = text.index("\n", text.index("\n") + 1 + bigraph._CHUNK)
+    start = text.rindex("\n", 0, cut) + 1
+    return text[: cut + 1] + text[start : cut + 1] + text[cut + 1 :]
+
+
+# Canonical texts, one space per line, that reach each end-only check of the
+# decoder's path: the order of the left indices and of a row, and the two
+# ends of each.  The parser must give the reference's graph or error.
+CANONICAL_CASES = [
+    SIXTY_ROWS + "150 2\n150 1\n",  # a descent inside a row of a later chunk
+    _repeat_line_at_first_cut(SIXTY_ROWS),  # a duplicate line across the chunk cut
+    "2 2\n0 0\n0 1\n1 0\n1 2\n",  # a right index out of range on the last line
+    "2 2\n0 0\n1 1\n2 0\n",  # sorted, with the last left index equal to the count
+    "2 2\n-1 0\n0 1\n",  # row 0 would read (0, 1) if the -1 were let in
+    "2 2\n0 -1\n0 0\n",
+    "2 2\n1 0\n0 1\n",
+    "2 2\n-0 1\n1 -0\n",  # JSON and int() both read -0 as 0
+]
+
+
+def canonical_examples(test):
+    """Pin every text of CANONICAL_CASES as an explicit example of test."""
+    for text in CANONICAL_CASES:
+        test = example(text=text)(test)
+    return test
 
 
 @pytest.mark.parametrize("chunk", [1, 7, None])
@@ -236,6 +268,7 @@ STRADDLED = "2 2\r\n" + "0 1\r\n" * 13107 + "  # comment\r\n\r\n" + "1 0\r\n" * 
 @example(text="2 2\n0 5\n0\n")
 @example(text=RANGE_THEN_MALFORMED)
 @example(text=STRADDLED)
+@canonical_examples
 def test_parse_matches_the_line_reader(chunk, text):
     """Same graph, or same error, as the reference at chunk sizes 1, 7 and
     the default (None)."""
@@ -243,6 +276,15 @@ def test_parse_matches_the_line_reader(chunk, text):
         if chunk is not None:
             mp.setattr(bigraph, "_CHUNK", chunk)
         assert _outcome(parse_edge_list, text) == _outcome(reference_parse_edge_list, text)
+
+
+@pytest.mark.parametrize("body", ["1 0\n0 0\n9 0\n", "0 0\n1 0\n9 0\n", "0 0\n1 0\n1 9\n"])
+def test_an_index_that_does_not_fit_builds_no_graph(monkeypatch, body):
+    """Shuffled or sorted, an edge list with an index over the header fails
+    before build_graph allocates a set per declared vertex."""
+    monkeypatch.setattr(bigraph, "build_graph", None)
+    with pytest.raises(IndexOutOfRange, match="^line 4: "):
+        parse_edge_list("9 9\n" + body)
 
 
 def test_parse_names_the_first_bad_line_in_file_order():
@@ -274,6 +316,7 @@ def canonical_texts(draw):
 @pytest.mark.parametrize("chunk", [1, 7, None])
 @settings(max_examples=300)
 @given(text=canonical_texts())
+@canonical_examples
 def test_parse_matches_the_line_reader_on_canonical_text(chunk, text):
     with pytest.MonkeyPatch.context() as mp:
         if chunk is not None:
@@ -301,7 +344,9 @@ def test_serialized_text_takes_the_decoder_and_row_slicing(monkeypatch, chunk, e
     """Serializer output never reaches the str.split tokeniser or build_graph,
     so a silent fallback cannot hide a lost speedup."""
     graphs = [generate("gnp", 30, seed=3, p=0.3), generate("complete", 5),
-              generate("edgeless", 4), build_graph(0, 0, []), build_graph(2, 3, [(1, 2)])]
+              generate("edgeless", 4), build_graph(0, 0, []), build_graph(2, 3, [(1, 2)]),
+              # Empty first and last rows; then the last left and right index only.
+              build_graph(3, 3, [(1, 0), (1, 2)]), build_graph(4, 4, [(3, 3)])]
 
     def refuse(*args):
         raise AssertionError(f"slow path taken on {args[0]!r}")
