@@ -37,11 +37,10 @@ all n vertices.  The one extra cost is in pair selection, which reads
 adjacency off the input graph's sorted rows: each max-degree left vertex
 visited costs a binary search per member of the right max-degree bucket,
 and the scan goes past the first only when that vertex is adjacent to the
-whole bucket.  A row whose covering tests have spent as many probes as it
-has entries is turned into a set once (the rent-or-buy rule of Karlin,
-Manasse, Rudolph & Sleator's competitive snoopy caching, 1988), so a row
-costs O(its degree) probes before its set, and the set is built only where
-it pays for itself.
+whole bucket.  A vertex found to cover it is remembered, with a snapshot
+of the bucket, and later scans pass it with no search until a right drain
+brings in a vertex outside the snapshot; on K_{n,n} none does, so its peel
+makes one search per edge in all, not one per edge per step.
 
 The strengthened bound of the working graph never decreases along the peel,
 and the final edgeless working graph's value equals the witness size, which
@@ -222,23 +221,22 @@ class _WorkingGraph:
     never does.  ``max[s]`` is exact between steps: the constructor and
     ``_peel`` refresh it once after each step.
 
-    ``ladj[i]`` is, for left vertex i, the number of binary-search probes
-    its covering tests have spent on its input row, or, once that reaches
-    the row's length, the row as a set; no set is built up front.
+    ``covered`` holds left vertices adjacent to all of ``cover_of``, a copy
+    of the right max bucket retaken as a vertex joins an empty memo or after
+    the bucket shrank; a right drain leaving ``cover_of`` clears ``covered``.
     """
 
     def __init__(self, g: BipartiteGraph, d: int):
         self.n = g.left_count
         self.d = d
         self.nbrs = (g.left_adj, g.right_adj)
-        self.ladj = [0] * self.n
+        self.covered, self.cover_of = set(), set()
         self.deg = ([len(nbrs) for nbrs in g.left_adj], [len(nbrs) for nbrs in g.right_adj])
         top = max(max(self.deg[0], default=0), max(self.deg[1], default=0))
         # filled in ascending index order, so each list already is a valid heap
         self.queue = ([[] for _ in range(top + 1)], [[] for _ in range(top + 1)])
-        for s in (0, 1):
-            queue = self.queue[s]
-            for i, x in enumerate(self.deg[s]):
+        for queue, deg in zip(self.queue, self.deg):
+            for i, x in enumerate(deg):
                 queue[x].append(i)
         self.cnt = tuple([len(q) for q in queue[: min(d, top) + 1]] for queue in self.queue)
         self.low = [top + 1, top + 1]
@@ -296,6 +294,8 @@ class _WorkingGraph:
         self.low[s] = x
         if not order:
             return False
+        if s and self.covered and not self.cover_of.issuperset(order):
+            self.covered.clear()
         order.sort()
         self.top_x[s], self.top_order[s], self.top_members[s] = x, order, set(order)
         self.top_start[s] = 0
@@ -325,19 +325,18 @@ class _WorkingGraph:
 
     def _covers(self, i: int, cand_b: set) -> bool:
         """Whether left vertex i is adjacent to every vertex of ``cand_b``,
-        the right max bucket.  Until ``ladj[i]`` is a set, each member is
-        looked up by binary search in i's input row, and a covering test
-        adds its probes to ``ladj[i]``; once they reach the row's length,
-        the row becomes a set."""
-        adj = self.ladj[i]
-        if adj.__class__ is set:
-            return cand_b <= adj
+        the right max bucket: yes if i is in ``covered``, else by binary
+        search in i's input row, and i joins ``covered`` if it does."""
+        if i in self.covered:
+            return True
         row = self.nbrs[0][i]
-        for j in cand_b:
-            if not _in_row(row, j):
+        for j in cand_b:  # _in_row inlined: this is the scan's inner loop
+            p = bisect_left(row, j)
+            if p == len(row) or row[p] != j:
                 return False
-        adj += len(cand_b)
-        self.ladj[i] = set(row) if adj >= len(row) else adj
+        if not self.covered or len(cand_b) < len(self.cover_of):
+            self.cover_of = set(cand_b)
+        self.covered.add(i)
         return True
 
     def select_pair(self) -> tuple[int, int, int]:

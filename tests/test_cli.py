@@ -2,6 +2,7 @@
 
 import contextlib
 import decimal
+import hashlib
 import io
 import json
 import resource
@@ -17,7 +18,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biholes import cli
-from biholes.bigraph import GENERATOR_MODELS, SplitMix64, check_model, generate, serialize
+from biholes.bigraph import (
+    GENERATOR_MODELS,
+    SplitMix64,
+    build_graph,
+    check_model,
+    generate,
+    serialize,
+)
 from biholes.cli import (
     CSV_HEADER,
     EXIT_OK,
@@ -144,6 +152,30 @@ def test_extract_degenerate(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["size"] == 2
     assert len(payload["elimination_order"]) == 4
+
+
+# SHA-256 of `extract --d D --trace --verify` stdout on K_{120,120} and on
+# K_{120,120} less the edge (119, 119), where the covering memo of pair
+# selection answers almost every covering test.
+NEAR_COMPLETE_DIGESTS = {
+    ("complete", "0"): "d691b94e3e321cafdcdc08f43562043acc7090a7cc95e803627af01e3d71f5fa",
+    ("complete", "2"): "2a88cb8108343e0a83104398db3b4221d5fc209030054161c413878675d971f7",
+    ("less_one_edge", "0"): "35d696a8438c2540baac35750973ec951cb68e02435d112fbe7c60c8d2c5f075",
+    ("less_one_edge", "2"): "dfef951994046f8d210039feceb936865790bb56c2daf4bb6e2c86e183e53c5c",
+}
+
+
+@pytest.mark.parametrize("name, d", sorted(NEAR_COMPLETE_DIGESTS))
+def test_extract_on_near_complete_graphs_keeps_its_bytes(tmp_path, capsys, name, d):
+    n = 120
+    edges = [(i, j) for i in range(n) for j in range(n)]
+    if name == "less_one_edge":
+        edges.remove((n - 1, n - 1))
+    path = tmp_path / f"{name}.txt"
+    path.write_text(serialize(build_graph(n, n, edges)))
+    assert main(["extract", str(path), "--d", d, "--trace", "--verify"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == NEAR_COMPLETE_DIGESTS[name, d]
 
 
 def test_extract_negative_d(c6_path):

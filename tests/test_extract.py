@@ -750,23 +750,6 @@ def test_check_trace_wants_exactly_a_vertex_ref():
 # -- pair selection on the input's sorted rows ------------------------------------
 
 
-def _selections(monkeypatch) -> list[tuple[int, int, int]]:
-    """Record each select_pair call of every working graph as (left rows
-    held as sets before it, after it, the case)."""
-    calls = []
-    select = extract._WorkingGraph.select_pair
-
-    def recording_select(self):
-        before = sum(entry.__class__ is set for entry in self.ladj)
-        pair = select(self)
-        after = sum(entry.__class__ is set for entry in self.ladj)
-        calls.append((before, after, pair[2]))
-        return pair
-
-    monkeypatch.setattr(extract._WorkingGraph, "select_pair", recording_select)
-    return calls
-
-
 def _first_step(steps) -> tuple:
     return steps[0].kind, steps[0].a, steps[0].b
 
@@ -804,71 +787,178 @@ def test_a_partner_scan_past_many_adjacent_rights(d):
         assert _first_step(steps) == (PAIR_CASE1, 0, k)
 
 
-@pytest.mark.parametrize("d", [0, 1, 2])
-def test_complete_rows_become_sets_at_the_first_covering_test(monkeypatch, d):
-    """On K_{8,8} each left row covers the 8-member right bucket, which
-    spends as many probes as the row has entries."""
-    calls = _selections(monkeypatch)
-    steps = _matches_reference(generate("complete", 8), d)
-    pairs = sum(step.kind == PAIR_CASE2 for step in steps)
-    # once for the peel, once for its replay
-    assert calls == ([(0, 8, 2)] + [(8, 8, 2)] * (pairs - 1)) * 2
+def _near_complete(n: int, missing) -> BipartiteGraph:
+    return build_graph(n, n, [(i, j) for i in range(n) for j in range(n) if (i, j) not in missing])
 
 
-@pytest.mark.parametrize("d", [0, 1, 2])
-def test_rows_become_sets_mid_peel(monkeypatch, d):
-    """K_{8,8} less the edge (7, 7): the first covering tests spend 7 probes
-    on rows of 8, so the rows switch at the second step."""
-    calls = _selections(monkeypatch)
-    g = build_graph(8, 8, [(i, j) for i in range(8) for j in range(8) if (i, j) != (7, 7)])
+@st.composite
+def near_complete_graphs(draw):
+    """K_{n,n} less a few edges, where most pair steps are case 2 and the
+    covering memo carries over many steps."""
+    n = draw(st.integers(1, 12))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    return _near_complete(n, set(draw(st.lists(pairs, max_size=4))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(near_complete_graphs(), st.integers(0, 2))
+def test_covering_memo_matches_reference_on_near_complete_graphs(g, d):
     _matches_reference(g, d)
-    assert calls[:2] == [(0, 0, 2), (0, 6, 2)]
 
 
 @pytest.mark.parametrize("d", [0, 1, 2])
-def test_crown_rows_never_become_sets(monkeypatch, d):
+def test_a_right_drain_outside_the_snapshot_empties_the_memo(d):
+    """K_{4,4} beside K_{3,3}: the first scan finds lefts 0..3 covering the
+    right bucket {0..3} and takes the case-2 pair (0, 0).  The next right
+    bucket {1..6} holds rights 4..6, which lefts 1..3 miss, so left 1 is
+    taken with right 4; a memo kept past that drain would pass left 1."""
+    edges = [(i, j) for i in range(4) for j in range(4)]
+    edges += [(i, j) for i in range(4, 7) for j in range(4, 7)]
+    steps = _matches_reference(build_graph(7, 7, edges), d)
+    assert [(step.kind, step.a, step.b) for step in steps[:2]] == [
+        (PAIR_CASE2, 0, 0),
+        (PAIR_CASE1, 1, 4),
+    ]
+
+
+def test_a_covering_test_after_the_bucket_shrank_takes_a_new_snapshot():
+    """Left 2 covers the right bucket {1, 2, 4} and left 5 misses right 1,
+    so the case-1 pair (5, 1) drops right 2 out of the bucket.  Lefts 1 and
+    3 then cover what is left, {4}, though they miss right 2, so the
+    snapshot shrinks to {4} as left 1 joins the memo.  After the case-2
+    pair (1, 4) the right drain brings right 2 back and left 3 is taken
+    with it; a snapshot kept at {1, 2, 4} would pass left 3."""
+    edges = [(0, 1), (0, 2), (1, 4), (1, 5), (2, 1), (2, 2), (2, 4)]
+    edges += [(3, 4), (3, 5), (4, 1), (5, 0), (5, 2), (5, 3)]
+    steps = _matches_reference(build_graph(6, 6, edges), 0)
+    assert [(step.kind, step.a, step.b) for step in steps] == [
+        (PAIR_CASE1, 5, 1),
+        (PAIR_CASE2, 1, 4),
+        (PAIR_CASE1, 3, 2),
+    ]
+
+
+def _searches(monkeypatch) -> Counter:
+    """Count, per working graph and left vertex, the covering tests that
+    search the vertex's row: those the memo does not answer."""
+    searched = Counter()
+    covers = extract._WorkingGraph._covers
+
+    def counting_covers(self, i, cand_b):
+        if i not in self.covered:
+            searched[self, i] += 1
+        return covers(self, i, cand_b)
+
+    monkeypatch.setattr(extract._WorkingGraph, "_covers", counting_covers)
+    return searched
+
+
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_complete_rows_are_searched_once_per_peel(monkeypatch, d):
+    """On K_{8,8} every drain after a case-2 step keeps to the survivors of
+    the last right bucket, so each left row is searched at the first step
+    and the memo answers every later covering test."""
+    searched = _searches(monkeypatch)
+    steps = _matches_reference(generate("complete", 8), d)
+    assert sum(step.kind == PAIR_CASE2 for step in steps) > 1
+    # once for the peel, once for its replay
+    assert len({work for work, _ in searched}) == 2
+    assert len(searched) == 16 and set(searched.values()) == {1}
+
+
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_rows_less_an_edge_are_searched_once_per_peel(monkeypatch, d):
+    """K_{8,8} less the edge (7, 7): left 7 and right 7 stay a degree below
+    the max buckets, so no drain brings right 7 into the right bucket while
+    a pair step remains; lefts 0..6 are searched once each, left 7 never."""
+    searched = _searches(monkeypatch)
+    steps = _matches_reference(_near_complete(8, {(7, 7)}), d)
+    assert all(step.kind in (PAIR_CASE2, LOW_DEGREE_EDGE_DELETION) for step in steps)
+    # once for the peel, once for its replay
+    assert sorted(i for _, i in searched) == sorted(list(range(7)) * 2)
+    assert set(searched.values()) == {1}
+
+
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_crown_memo_stays_empty(monkeypatch, d):
     """The crown's right max bucket always outnumbers its left degree, so
-    every covering test misses and adds no probes to a row's count."""
-    calls = _selections(monkeypatch)
+    every covering test misses and no vertex is remembered."""
+    sizes = []
+    select = extract._WorkingGraph.select_pair
+
+    def recording_select(self):
+        pair = select(self)
+        sizes.append(len(self.covered))
+        return pair
+
+    monkeypatch.setattr(extract._WorkingGraph, "select_pair", recording_select)
     steps = _matches_reference(generate("crown", 8), d)
     assert all(step.kind != PAIR_CASE2 for step in steps)
-    assert calls and all(after == 0 for _, after, _ in calls)
+    assert sizes and set(sizes) == {0}
 
 
-def test_dense_gnp_builds_no_row_set(monkeypatch):
-    calls = _selections(monkeypatch)
+def test_dense_gnp_step_counts_are_unchanged():
+    """gnp 400, p 0.5: the memo leaves every step as it was, down to the
+    count of each kind."""
     g = generate("gnp", 400, seed=1, p=0.5)
-    for d in (0, 2):
+    expected = {
+        0: {PAIR_CASE1: 344, PAIR_CASE2: 47},
+        2: {PAIR_CASE1: 333, PAIR_CASE2: 46, LOW_DEGREE_EDGE_DELETION: 41},
+    }
+    for d, counts in expected.items():
         _, tr = find_degenerate(g, d)
         assert check_trace(g, tr, d)
-    assert len(calls) > 300 and all(after == 0 for _, after, _ in calls)
+        assert Counter(step.kind for step in tr.steps) == counts
+
+
+def _traced_peak(f, *args) -> int:
+    """Peak bytes allocated while f(*args) runs, by ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("d", [0, 2])
 def test_working_graph_builds_no_neighbour_sets(d):
     """The engine's own state is O(n + max degree) lists, not a copy of the
     edges: about 0.1 MB on gnp 400, p 0.5, where per-row sets took 3.3 MB."""
-    g = generate("gnp", 400, seed=1, p=0.5)
-    tracemalloc.start()
-    try:
-        extract._WorkingGraph(g, d)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(extract._WorkingGraph, generate("gnp", 400, seed=1, p=0.5), d)
     assert peak < 512 * 1024, f"peak {peak} bytes"
 
 
-@pytest.mark.parametrize("g", [generate("complete", 60), generate("gnp", 400, seed=1, p=0.5)])
+@pytest.mark.parametrize("d", [0, 2])
+def test_complete_peel_builds_no_row_sets(d):
+    """The peel of K_{200,200} holds two sets of at most 200 vertices for
+    its memo, about 0.1 MB at peak, where a set per left row took 1.8 MB."""
+    peak = _traced_peak(_run_peel, generate("complete", 200), d)
+    assert peak < 512 * 1024, f"peak {peak} bytes"
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        generate("complete", 60),
+        generate("gnp", 400, seed=1, p=0.5),
+        generate("complete", 200),
+        _near_complete(200, {(199, 199)}),
+    ],
+)
 def test_binary_search_probes_stay_linear_in_the_edges(monkeypatch, g):
     """Every binary search of a peel, covering tests and partner searches
-    alike, is counted.  A row's successful covering tests spend fewer than
-    twice its length before it becomes a set: under its length before the
-    last, and at most its length in the last.  A failed covering test and a
-    partner search come once per case-1 step, for the left vertex a that
-    the step removes, and each finds at most a's live degree of members
-    before its one miss.  The live degrees of the removed vertices sum to
-    at most m, so a peel makes at most 4m + 2 * steps probes.  Probing
-    without ever building a set makes about n^3 / 3 on K_{n,n}."""
+    alike, is counted.  A left vertex pays a full covering test at most once
+    per memo lifetime, at most its live degree in probes, and a lifetime
+    ends only at a right drain that brings in a vertex outside ``cover_of``.
+    A failed covering test and a partner search come once per case-1 step,
+    for the left vertex a that the step removes, and each finds at most a's
+    live degree of members before its one miss.  On K_{n,n} and on K_{n,n}
+    less an edge no step is case 1 and no drain ends the memo, so a peel
+    makes at most m + 2 * steps probes; gnp 400, p 0.5, whose steps are
+    mostly case 1, stays within that too.  Without the memo K_{n,n} takes
+    about n^3 / 3 probes, and rows that became sets at twice their length
+    took 2m on K_{n,n} less an edge."""
     probes = []
     bisect_left = extract.bisect_left
 
@@ -880,4 +970,4 @@ def test_binary_search_probes_stay_linear_in_the_edges(monkeypatch, g):
     for d in (0, 2):
         probes.clear()
         steps = _run_peel(g, d)[2]
-        assert len(probes) <= 4 * g.edge_count + 2 * len(steps)
+        assert len(probes) <= g.edge_count + 2 * len(steps)
