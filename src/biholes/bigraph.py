@@ -80,15 +80,16 @@ class Side(enum.Enum):
     RIGHT = "R"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class VertexRef:
     """A vertex identified by its side and its 0-based index on that side."""
 
     side: Side
     index: int
 
-    def to_json(self) -> list:
-        return [self.side.value, self.index]
+    def json_text(self) -> str:
+        """The vertex as a JSON pair: side letter, index."""
+        return '["%s", %d]' % (self.side.value, self.index)
 
 
 class BipartiteGraph:
@@ -204,9 +205,10 @@ def build_graph(
     )
 
 
-def _rows(keys: list[int], values: list[int], ends: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+def _rows(keys: list[int], values: list[int], ends: Iterable[int], right: int) -> tuple | None:
     """Rows cut from ascending keys: row i holds values[k] for the keys k at
-    or above ends[i - 1] (0 for row 0) and below ends[i]."""
+    or above ends[i - 1] (0 for row 0) and below ends[i].  None as soon as a
+    row's first value is negative or its last is ``right`` or more."""
     # Each row is a tuple of an exact-size list slice.  Rows built from an
     # iterator, which tuple() grows and then shrinks, raised the peak RSS of
     # an experiment sweep by about 0.3 MB.
@@ -214,7 +216,10 @@ def _rows(keys: list[int], values: list[int], ends: Iterable[int]) -> tuple[tupl
     hi = 0
     for end in ends:
         lo, hi = hi, bisect_left(keys, end, hi)
-        rows.append(tuple(values[lo:hi]))
+        row = tuple(values[lo:hi])
+        if row and not (0 <= row[0] and row[-1] < right):
+            return None
+        rows.append(row)
     return tuple(rows)
 
 
@@ -385,16 +390,14 @@ def parse_edge_list(text: str) -> BipartiteGraph:
 def _parsed_graph(left: int, right: int, edges: tuple[list[int], list[int]]) -> BipartiteGraph:
     """The graph of the edges (left ends, right ends), or IndexOutOfRange.
     Edges in strictly increasing order are cut into rows as they stand and
-    checked on the ends of the left ends and of each row, others by min/max."""
+    checked on the ends of the left ends and of each row as it is cut, so the
+    first bad row stops the cut; others are checked by min/max."""
     us, vs = edges
     # A strided sample rejects most shuffled lists before an O(m log m) sort.
     ordered = us[::64] == sorted(us[::64]) and us == sorted(us)
     if ordered and (not us or 0 <= us[0] and us[-1] < left):
-        left_adj = _rows(us, vs, range(1, left + 1))
-        for row in left_adj:
-            if row and not (0 <= row[0] and row[-1] < right and all(map(operator.lt, row, row[1:]))):
-                break
-        else:
+        left_adj = _rows(us, vs, range(1, left + 1), right)
+        if left_adj is not None and all(all(map(operator.lt, r, r[1:])) for r in left_adj):
             return BipartiteGraph(left, right, left_adj, _mirror(left_adj, right), len(us))
     if us and not (0 <= min(us) and max(us) < left and 0 <= min(vs) and max(vs) < right):
         raise IndexOutOfRange(f"an edge does not fit a {left} x {right} graph")
@@ -554,6 +557,6 @@ def generate(
         edges = [(i, j) for i in range(n) for j in range(n) if i != j]
     else:  # gnp
         keys = _gnp_keys(seed, n * n, int(Fraction(p) * (1 << 64)))
-        left_adj = _rows(keys, list(map(operator.mod, keys, repeat(n))), range(n, n * n + 1, n))
+        left_adj = _rows(keys, list(map(operator.mod, keys, repeat(n))), range(n, n * n + 1, n), n)
         return BipartiteGraph(n, n, left_adj, _mirror(left_adj, n), len(keys))
     return build_graph(n, n, edges)

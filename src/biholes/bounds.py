@@ -44,6 +44,7 @@ __all__ = [
     "BoundReport",
     "bound_report",
     "rational_to_json",
+    "rational_json_text",
     "decimal_string",
 ]
 
@@ -173,6 +174,13 @@ def rational_to_json(x: Fraction) -> dict:
         "den": str(x.denominator),
         "decimal": decimal_string(x),
     }
+
+
+def rational_json_text(x: Fraction) -> str:
+    """``json.dumps(rational_to_json(x))``, written with no dict."""
+    return '{"num": "%d", "den": "%d", "decimal": "%s"}' % (
+        x.numerator, x.denominator, decimal_string(x)
+    )
 
 
 @dataclass(frozen=True)

@@ -173,8 +173,6 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    import json
-
     g = _read_graph(args.input)
     witness, trace = _find(g, args.d)
     if args.verify:
@@ -182,10 +180,10 @@ def _cmd_extract(args) -> int:
         if failed:
             print(f"verification failed: failed checks: {', '.join(failed)}", file=sys.stderr)
             return EXIT_VERIFY
-    payload = witness.to_json()
+    text = witness.json_text()
     if args.trace:
-        payload["trace"] = trace.to_json()
-    print(json.dumps(payload))
+        text = '%s, "trace": %s}' % (text[:-1], trace.json_text())
+    print(text)
     return EXIT_OK
 
 

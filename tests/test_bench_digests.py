@@ -1,11 +1,12 @@
-"""The peel workloads of the benchmark still produce their recorded bytes.
+"""The workloads of the benchmark still produce their recorded bytes.
 
-``bench/workloads.json`` holds the SHA-256 of every job's output (witness
-plus trace JSON) at the default seed.  This runs one untraced pass of each
-peel workload through ``bench/run.py``'s ``Bench`` and requires every job to
-exit 0, pass the harness's own checks and match its recorded digest, so a
-change to the peel, the replay or the JSON output that moves a single byte
-fails here rather than only in a benchmark run.
+``bench/workloads.json`` holds the SHA-256 of every job's output at the
+default seed: witness plus trace JSON for the peel workloads, the CSV for
+``oracle_sweep``.  This runs one untraced pass of each workload through
+``bench/run.py``'s ``Bench`` and requires every job to exit 0, pass the
+harness's own checks and match its recorded digest, so a change to the peel,
+the replay, the oracles or the output that moves a single byte fails here
+rather than only in a benchmark run.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ def bench_env(monkeypatch, tmp_path):
     return tmp_path
 
 
-@pytest.mark.parametrize("name", ["sparse_peel", "dense_peel"])
+@pytest.mark.parametrize("name", ["sparse_peel", "dense_peel", "oracle_sweep"])
 def test_peel_workload_matches_recorded_digests(bench_env, name):
     spec = run.load_spec()
     seed = spec["default_seed"]

@@ -1,5 +1,7 @@
 """Graph construction, complements, text round-trips, and generator behaviour."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -285,6 +287,19 @@ def test_an_index_that_does_not_fit_builds_no_graph(monkeypatch, body):
     monkeypatch.setattr(bigraph, "build_graph", None)
     with pytest.raises(IndexOutOfRange, match="^line 4: "):
         parse_edge_list("9 9\n" + body)
+
+
+def test_a_right_index_past_the_header_stops_the_row_cut():
+    """A sorted list whose one bad index is a right index in the first row is
+    rejected at that row, not after a row is cut per declared left vertex."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(IndexOutOfRange, match="^line 3: "):
+            parse_edge_list("1000000 1000000\n0 0\n0 1000000\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_parse_names_the_first_bad_line_in_file_order():

@@ -2,6 +2,7 @@
 degree sequences where floating point gets the floor wrong."""
 
 import decimal
+import json
 import math
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from biholes.bounds import (
     floor_bound,
     log_reference_bound,
     potential,
+    rational_json_text,
     rational_to_json,
     strengthened_bound,
 )
@@ -157,6 +159,17 @@ def test_rational_to_json():
         "den": "3",
         "decimal": "-0.333333333333",
     }
+
+
+@settings(max_examples=200, deadline=None)
+@given(num=st.integers(-(2**400), 2**400), den=st.integers(1, 2**400))
+@example(num=-1, den=3)
+@example(num=0, den=1)
+def test_rational_json_text_is_the_dumped_dict(num, den):
+    x = Fraction(num, den)
+    text = rational_json_text(x)
+    assert json.loads(text) == rational_to_json(x)
+    assert text == json.dumps(rational_to_json(x))
 
 
 def test_bound_report_c6():

@@ -12,6 +12,7 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,6 +27,7 @@ from biholes.bigraph import (
     generate,
     serialize,
 )
+from biholes.bounds import rational_json_text, rational_to_json
 from biholes.cli import (
     CSV_HEADER,
     EXIT_OK,
@@ -37,6 +39,7 @@ from biholes.cli import (
 )
 from biholes.errors import InvalidSize, TraceMismatch
 from biholes.extract import BiholeWitness, find_bihole
+from reference_output import payload as reference_payload
 
 C6_TEXT = "3 3\n0 0\n0 1\n1 1\n1 2\n2 0\n2 2\n"
 
@@ -176,6 +179,65 @@ def test_extract_on_near_complete_graphs_keeps_its_bytes(tmp_path, capsys, name,
     assert main(["extract", str(path), "--d", d, "--trace", "--verify"]) == EXIT_OK
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == NEAR_COMPLETE_DIGESTS[name, d]
+
+
+def _extract_stdout(text: str, d: int, trace: bool) -> str:
+    """stdout of ``extract - --d D``, with ``--trace`` when asked, on the
+    edge list ``text``."""
+    argv = ["extract", "-", "--d", str(d)] + (["--trace"] if trace else [])
+    out = io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), contextlib.redirect_stdout(out):
+        assert main(argv) == EXIT_OK
+    return out.getvalue()
+
+
+def _first_difference(got: str, want: str) -> str:
+    """Where two texts first differ; pytest's own diff of two long strings
+    takes minutes."""
+    k = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    lo = max(k - 40, 0)
+    return f"first difference at offset {k}: {got[lo : k + 40]!r} != {want[lo : k + 40]!r}"
+
+
+def _assert_reference_bytes(g, d: int) -> None:
+    """extract writes, with and without --trace, the bytes of json.dumps of
+    the reference payload."""
+    witness, trace = cli._find(g, d)
+    for recorded in (None, trace):
+        got = _extract_stdout(serialize(g), d, recorded is not None)
+        want = json.dumps(reference_payload(witness, recorded)) + "\n"
+        if got != want:
+            pytest.fail(_first_difference(got, want))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 14),
+    p=st.sampled_from([0.1, 0.2, 0.3, 0.5, 0.7, 0.9]),
+    seed=st.integers(0, 2**64 - 1),
+    d=st.integers(0, 3),
+)
+def test_extract_writes_the_reference_bytes_on_gnp(n, p, seed, d):
+    _assert_reference_bytes(generate("gnp", n, seed=seed, p=p), d)
+
+
+@pytest.mark.parametrize("d", range(4))
+@pytest.mark.parametrize("model, n", [("edgeless", 5), ("complete", 6), ("crown", 7), (None, 0)])
+def test_extract_writes_the_reference_bytes_on_named_graphs(model, n, d):
+    """The model graphs, and with no model the 0 x 0 graph."""
+    _assert_reference_bytes(build_graph(0, 0, []) if model is None else generate(model, n), d)
+
+
+@pytest.mark.parametrize("d", range(4))
+def test_extract_writes_the_reference_bytes_past_300_bit_denominators(d):
+    """The half graph on 250 + 250 vertices (left i adjacent to rights
+    0..i) has every degree 1..250, and its bound values' denominators pass
+    300 bits."""
+    g = build_graph(250, 250, [(i, j) for i in range(250) for j in range(i + 1)])
+    values = cli._find(g, d)[1].bound_values
+    assert max(v.denominator.bit_length() for v in values) > 300
+    assert all(json.loads(rational_json_text(x)) == rational_to_json(x) for x in values)
+    _assert_reference_bytes(g, d)
 
 
 def test_extract_negative_d(c6_path):

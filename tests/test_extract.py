@@ -722,6 +722,17 @@ def test_check_trace_builds_no_vertex_ref(monkeypatch):
     assert built == []
 
 
+def test_steps_and_vertex_refs_have_no_instance_dict():
+    """PeelStep and VertexRef are slotted: the peel builds one per step and
+    per low-degree vertex, and a slotted instance is smaller and quicker to
+    build."""
+    _, tr = find_degenerate(generate("gnp", 40, seed=1, p=0.1), 2)
+    low = next(step for step in tr.steps if step.v is not None)
+    pair = next(step for step in tr.steps if step.v is None)
+    for obj in (low, pair, low.v):
+        assert not hasattr(obj, "__dict__")
+
+
 def test_check_trace_wants_exactly_a_vertex_ref():
     """A recorded v matches only as a VertexRef of the replayed side and index."""
     g = generate("crown", 4)
