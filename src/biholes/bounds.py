@@ -30,6 +30,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .bigraph import BipartiteGraph, Side, require_balanced, require_nonnegative_d
 from .errors import DegreeTooSmall
@@ -45,6 +46,7 @@ __all__ = [
     "bound_report",
     "rational_to_json",
     "rational_json_text",
+    "rational_json_texts",
     "decimal_string",
 ]
 
@@ -168,6 +170,9 @@ def decimal_string(x: Fraction, digits: int = _DECIMAL_SIGNIFICANT_DIGITS) -> st
     return ctx.to_sci_string(value)
 
 
+_RATIONAL_TEXT = '{"num": "%d", "den": "%d", "decimal": "%s"}'
+
+
 def rational_to_json(x: Fraction) -> dict:
     return {
         "num": str(x.numerator),
@@ -178,9 +183,21 @@ def rational_to_json(x: Fraction) -> dict:
 
 def rational_json_text(x: Fraction) -> str:
     """``json.dumps(rational_to_json(x))``, written with no dict."""
-    return '{"num": "%d", "den": "%d", "decimal": "%s"}' % (
-        x.numerator, x.denominator, decimal_string(x)
-    )
+    return rational_json_texts((x,))[0]
+
+
+def rational_json_texts(values: Iterable[Fraction]) -> list[str]:
+    """``rational_json_text`` of each value.  A peel's bound values share a
+    few denominators, so each distinct one is made a Decimal once."""
+    ctx, dens, texts = _DECIMAL_CONTEXT, {}, []
+    for x in values:
+        num, den = x.numerator, x.denominator
+        big = dens.get(den)
+        if big is None:
+            big = dens[den] = decimal.Decimal(den)
+        value = ctx.to_sci_string(ctx.divide(decimal.Decimal(num), big))
+        texts.append(_RATIONAL_TEXT % (num, den, value))
+    return texts
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,8 @@ Each output type writes its JSON text (``json_text``) from format strings,
 with no dict per step, bound value or vertex, in the bytes ``json.dumps``
 gives the dict form (``tests/reference_output.py``): at 10^5 vertices per
 side and 10^6 edges the d = 2 output takes 0.8-1.2 s to write, not 2.4-2.9 s.
-PeelStep and VertexRef are slotted, as the peel builds one per step.
+PeelStep and VertexRef are slotted, as the peel builds one per step, and
+PeelStep's one constructor stores its fields through the slots' setters.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from itertools import compress, repeat
 from typing import Iterable, Iterator
 
 from .bigraph import BipartiteGraph, Side, VertexRef, require_balanced, require_nonnegative_d
-from .bounds import BoundReport, bound_report, rational_json_text
+from .bounds import BoundReport, bound_report, rational_json_texts
 from .errors import TraceMismatch
 from .oracle import StuckCore, degeneracy_certificate
 
@@ -89,7 +90,7 @@ _PAIR_STEP = '{"kind": "%s", "a": %d, "b": %d, "v": null, "degrees_before": [%d,
 _LOW_STEP = '{"kind": "%s", "a": null, "b": null, "v": ["%s", %d], "degrees_before": [%d, %d, %d, null]}'
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PeelStep:
     """One recorded peeling step, in original vertex labels.
 
@@ -103,11 +104,36 @@ class PeelStep:
     b: int | None = None
     v: VertexRef | None = None
 
+    def __init__(
+        self,
+        kind: str,
+        degrees_before: tuple,
+        a: int | None = None,
+        b: int | None = None,
+        v: VertexRef | None = None,
+    ):
+        # The generated __init__ of a frozen class goes through
+        # object.__setattr__ per field; the slots' own setters cost less.
+        _set_kind(self, kind)
+        _set_degrees(self, degrees_before)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_v(self, v)
+
     def json_text(self) -> str:
         """The step as JSON: kind, a, b, v and degrees_before."""
         if self.v is None:
             return _PAIR_STEP % (self.kind, self.a, self.b, *self.degrees_before)
         return _LOW_STEP % (self.kind, self.v.side.value, self.v.index, *self.degrees_before[:3])
+
+
+_set_kind, _set_degrees, _set_a, _set_b, _set_v = (
+    PeelStep.kind.__set__,
+    PeelStep.degrees_before.__set__,
+    PeelStep.a.__set__,
+    PeelStep.b.__set__,
+    PeelStep.v.__set__,
+)
 
 
 @dataclass(frozen=True)
@@ -128,7 +154,7 @@ class PeelTrace:
         return '{"initial_report": %s, "steps": [%s], "bound_values": [%s]}' % (
             json.dumps(self.initial_report.to_json()),
             ", ".join(map(PeelStep.json_text, self.steps)),
-            ", ".join(map(rational_json_text, self.bound_values)),
+            ", ".join(rational_json_texts(self.bound_values)),
         )
 
 
@@ -414,30 +440,34 @@ class _WorkingGraph:
 def _peel(work: _WorkingGraph, d: int) -> Iterator[tuple]:
     """Carry out the deterministic rule on ``work`` until it is edgeless,
     yielding each step's PeelStep fields (kind, degrees_before, a, b, v)
-    once it is done: the low-degree vertex when d >= 1 and one exists, else
-    the selected pair.  A low-degree step's v is its vertex's (side rank,
-    index); :func:`_step` turns the fields into a PeelStep.  Both max-degree
-    pointers are refreshed once per step."""
-    maxes = work.max
+    and the strengthened numerator after it, once the step is done: the
+    low-degree vertex when d >= 1 and one exists, else the selected pair.
+    A low-degree step's v is its vertex's (side rank, index); :func:`_step`
+    turns the fields into a PeelStep.  Both max-degree pointers are
+    refreshed once per step."""
+    maxes, deg = work.max, work.deg
+    low_degree_vertex, select_pair = work.low_degree_vertex, work.select_pair
+    isolate, remove_pair = work.isolate, work.remove_pair
+    refresh_max, strengthened = work.refresh_max, work.strengthened
     while work.edge_count > 0:
         da, db = maxes
-        low = work.low_degree_vertex(d) if d >= 1 else None
+        low = low_degree_vertex(d) if d >= 1 else None
         if low is not None:
             s, i = low
-            degrees = (da, db, work.deg[s][i], None)
-            work.isolate(s, i)
-            work.refresh_max()
-            yield LOW_DEGREE_EDGE_DELETION, degrees, None, None, low
+            degrees = (da, db, deg[s][i], None)
+            isolate(s, i)
+            refresh_max()
+            yield LOW_DEGREE_EDGE_DELETION, degrees, None, None, low, strengthened()
         else:
-            a, b, case = work.select_pair()
-            degrees = (da, db, work.deg[0][a], work.deg[1][b])
-            work.remove_pair(a, b)
-            work.refresh_max()
-            yield PAIR_CASE1 if case == 1 else PAIR_CASE2, degrees, a, b, None
+            a, b, case = select_pair()
+            degrees = (da, db, deg[0][a], deg[1][b])
+            remove_pair(a, b)
+            refresh_max()
+            yield PAIR_CASE1 if case == 1 else PAIR_CASE2, degrees, a, b, None, strengthened()
 
 
 def _step(kind: str, degrees: tuple, a, b, v) -> PeelStep:
-    """The PeelStep of one field tuple of :func:`_peel`."""
+    """The PeelStep of the fields that :func:`_peel` yields."""
     return PeelStep(kind, degrees, a, b, None if v is None else VertexRef(_SIDES[v[0]], v[1]))
 
 
@@ -463,9 +493,9 @@ def _run_peel(g: BipartiteGraph, d: int):
     work = _WorkingGraph(g, d)
     steps: list[PeelStep] = []
     nums = [work.strengthened()]
-    for fields in _peel(work, d):
-        steps.append(_step(*fields))
-        nums.append(work.strengthened())
+    for kind, degrees, a, b, v, num in _peel(work, d):
+        steps.append(_step(kind, degrees, a, b, v))
+        nums.append(num)
     lefts, rights = survivors(g, steps)
     den = 2 * work.scale
     return lefts, rights, tuple(steps), tuple(Fraction(x, den) for x in nums)
@@ -551,15 +581,19 @@ def check_trace(g: BipartiteGraph, trace: PeelTrace, d: int) -> bool:
         expected = next(replay, None)
         if expected is None:
             raise TraceMismatch(f"step {pos}: {step} recorded after the peel ends")
+        kind, degrees, a, b, v, num = expected
         if (
             step.__class__ is not PeelStep
-            or (step.kind, step.degrees_before, step.a, step.b) != expected[:4]
-            or not _is_vertex(step.v, expected[4])
+            or step.kind != kind
+            or step.degrees_before != degrees
+            or step.a != a
+            or step.b != b
+            or not _is_vertex(step.v, v)
         ):
             raise TraceMismatch(
-                f"step {pos}: recorded {step} but the rule takes {_step(*expected)}"
+                f"step {pos}: recorded {step} but the rule takes {_step(*expected[:5])}"
             )
-        nums.append(work.strengthened())
+        nums.append(num)
     if work.edge_count > 0:
         raise TraceMismatch(
             f"trace ends after {len(trace.steps)} steps with {work.edge_count} edges left"

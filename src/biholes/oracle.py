@@ -15,9 +15,10 @@ side (2^n).  The degenerate optimum enumerates balanced pairs of subsets
 outright, counting the edges between S and T by one AND of S's packed rows
 with T repeated, so that only pairs within the edge budget reach the
 peeling check.
-:func:`degeneracy_certificate` keeps its candidates in a heap so that it
-scales to extracted witnesses; its output is an elimination order that
-:func:`check_elimination_order` replays naively.
+:func:`degeneracy_certificate` keeps its candidates in a heap of ints, one
+per (degree, side, index) key, so that it scales to extracted witnesses; its
+output is an elimination order that :func:`check_elimination_order` replays
+naively, reading the order once against one set of indices per side.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import compress
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .bigraph import BipartiteGraph, Side, VertexRef, require_balanced, require_nonnegative_d
 from .errors import IndexOutOfRange, InstanceTooLarge
@@ -89,6 +90,9 @@ class StuckCore:
     right: tuple[int, ...]
 
 
+_SIDES = (Side.LEFT, Side.RIGHT)
+
+
 def _check_side_indices(g: BipartiteGraph, indices: Iterable[int], side: Side) -> list[int]:
     count = g.left_count if side is Side.LEFT else g.right_count
     out = sorted(set(indices))
@@ -118,8 +122,10 @@ def degeneracy_certificate(
 
     Repeatedly removes the vertex of minimum current degree among those with
     degree <= d, breaking ties Left side first, then by ascending index.  The
-    candidates sit in a min-heap keyed by (degree, side, index), so each
-    removal costs O(deg log n) rather than a scan of every live vertex.
+    candidates sit in a min-heap of ints, ``(degree * 2 + side rank) * span
+    + index`` with ``span`` the larger side of g, which order exactly as the
+    tuples (degree, side rank, index) would; so each removal costs
+    O(deg log n) rather than a scan of every live vertex.
     Returns the full elimination order (a list of VertexRef in original
     labels) iff every vertex gets removed; otherwise returns the remaining
     :class:`StuckCore`, whose minimum degree exceeds d.
@@ -132,23 +138,32 @@ def degeneracy_certificate(
         {l: rset.intersection(g.left_adj[l]) for l in lefts},
         {r: lset.intersection(g.right_adj[r]) for r in rights},
     )
-    # (degree, side rank, index) for every vertex whose degree is <= d; an
-    # entry is stale once its vertex is gone or its degree has fallen
-    heap = [(len(adj[s][i]), s, i) for s in (0, 1) for i in adj[s] if len(adj[s][i]) <= d]
+    span = max(g.left_count, g.right_count)
+    # one key for every vertex whose degree is <= d; a key is stale once its
+    # vertex is gone or its degree has fallen
+    heap = [
+        (len(nbrs) * 2 + s) * span + i
+        for s in (0, 1)
+        for i, nbrs in adj[s].items()
+        if len(nbrs) <= d
+    ]
     heapify(heap)
     order: list[VertexRef] = []
     while heap:
-        deg, s, idx = heappop(heap)
+        rank, idx = divmod(heappop(heap), span)
+        s = rank & 1
         nbrs = adj[s].get(idx)
-        if nbrs is None or len(nbrs) != deg:
+        if nbrs is None or len(nbrs) != rank >> 1:
             continue
         del adj[s][idx]
-        other = adj[1 - s]
+        t = 1 - s
+        other = adj[t]
         for j in nbrs:
-            other[j].discard(idx)
-            if len(other[j]) <= d:
-                heappush(heap, (len(other[j]), 1 - s, j))
-        order.append(VertexRef(Side.LEFT if s == 0 else Side.RIGHT, idx))
+            rest = other[j]
+            rest.discard(idx)
+            if len(rest) <= d:
+                heappush(heap, (len(rest) * 2 + t) * span + j)
+        order.append(VertexRef(_SIDES[s], idx))
     if adj[0] or adj[1]:
         return StuckCore(tuple(sorted(adj[0])), tuple(sorted(adj[1])))
     return order
@@ -159,31 +174,35 @@ def check_elimination_order(
     left_set: Iterable[int],
     right_set: Iterable[int],
     d: int,
-    order: Sequence[VertexRef],
+    order: Iterable[VertexRef],
 ) -> bool:
     """Replay a claimed elimination order and verify it.
 
     Valid iff the order covers left_set union right_set exactly once and
     every vertex has degree <= d inside the not-yet-removed part of the
-    induced subgraph at its removal time.
+    induced subgraph at its removal time.  ``order`` is read once, so an
+    iterator gets the verdict of the list it yields.  The not-yet-removed
+    part is one set of indices per side: each entry must be a member of its
+    side's set, is checked against the other side's and is then removed,
+    and both sets must end empty.
     """
     lefts = _check_side_indices(g, left_set, Side.LEFT)
     rights = _check_side_indices(g, right_set, Side.RIGHT)
-    expected = {(Side.LEFT, l) for l in lefts} | {(Side.RIGHT, r) for r in rights}
-    seen = [(v.side, v.index) for v in order]
-    if len(seen) != len(set(seen)) or set(seen) != expected:
-        return False
     lset, rset = set(lefts), set(rights)
+    left_adj, right_adj = g.left_adj, g.right_adj
     for v in order:
-        if v.side is Side.LEFT:
-            if len(rset.intersection(g.left_adj[v.index])) > d:
+        side, i = v.side, v.index
+        if side is Side.LEFT:
+            if i not in lset or len(rset.intersection(left_adj[i])) > d:
                 return False
-            lset.discard(v.index)
+            lset.remove(i)
+        elif side is Side.RIGHT:
+            if i not in rset or len(lset.intersection(right_adj[i])) > d:
+                return False
+            rset.remove(i)
         else:
-            if len(lset.intersection(g.right_adj[v.index])) > d:
-                return False
-            rset.discard(v.index)
-    return True
+            return False
+    return not lset and not rset
 
 
 # -- exhaustive optima --------------------------------------------------------

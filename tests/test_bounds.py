@@ -22,6 +22,7 @@ from biholes.bounds import (
     log_reference_bound,
     potential,
     rational_json_text,
+    rational_json_texts,
     rational_to_json,
     strengthened_bound,
 )
@@ -170,6 +171,9 @@ def test_rational_json_text_is_the_dumped_dict(num, den):
     text = rational_json_text(x)
     assert json.loads(text) == rational_to_json(x)
     assert text == json.dumps(rational_to_json(x))
+    # a denominator met again reuses its Decimal
+    values = [x, Fraction(num + 1, den), x]
+    assert rational_json_texts(values) == [json.dumps(rational_to_json(v)) for v in values]
 
 
 def test_bound_report_c6():

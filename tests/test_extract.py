@@ -6,7 +6,7 @@ import re
 import time
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
+from dataclasses import MISSING, FrozenInstanceError, fields, replace
 from fractions import Fraction
 from heapq import heappush
 
@@ -731,6 +731,54 @@ def test_steps_and_vertex_refs_have_no_instance_dict():
     pair = next(step for step in tr.steps if step.v is None)
     for obj in (low, pair, low.v):
         assert not hasattr(obj, "__dict__")
+
+
+def test_peel_step_keeps_its_record_contract():
+    """The hand-written constructor leaves PeelStep the frozen dataclass
+    record it was: fields, construction, replace, equality, hash, repr and
+    immutability (its slots are checked above)."""
+    assert [(f.name, f.default) for f in fields(PeelStep)] == [
+        ("kind", MISSING),
+        ("degrees_before", MISSING),
+        ("a", None),
+        ("b", None),
+        ("v", None),
+    ]
+    v = VertexRef(Side.RIGHT, 3)
+    low = PeelStep(LOW_DEGREE_EDGE_DELETION, (4, 5, 2, None), v=v)
+    assert low == PeelStep(LOW_DEGREE_EDGE_DELETION, (4, 5, 2, None), None, None, v)
+    pair = PeelStep(degrees_before=(4, 5, 4, 5), kind=PAIR_CASE1, a=1, b=2)
+    assert (pair.kind, pair.degrees_before, pair.a, pair.b, pair.v) == (
+        PAIR_CASE1, (4, 5, 4, 5), 1, 2, None
+    )
+    assert replace(pair, b=7) == PeelStep(PAIR_CASE1, (4, 5, 4, 5), 1, 7)
+    assert pair != low and pair != replace(pair, kind=PAIR_CASE2)
+    assert hash(pair) == hash((PAIR_CASE1, (4, 5, 4, 5), 1, 2, None))
+    assert repr(low) == (
+        "PeelStep(kind='low_degree_edge_deletion', degrees_before=(4, 5, 2, None), "
+        "a=None, b=None, v=VertexRef(side=<Side.RIGHT: 'R'>, index=3))"
+    )
+    with pytest.raises(FrozenInstanceError):
+        pair.a = 3
+    with pytest.raises(TypeError):
+        PeelStep(PAIR_CASE1)
+
+
+def test_the_peel_builds_each_step_through_its_constructor(monkeypatch):
+    """Every PeelStep the peel records goes through PeelStep.__init__, so a
+    counting constructor, as in the tests of check_trace above, sees them all."""
+    g = generate("gnp", 400, seed=1, p=0.025)
+    built = []
+    init = PeelStep.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PeelStep, "__init__", counting_init)
+    steps = _run_peel(g, 2)[2]
+    assert sum(step.kind == LOW_DEGREE_EDGE_DELETION for step in steps) > 300
+    assert list(map(id, built)) == list(map(id, steps))
 
 
 def test_check_trace_wants_exactly_a_vertex_ref():

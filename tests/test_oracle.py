@@ -231,25 +231,62 @@ def test_certificate_matches_rescan_reference(n, p, seed, d, data):
 )
 def test_witness_checks_match_the_per_neighbour_loops(n, p, seed, d, data):
     """The set-operation checks return the verdicts, orders and stuck cores
-    of the per-neighbour loops, for valid, shuffled and corrupted orders."""
+    of the per-neighbour loops, for valid, shuffled and corrupted orders,
+    on balanced and unbalanced graphs, with either witness side empty."""
     g = generate("gnp", n, seed=seed, p=p)
-    lefts = data.draw(st.sets(st.integers(0, n - 1)))
-    rights = data.draw(st.sets(st.integers(0, n - 1)))
+    more_left, more_right = data.draw(st.sampled_from([(0, 0), (3, 0), (0, 3)]))
+    if more_left or more_right:
+        nl, nr = n + more_left, n + more_right
+        edges = [(l, r) for l, row in enumerate(g.left_adj) for r in row]
+        edges += data.draw(st.lists(st.tuples(st.integers(0, nl - 1), st.integers(0, nr - 1))))
+        g = build_graph(nl, nr, edges)
+    lefts = data.draw(st.sets(st.integers(0, g.left_count - 1)))
+    rights = data.draw(st.sets(st.integers(0, g.right_count - 1)))
+    empty = data.draw(st.sampled_from([None, "left", "right"]))
+    if empty == "left":
+        lefts = set()
+    elif empty == "right":
+        rights = set()
     assert is_bihole(g, lefts, rights) == reference_is_bihole(g, lefts, rights)
     cert = degeneracy_certificate(g, lefts, rights, d)
     assert cert == reference_degeneracy_certificate(g, lefts, rights, d)
     members = [VertexRef(Side.LEFT, l) for l in sorted(lefts)]
     members += [VertexRef(Side.RIGHT, r) for r in sorted(rights)]
-    orders = [data.draw(st.permutations(members))]
+    first = data.draw(st.permutations(members))
+    orders = [first]
     if not isinstance(cert, StuckCore):
         orders.append(cert)
     if members:
-        orders.append(orders[0][1:])
-        orders.append(orders[0] + orders[0][:1])
-    orders.append(orders[0] + [VertexRef(Side.RIGHT, data.draw(st.integers(0, n - 1)))])
+        orders.append(first[1:])
+        orders.append(first + first[:1])
+        # the right length, but a member twice
+        orders.append(first[:-1] + first[:1])
+    orders.append(first + [VertexRef(Side.RIGHT, data.draw(st.integers(0, n - 1)))])
+    # an entry whose side is not a Side, then one whose index is outside the
+    # sets, each in place of a member or added
+    side = data.draw(st.sampled_from(["L", "R", None]))
+    index = data.draw(st.sampled_from(first)).index if first else 0
+    outside = data.draw(st.sampled_from(list(Side)))
+    inside = lefts if outside is Side.LEFT else rights
+    far = data.draw(st.integers(-2, n + 5).filter(lambda i: i not in inside))
+    for entry in (VertexRef(side, index), VertexRef(outside, far)):
+        k = data.draw(st.integers(0, len(first)))
+        orders.append(first[:k] + [entry] + first[k + data.draw(st.integers(0, 1)) :])
     for order in orders:
         verdict = check_elimination_order(g, lefts, rights, d, order)
         assert verdict == reference_check_elimination_order(g, lefts, rights, d, order)
+
+
+@pytest.mark.parametrize("d, verdict", [(4, True), (1, False)])
+def test_check_elimination_order_reads_the_order_once(d, verdict):
+    """A list, a tuple, an iterator and a generator of one order get one
+    verdict: K_{4,4} is 4-degenerate, and at d = 1 its first vertex fails."""
+    g = generate("complete", 4)
+    order = degeneracy_certificate(g, range(4), range(4), 4)
+    forms = [order, tuple(order), iter(order), (v for v in order)]
+    assert [check_elimination_order(g, range(4), range(4), d, form) for form in forms] == [
+        verdict
+    ] * 4
 
 
 # -- exhaustive optima -------------------------------------------------------------
