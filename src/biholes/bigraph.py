@@ -139,17 +139,13 @@ class BipartiteGraph:
     def complement(self) -> BipartiteGraph:
         """The bipartite complement: cross edges flipped, sides untouched."""
         full = range(self.right_count)
-        new_left = []
-        for nbrs in self.left_adj:
-            present = set(nbrs)
-            new_left.append(tuple(r for r in full if r not in present))
-        new_right = []
-        for nbrs in self.right_adj:
-            present = set(nbrs)
-            new_right.append(tuple(l for l in range(self.left_count) if l not in present))
+        new_left = tuple(
+            tuple(r for r in full if r not in present) for present in map(set, self.left_adj)
+        )
         edge_count = self.left_count * self.right_count - self.edge_count
         return BipartiteGraph(
-            self.left_count, self.right_count, tuple(new_left), tuple(new_right), edge_count
+            self.left_count, self.right_count, new_left, _mirror(new_left, self.right_count),
+            edge_count,
         )
 
     # -- value semantics ---------------------------------------------------

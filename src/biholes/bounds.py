@@ -44,8 +44,6 @@ __all__ = [
     "log_reference_bound",
     "BoundReport",
     "bound_report",
-    "rational_to_json",
-    "rational_json_text",
     "rational_json_texts",
     "decimal_string",
 ]
@@ -171,24 +169,19 @@ def decimal_string(x: Fraction, digits: int = _DECIMAL_SIGNIFICANT_DIGITS) -> st
 
 
 _RATIONAL_TEXT = '{"num": "%d", "den": "%d", "decimal": "%s"}'
-
-
-def rational_to_json(x: Fraction) -> dict:
-    return {
-        "num": str(x.numerator),
-        "den": str(x.denominator),
-        "decimal": decimal_string(x),
-    }
-
-
-def rational_json_text(x: Fraction) -> str:
-    """``json.dumps(rational_to_json(x))``, written with no dict."""
-    return rational_json_texts((x,))[0]
+_REPORT_TEXT = (
+    '{"n": %d, "d": %d, "floor_bound": %d, "strengthened": %s, "ceil_strengthened": %d, '
+    '"average_degree_bound": %s, "log_reference": %s}'
+)
+_LOG_TEXT = '{"value": %s, "eps": %s, "size_hypothesis_met": %s}'
+_JSON_LITERAL = {True: "true", False: "false", None: "null"}
 
 
 def rational_json_texts(values: Iterable[Fraction]) -> list[str]:
-    """``rational_json_text`` of each value.  A peel's bound values share a
-    few denominators, so each distinct one is made a Decimal once."""
+    """Each value as JSON: its num and den as strings and its
+    :func:`decimal_string`, in the bytes ``json.dumps`` gives that dict.  A
+    peel's bound values share a few denominators, so each distinct one is
+    made a Decimal once."""
     ctx, dens, texts = _DECIMAL_CONTEXT, {}, []
     for x in values:
         num, den = x.numerator, x.denominator
@@ -223,23 +216,18 @@ class BoundReport:
     def ceil_strengthened(self) -> int:
         return math.ceil(self.strengthened)
 
-    def to_json(self) -> dict:
-        log_part = None
+    def json_text(self) -> str:
+        """The report as JSON, rationals as by :func:`rational_json_texts`
+        and ``log_reference`` null when there is none."""
+        rationals = self.strengthened, self.average_degree_bound
+        strengthened, average = rational_json_texts(rationals)
+        log_part = "null"
         if self.log_reference is not None:
-            log_part = {
-                "value": rational_to_json(self.log_reference),
-                "eps": rational_to_json(self.log_reference_eps),
-                "size_hypothesis_met": self.log_size_hypothesis_met,
-            }
-        return {
-            "n": self.n,
-            "d": self.d,
-            "floor_bound": self.floor_bound,
-            "strengthened": rational_to_json(self.strengthened),
-            "ceil_strengthened": self.ceil_strengthened,
-            "average_degree_bound": rational_to_json(self.average_degree_bound),
-            "log_reference": log_part,
-        }
+            value, eps = rational_json_texts((self.log_reference, self.log_reference_eps))
+            log_part = _LOG_TEXT % (value, eps, _JSON_LITERAL[self.log_size_hypothesis_met])
+        return _REPORT_TEXT % (
+            self.n, self.d, self.floor_bound, strengthened, self.ceil_strengthened, average, log_part
+        )
 
 
 def bound_report(g: BipartiteGraph, d: int = 0, eps: Fraction = Fraction(1, 2)) -> BoundReport:

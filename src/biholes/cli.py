@@ -147,9 +147,7 @@ def _cmd_bound(args) -> int:
     g = _read_graph(args.input)
     report = bound_report(g, args.d, _eps(args.eps))
     if args.json:
-        import json
-
-        print(json.dumps(report.to_json()))
+        print(report.json_text())
         return EXIT_OK
     lines = [
         f"n: {report.n}",

@@ -54,7 +54,6 @@ PeelStep's one constructor stores its fields through the slots' setters.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -63,10 +62,10 @@ from heapq import heappop, heappush
 from itertools import compress, repeat
 from typing import Iterable, Iterator
 
-from .bigraph import BipartiteGraph, Side, VertexRef, require_balanced, require_nonnegative_d
+from .bigraph import BipartiteGraph, VertexRef, require_balanced, require_nonnegative_d
 from .bounds import BoundReport, bound_report, rational_json_texts
 from .errors import TraceMismatch
-from .oracle import StuckCore, degeneracy_certificate
+from .oracle import _SIDES, StuckCore, degeneracy_certificate
 
 __all__ = [
     "PAIR_CASE1",
@@ -152,7 +151,7 @@ class PeelTrace:
     def json_text(self) -> str:
         """The trace as JSON: the initial report, the steps and the bound values."""
         return '{"initial_report": %s, "steps": [%s], "bound_values": [%s]}' % (
-            json.dumps(self.initial_report.to_json()),
+            self.initial_report.json_text(),
             ", ".join(map(PeelStep.json_text, self.steps)),
             ", ".join(rational_json_texts(self.bound_values)),
         )
@@ -193,9 +192,6 @@ class DegenerateWitness:
         return '%s, "elimination_order": [%s]}' % (BiholeWitness.json_text(self)[:-1], order)
 
 
-_SIDES = (Side.LEFT, Side.RIGHT)
-
-
 def _in_row(row: tuple[int, ...], j: int) -> bool:
     """Whether j is in the strictly increasing tuple row, by binary search."""
     p = bisect_left(row, j)
@@ -210,23 +206,24 @@ class _WorkingGraph:
     has degree 0, so the graph's own neighbour tuples are walked, never
     edited: a neighbour of degree 0 has lost the edge already, and any other
     neighbour still has it.  Degrees only fall, so the per-side max-degree
-    pointers only move down.
+    pointers only move down, and no count of a bucket is kept: the degree
+    array tells which entries are live.
 
     ``queue[s][x]`` is bucket x.  For 1 <= x <= d it is a min-heap of the
-    vertices that entered degree x (stale once they leave it) and
-    ``cnt[s][x]`` counts its live vertices; no degree above d is counted.
+    vertices that entered degree x; a vertex enters a degree at most once,
+    so an entry is live iff its vertex still has degree x.
 
     Above d each vertex is registered in one bucket at or above its degree,
     at first that of its input degree; of the edge deletions, only a max
     bucket member's drop registers it, at its new degree.  ``refresh_max``
-    drains the buckets below the lowest drained one, ``low[s]``, each once,
-    until one holds a vertex of its own degree: those vertices form the max
-    bucket, which never gains members (``top_order[s]`` ascending,
-    ``top_members[s]`` those still in it, ``top_start[s]`` the first position
-    that may still hold one), and every other entry above d is registered
-    again at its degree.  A registration is made at the current degree, so
-    each re-registration is paid for by a drop since the last one: the
-    drains visit at most n + m entries per side.
+    drains the buckets below ``max[s]`` (above d, the lowest drained one)
+    each once, until one holds a vertex of its own degree: those vertices
+    form the max bucket, which never gains members (``top_order[s]``
+    ascending, ``top_members[s]`` those still in it, ``top_start[s]`` the
+    first position that may still hold one), and every other entry above d
+    is registered again at its degree.  A registration is made at the
+    current degree, so each re-registration is paid for by a drop since the
+    last one: the drains visit at most n + m entries per side.
 
     ``total`` is ``scale`` times the sum of potential(deg v, d) over live
     vertices.  ``scale`` is the lcm of x + 1 over d < x <= the initial
@@ -243,7 +240,6 @@ class _WorkingGraph:
     """
 
     def __init__(self, g: BipartiteGraph, d: int):
-        self.n = g.left_count
         self.d = d
         self.nbrs = (g.left_adj, g.right_adj)
         self.covered, self.cover_of = set(), set()
@@ -254,13 +250,11 @@ class _WorkingGraph:
         for queue, deg in zip(self.queue, self.deg):
             for i, x in enumerate(deg):
                 queue[x].append(i)
-        self.cnt = tuple([len(q) for q in queue[: min(d, top) + 1]] for queue in self.queue)
-        self.low = [top + 1, top + 1]
-        self.top_x = [-1, -1]
         self.top_order = [[], []]
         self.top_members = [set(), set()]
         self.top_start = [0, 0]
-        self.max = [top, top]
+        # one above every bucket, so that the first refresh drains bucket top
+        self.max = [top + 1, top + 1]
         self.refresh_max()
         self.edge_count = g.edge_count
         self.scale = math.lcm(*range(d + 2, top + 2))
@@ -275,29 +269,30 @@ class _WorkingGraph:
         """Move each side's max-degree pointer down to its current maximum.
 
         A side whose max bucket still has members keeps its pointer.  Else
-        the buckets above d below ``low[s]`` are drained downward until one
-        yields members, and past them the counts of buckets d..1 are read."""
+        the buckets above d below ``max[s]`` are drained downward until one
+        yields members, and past them the heaps of buckets d..1 (none above
+        the input's maximum degree) are read until one holds a live vertex."""
         d = self.d
         for s in (0, 1):
             if self.top_members[s]:
                 continue
-            x = self.low[s]
+            x = self.max[s]
             while x > d + 1:
                 x -= 1
                 if self._drain(s, x):
                     break
             else:
-                cnt = self.cnt[s]
-                x = min(self.max[s], len(cnt) - 1)
-                while x and not cnt[x]:
+                x = min(x, d, len(self.queue[s]) - 1)
+                while x and self._lowest(s, x) is None:
                     x -= 1
-            self.max[s] = x
+                self.max[s] = x
 
     def _drain(self, s: int, x: int) -> bool:
-        """Empty bucket x > d of side s, the highest not yet drained: its
-        entries of degree x become the sorted max bucket, and every other
-        entry still above d is registered at its degree, which is below x.
-        Returns whether the bucket held a vertex of degree x."""
+        """Empty bucket x > d of side s, the highest not yet drained, and
+        point ``max[s]`` at it: its entries of degree x become the sorted max
+        bucket, and every other entry still above d is registered at its
+        degree, which is below x.  Returns whether the bucket held a vertex
+        of degree x."""
         queue, deg, d = self.queue[s], self.deg[s], self.d
         order = []
         for j in queue[x]:
@@ -307,23 +302,23 @@ class _WorkingGraph:
             elif y > d:
                 queue[y].append(j)
         queue[x] = []
-        self.low[s] = x
+        self.max[s] = x
         if not order:
             return False
         if s and self.covered and not self.cover_of.issuperset(order):
             self.covered.clear()
         order.sort()
-        self.top_x[s], self.top_order[s], self.top_members[s] = x, order, set(order)
+        self.top_order[s], self.top_members[s] = order, set(order)
         self.top_start[s] = 0
         return True
 
-    def _lowest(self, s: int, x: int) -> int:
-        """Lowest index of degree x on side s, for a nonempty bucket
-        1 <= x <= d; stale heap entries are dropped for good."""
+    def _lowest(self, s: int, x: int) -> int | None:
+        """Lowest index of degree x on side s, 1 <= x <= d, or None if
+        there is none; stale heap entries are dropped for good."""
         heap, deg = self.queue[s][x], self.deg[s]
-        while deg[heap[0]] != x:
+        while heap and deg[heap[0]] != x:
             heappop(heap)
-        return heap[0]
+        return heap[0] if heap else None
 
     def _lowest_max(self, s: int, accept=None) -> int | None:
         """Lowest member of side s's sorted max bucket that ``accept``
@@ -375,13 +370,15 @@ class _WorkingGraph:
         row = self.nbrs[0][a]
         return a, self._lowest_max(1, lambda j: not _in_row(row, j)), 1
 
-    def low_degree_vertex(self, d: int) -> tuple[int, int] | None:
+    def low_degree_vertex(self) -> tuple[int, int] | None:
         """(side, index) of the vertex of minimum degree in [1, d]; Left
         side first, then ascending index.  None when no such vertex exists."""
-        for x in range(1, len(self.cnt[0])):
+        lowest = self._lowest
+        for x in range(1, min(self.d, len(self.queue[0]) - 1) + 1):
             for s in (0, 1):
-                if self.cnt[s][x]:
-                    return s, self._lowest(s, x)
+                i = lowest(s, x)
+                if i is not None:
+                    return s, i
         return None
 
     def _cut(self, s: int, i: int) -> int:
@@ -389,8 +386,9 @@ class _WorkingGraph:
         bucket; returns its former degree.  A neighbour of degree above
         d + 1 outside the max bucket only has its degree lowered."""
         t = 1 - s
-        deg, cnt, queue, gain, d = self.deg[t], self.cnt[t], self.queue[t], self.gain, self.d
-        top, members = self.top_x[t], self.top_members[t]
+        deg, queue, gain, d = self.deg[t], self.queue[t], self.gain, self.d
+        # at or below d, max[t] is no drained bucket and members is empty
+        top, members = self.max[t], self.top_members[t]
         lo = d + 1
         delta = 0
         for j in self.nbrs[s][i]:
@@ -403,20 +401,13 @@ class _WorkingGraph:
                 delta += gain[x]
                 if x == top:
                     members.discard(j)
-                    if y > d:
-                        queue[y].append(j)
-                        continue
-                if x <= d:
-                    cnt[x] -= 1
-                if y:
-                    cnt[y] += 1
+                if y > d:
+                    queue[y].append(j)
+                elif y:
                     heappush(queue[y], j)
         x = self.deg[s][i]
         self.deg[s][i] = 0
-        if x == self.top_x[s]:
-            self.top_members[s].discard(i)
-        elif x <= d:
-            self.cnt[s][x] -= 1
+        self.top_members[s].discard(i)
         self.edge_count -= x
         self.total += delta
         return x
@@ -437,24 +428,27 @@ class _WorkingGraph:
         return self.total + self.term[self.max[0]] + self.term[self.max[1]] - 2 * self.scale
 
 
-def _peel(work: _WorkingGraph, d: int) -> Iterator[tuple]:
+def _peel(work: _WorkingGraph) -> Iterator[tuple]:
     """Carry out the deterministic rule on ``work`` until it is edgeless,
     yielding each step's PeelStep fields (kind, degrees_before, a, b, v)
     and the strengthened numerator after it, once the step is done: the
     low-degree vertex when d >= 1 and one exists, else the selected pair.
     A low-degree step's v is its vertex's (side rank, index); :func:`_step`
     turns the fields into a PeelStep.  Both max-degree pointers are
-    refreshed once per step."""
-    maxes, deg = work.max, work.deg
+    refreshed once per step.  Every step deletes an edge, so the peel ends
+    within m steps; a low-degree vertex of degree 0 raises RuntimeError."""
+    maxes, deg, d = work.max, work.deg, work.d
     low_degree_vertex, select_pair = work.low_degree_vertex, work.select_pair
     isolate, remove_pair = work.isolate, work.remove_pair
     refresh_max, strengthened = work.refresh_max, work.strengthened
     while work.edge_count > 0:
         da, db = maxes
-        low = low_degree_vertex(d) if d >= 1 else None
+        low = low_degree_vertex() if d else None
         if low is not None:
             s, i = low
             degrees = (da, db, deg[s][i], None)
+            if not degrees[2]:  # the same step would repeat forever
+                raise RuntimeError(f"low-degree step at {low} would delete no edge")
             isolate(s, i)
             refresh_max()
             yield LOW_DEGREE_EDGE_DELETION, degrees, None, None, low, strengthened()
@@ -493,7 +487,7 @@ def _run_peel(g: BipartiteGraph, d: int):
     work = _WorkingGraph(g, d)
     steps: list[PeelStep] = []
     nums = [work.strengthened()]
-    for kind, degrees, a, b, v, num in _peel(work, d):
+    for kind, degrees, a, b, v, num in _peel(work):
         steps.append(_step(kind, degrees, a, b, v))
         nums.append(num)
     lefts, rights = survivors(g, steps)
@@ -576,7 +570,7 @@ def check_trace(g: BipartiteGraph, trace: PeelTrace, d: int) -> bool:
     den = 2 * work.scale
     floor = work.total // den
     nums = [work.strengthened()]
-    replay = _peel(work, d)
+    replay = _peel(work)
     for pos, step in enumerate(trace.steps):
         expected = next(replay, None)
         if expected is None:
@@ -603,7 +597,7 @@ def check_trace(g: BipartiteGraph, trace: PeelTrace, d: int) -> bool:
     return (
         len(stored) == len(nums)
         and all(map(_equals, stored, nums, repeat(den)))
-        and (report.n, report.d) == (work.n, d)
+        and (report.n, report.d) == (g.left_count, d)
         and _equals(report.strengthened, nums[0], den)
         and report.floor_bound == floor
         and all(map(int.__le__, nums, nums[1:]))

@@ -1,17 +1,46 @@
-"""Reference payloads: the dict form of ``bihole extract``'s output, kept as a
-test oracle.
+"""Reference payloads: the dict form of ``bihole extract``'s and ``bihole
+bound --json``'s output, kept as a test oracle.
 
-The library writes each step, bound value, vertex and witness straight from
-a format string.  These are the dict builders that output was once made of;
-``json.dumps`` of :func:`payload` is the byte reference the writers are
-compared against.
+The library writes each step, bound value, report, vertex and witness
+straight from a format string.  These are the dict builders that output was
+once made of; ``json.dumps`` of :func:`payload` and of :func:`report_to_json`
+are the byte references the writers are compared against.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from biholes.bigraph import VertexRef
-from biholes.bounds import rational_to_json
+from biholes.bounds import BoundReport, decimal_string
 from biholes.extract import BiholeWitness, DegenerateWitness, PeelStep, PeelTrace
+
+
+def rational_to_json(x: Fraction) -> dict:
+    return {
+        "num": str(x.numerator),
+        "den": str(x.denominator),
+        "decimal": decimal_string(x),
+    }
+
+
+def report_to_json(report: BoundReport) -> dict:
+    log_part = None
+    if report.log_reference is not None:
+        log_part = {
+            "value": rational_to_json(report.log_reference),
+            "eps": rational_to_json(report.log_reference_eps),
+            "size_hypothesis_met": report.log_size_hypothesis_met,
+        }
+    return {
+        "n": report.n,
+        "d": report.d,
+        "floor_bound": report.floor_bound,
+        "strengthened": rational_to_json(report.strengthened),
+        "ceil_strengthened": report.ceil_strengthened,
+        "average_degree_bound": rational_to_json(report.average_degree_bound),
+        "log_reference": log_part,
+    }
 
 
 def vertex_to_json(v: VertexRef) -> list:
@@ -30,7 +59,7 @@ def step_to_json(step: PeelStep) -> dict:
 
 def trace_to_json(trace: PeelTrace) -> dict:
     return {
-        "initial_report": trace.initial_report.to_json(),
+        "initial_report": report_to_json(trace.initial_report),
         "steps": [step_to_json(s) for s in trace.steps],
         "bound_values": [rational_to_json(v) for v in trace.bound_values],
     }

@@ -27,7 +27,7 @@ from biholes.bigraph import (
     generate,
     serialize,
 )
-from biholes.bounds import rational_json_text, rational_to_json
+from biholes.bounds import bound_report, rational_json_texts
 from biholes.cli import (
     CSV_HEADER,
     EXIT_OK,
@@ -40,6 +40,7 @@ from biholes.cli import (
 from biholes.errors import InvalidSize, TraceMismatch
 from biholes.extract import BiholeWitness, find_bihole
 from reference_output import payload as reference_payload
+from reference_output import rational_to_json, report_to_json
 
 C6_TEXT = "3 3\n0 0\n0 1\n1 1\n1 2\n2 0\n2 2\n"
 
@@ -181,10 +182,9 @@ def test_extract_on_near_complete_graphs_keeps_its_bytes(tmp_path, capsys, name,
     assert hashlib.sha256(out.encode()).hexdigest() == NEAR_COMPLETE_DIGESTS[name, d]
 
 
-def _extract_stdout(text: str, d: int, trace: bool) -> str:
-    """stdout of ``extract - --d D``, with ``--trace`` when asked, on the
-    edge list ``text``."""
-    argv = ["extract", "-", "--d", str(d)] + (["--trace"] if trace else [])
+def _stdout(argv: list[str], text: str) -> str:
+    """stdout of the command ``argv``, which reads the edge list ``text``
+    from stdin."""
     out = io.StringIO()
     with mock.patch("sys.stdin", io.StringIO(text)), contextlib.redirect_stdout(out):
         assert main(argv) == EXIT_OK
@@ -201,11 +201,17 @@ def _first_difference(got: str, want: str) -> str:
 
 def _assert_reference_bytes(g, d: int) -> None:
     """extract writes, with and without --trace, the bytes of json.dumps of
-    the reference payload."""
+    the reference payload, and bound --json those of the reference report."""
+    text = serialize(g)
     witness, trace = cli._find(g, d)
-    for recorded in (None, trace):
-        got = _extract_stdout(serialize(g), d, recorded is not None)
-        want = json.dumps(reference_payload(witness, recorded)) + "\n"
+    extract = ["extract", "-", "--d", str(d)]
+    cases = [
+        (extract, reference_payload(witness)),
+        (extract + ["--trace"], reference_payload(witness, trace)),
+        (["bound", "-", "--d", str(d), "--json"], report_to_json(bound_report(g, d))),
+    ]
+    for argv, reference in cases:
+        got, want = _stdout(argv, text), json.dumps(reference) + "\n"
         if got != want:
             pytest.fail(_first_difference(got, want))
 
@@ -224,7 +230,9 @@ def test_extract_writes_the_reference_bytes_on_gnp(n, p, seed, d):
 @pytest.mark.parametrize("d", range(4))
 @pytest.mark.parametrize("model, n", [("edgeless", 5), ("complete", 6), ("crown", 7), (None, 0)])
 def test_extract_writes_the_reference_bytes_on_named_graphs(model, n, d):
-    """The model graphs, and with no model the 0 x 0 graph."""
+    """The model graphs, and with no model the 0 x 0 graph.  The edgeless
+    and 0 x 0 reports have no log reference, the complete and crown ones
+    have one."""
     _assert_reference_bytes(build_graph(0, 0, []) if model is None else generate(model, n), d)
 
 
@@ -236,7 +244,8 @@ def test_extract_writes_the_reference_bytes_past_300_bit_denominators(d):
     g = build_graph(250, 250, [(i, j) for i in range(250) for j in range(i + 1)])
     values = cli._find(g, d)[1].bound_values
     assert max(v.denominator.bit_length() for v in values) > 300
-    assert all(json.loads(rational_json_text(x)) == rational_to_json(x) for x in values)
+    texts = rational_json_texts(values)
+    assert [json.loads(t) for t in texts] == [rational_to_json(x) for x in values]
     _assert_reference_bytes(g, d)
 
 

@@ -584,6 +584,14 @@ def test_peel_refreshes_each_max_pointer_once_per_step(monkeypatch):
         assert len(calls) == len(tr.steps) + 1
 
 
+def test_a_low_degree_step_that_deletes_no_edge_raises(monkeypatch):
+    """Isolating a vertex of degree 0 changes nothing, so the peel would
+    take the same step forever."""
+    monkeypatch.setattr(extract._WorkingGraph, "low_degree_vertex", lambda self: (0, 0))
+    with pytest.raises(RuntimeError, match="would delete no edge"):
+        _run_peel(build_graph(2, 2, [(1, 1)]), 1)
+
+
 def test_peel_scales_to_sparse_n1600():
     """n = 1600 at average degree 10, where the rescan engine needs over 15 s."""
     g = generate("gnp", 1600, seed=1, p=10 / 1600)
