@@ -1,7 +1,9 @@
 """Bipartite graphs with two-sided adjacency, text I/O, and seeded generators.
 
 Vertices on each side are indexed 0..count-1.  Adjacency is stored from both
-sides as strictly increasing tuples.  Graph values are treated as immutable.
+sides as strictly increasing tuples.  A graph is an immutable value of three
+fields, its two side sizes and its left rows; its right rows and edge count
+are derived from them when it is built, by one routine (``_mirror``).
 
 Edge-list text format
 ---------------------
@@ -42,7 +44,7 @@ import functools
 import json
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, repeat
 from typing import Iterable, Iterator, NoReturn
@@ -92,31 +94,33 @@ class VertexRef:
         return '["%s", %d]' % (self.side.value, self.index)
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class BipartiteGraph:
     """An immutable bipartite graph on ``left_count`` + ``right_count`` vertices.
 
+    Built from three fields: the two side sizes and ``left_adj``, where
     ``left_adj[i]`` is the strictly increasing tuple of right-side
-    neighbours of left vertex ``i`` and ``right_adj[j]`` mirrors it exactly;
-    ``edge_count`` is kept consistent with both.  The peel looks up
-    adjacency by binary search in these rows.  Use :func:`build_graph` to
-    construct one.
+    neighbours of left vertex ``i``.  The other two are derived once, on
+    construction: ``right_adj[j]``, the left neighbours of right vertex
+    ``j`` (mirroring ``left_adj`` exactly, isolated vertices included), and
+    ``edge_count``.  A ``left_adj`` whose length is not ``left_count``
+    raises :class:`InvalidSize`; the rows themselves are trusted, so use
+    :func:`build_graph` to build one from an edge list.  Equality and the
+    hash read the three fields.  The peel looks up adjacency by binary
+    search in these rows.
     """
 
-    __slots__ = ("left_count", "right_count", "left_adj", "right_adj", "edge_count")
+    left_count: int
+    right_count: int
+    left_adj: tuple[tuple[int, ...], ...]
+    right_adj: tuple[tuple[int, ...], ...] = field(init=False, compare=False)
+    edge_count: int = field(init=False, compare=False)
 
-    def __init__(
-        self,
-        left_count: int,
-        right_count: int,
-        left_adj: tuple[tuple[int, ...], ...],
-        right_adj: tuple[tuple[int, ...], ...],
-        edge_count: int,
-    ):
-        self.left_count = left_count
-        self.right_count = right_count
-        self.left_adj = left_adj
-        self.right_adj = right_adj
-        self.edge_count = edge_count
+    def __post_init__(self):
+        if len(self.left_adj) != self.left_count:
+            raise InvalidSize(f"{len(self.left_adj)} left rows for {self.left_count} left vertices")
+        object.__setattr__(self, "right_adj", _mirror(self.left_adj, self.right_count))
+        object.__setattr__(self, "edge_count", sum(map(len, self.left_adj)))
 
     # -- basic queries ----------------------------------------------------
 
@@ -142,25 +146,7 @@ class BipartiteGraph:
         new_left = tuple(
             tuple(r for r in full if r not in present) for present in map(set, self.left_adj)
         )
-        edge_count = self.left_count * self.right_count - self.edge_count
-        return BipartiteGraph(
-            self.left_count, self.right_count, new_left, _mirror(new_left, self.right_count),
-            edge_count,
-        )
-
-    # -- value semantics ---------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BipartiteGraph):
-            return NotImplemented
-        return (
-            self.left_count == other.left_count
-            and self.right_count == other.right_count
-            and self.left_adj == other.left_adj
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.left_count, self.right_count, self.left_adj))
+        return BipartiteGraph(self.left_count, self.right_count, new_left)
 
     def __repr__(self) -> str:
         return (
@@ -194,11 +180,7 @@ def build_graph(
                 f"edge ({u}, {v}) does not fit a {left_count} x {right_count} graph"
             )
         left_sets[u].add(v)
-    left_adj = tuple(tuple(sorted(s)) for s in left_sets)
-    return BipartiteGraph(
-        left_count, right_count, left_adj, _mirror(left_adj, right_count),
-        sum(map(len, left_adj)),
-    )
+    return BipartiteGraph(left_count, right_count, tuple(tuple(sorted(s)) for s in left_sets))
 
 
 def _rows(keys: list[int], values: list[int], ends: Iterable[int], right: int) -> tuple | None:
@@ -394,7 +376,7 @@ def _parsed_graph(left: int, right: int, edges: tuple[list[int], list[int]]) -> 
     if ordered and (not us or 0 <= us[0] and us[-1] < left):
         left_adj = _rows(us, vs, range(1, left + 1), right)
         if left_adj is not None and all(all(map(operator.lt, r, r[1:])) for r in left_adj):
-            return BipartiteGraph(left, right, left_adj, _mirror(left_adj, right), len(us))
+            return BipartiteGraph(left, right, left_adj)
     if us and not (0 <= min(us) and max(us) < left and 0 <= min(vs) and max(vs) < right):
         raise IndexOutOfRange(f"an edge does not fit a {left} x {right} graph")
     return build_graph(left, right, zip(us, vs))
@@ -537,22 +519,23 @@ def generate(
     forever.  The draws are computed in bulk by :func:`_gnp_keys`, which the
     counter property of SplitMix64 allows without changing the stream, and
     the rows are cut from the sorted indices it returns.  The other models
-    are deterministic and ignore the seed.
+    are deterministic and ignore the seed; each writes its left rows
+    directly.
     """
     check_model(model, n, p)
     name = model.lower()
+    full = tuple(range(n))
     if name == "complete":
-        edges = [(i, j) for i in range(n) for j in range(n)]
+        left_adj = (full,) * n
     elif name == "edgeless":
-        edges = []
+        left_adj = ((),) * n
     elif name == "matching":
-        edges = [(i, i) for i in range(n)]
+        left_adj = tuple((i,) for i in full)
     elif name == "cycle":
-        edges = [(i, i) for i in range(n)] + [(i, (i + 1) % n) for i in range(n)]
+        left_adj = tuple(tuple(sorted((i, (i + 1) % n))) for i in full)
     elif name == "crown":
-        edges = [(i, j) for i in range(n) for j in range(n) if i != j]
+        left_adj = tuple(full[:i] + full[i + 1 :] for i in full)
     else:  # gnp
         keys = _gnp_keys(seed, n * n, int(Fraction(p) * (1 << 64)))
         left_adj = _rows(keys, list(map(operator.mod, keys, repeat(n))), range(n, n * n + 1, n), n)
-        return BipartiteGraph(n, n, left_adj, _mirror(left_adj, n), len(keys))
-    return build_graph(n, n, edges)
+    return BipartiteGraph(n, n, left_adj)

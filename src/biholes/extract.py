@@ -436,7 +436,9 @@ def _peel(work: _WorkingGraph) -> Iterator[tuple]:
     A low-degree step's v is its vertex's (side rank, index); :func:`_step`
     turns the fields into a PeelStep.  Both max-degree pointers are
     refreshed once per step.  Every step deletes an edge, so the peel ends
-    within m steps; a low-degree vertex of degree 0 raises RuntimeError."""
+    within m steps: a step whose recorded degrees, deg(a) or deg(v) and
+    deg(b), are all 0 or None would repeat forever, and raises RuntimeError
+    before it cuts anything."""
     maxes, deg, d = work.max, work.deg, work.d
     low_degree_vertex, select_pair = work.low_degree_vertex, work.select_pair
     isolate, remove_pair = work.isolate, work.remove_pair
@@ -446,18 +448,19 @@ def _peel(work: _WorkingGraph) -> Iterator[tuple]:
         low = low_degree_vertex() if d else None
         if low is not None:
             s, i = low
-            degrees = (da, db, deg[s][i], None)
-            if not degrees[2]:  # the same step would repeat forever
-                raise RuntimeError(f"low-degree step at {low} would delete no edge")
-            isolate(s, i)
-            refresh_max()
-            yield LOW_DEGREE_EDGE_DELETION, degrees, None, None, low, strengthened()
+            kind, degrees, a, b = LOW_DEGREE_EDGE_DELETION, (da, db, deg[s][i], None), None, None
         else:
             a, b, case = select_pair()
+            kind = PAIR_CASE1 if case == 1 else PAIR_CASE2
             degrees = (da, db, deg[0][a], deg[1][b])
+        if not (degrees[2] or degrees[3]):
+            raise RuntimeError(f"step {_step(kind, degrees, a, b, low)} would delete no edge")
+        if low is not None:
+            isolate(s, i)
+        else:
             remove_pair(a, b)
-            refresh_max()
-            yield PAIR_CASE1 if case == 1 else PAIR_CASE2, degrees, a, b, None, strengthened()
+        refresh_max()
+        yield kind, degrees, a, b, low, strengthened()
 
 
 def _step(kind: str, degrees: tuple, a, b, v) -> PeelStep:

@@ -1,6 +1,7 @@
 """Graph construction, complements, text round-trips, and generator behaviour."""
 
 import tracemalloc
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import example, given, settings
@@ -93,6 +94,49 @@ def test_build_rejects_out_of_range():
 def test_build_rejects_negative_sizes():
     with pytest.raises(InvalidSize):
         build_graph(-1, 2, [])
+
+
+def test_the_constructor_derives_right_rows_and_edge_count():
+    g = BipartiteGraph(3, 4, ((1, 2), (), (0, 2)))
+    assert g.right_adj == ((2,), (0,), (0, 2), ())  # right vertex 3 is isolated
+    assert g.edge_count == 4
+    assert_mirrored(g)
+    assert g == build_graph(3, 4, [(2, 2), (0, 1), (2, 0), (0, 2)])
+    assert BipartiteGraph(0, 2, ()).right_adj == ((), ())
+    with pytest.raises(FrozenInstanceError):
+        g.edge_count = 5
+
+
+def test_the_constructor_takes_the_two_sizes_and_the_left_rows():
+    with pytest.raises(TypeError):
+        BipartiteGraph(2, 2, ((0,), ()), ((0,), ()), 1)
+    with pytest.raises(InvalidSize, match=r"^1 left rows for 2 left vertices$"):
+        BipartiteGraph(2, 2, ((0,),))
+    with pytest.raises(InvalidSize):
+        BipartiteGraph(0, 1, ((0,),))
+
+
+@pytest.mark.parametrize("model", bigraph.GENERATOR_MODELS)
+def test_graphs_of_the_same_edges_are_equal_keys(model):
+    g = generate(model, 7, seed=3, p=0.4)
+    text = serialize(g)
+    header, *lines = text.splitlines()
+    graphs = [
+        g,
+        build_graph(7, 7, reversed(list(g.edges()))),
+        parse_edge_list(text),
+        parse_edge_list("\n".join([header, *reversed(lines)])),  # the unsorted path
+        BipartiteGraph(7, 7, g.left_adj),
+    ]
+    assert all(h == g and hash(h) == hash(g) for h in graphs)
+    assert len(set(graphs)) == 1
+    assert {h: model for h in graphs}[g] == model
+    assert g.complement() != g and g.complement() not in {g: model}
+
+
+def test_graphs_differing_in_a_side_size_differ():
+    assert BipartiteGraph(1, 2, ((),)) != BipartiteGraph(1, 1, ((),))
+    assert BipartiteGraph(2, 1, ((), ())) != BipartiteGraph(1, 1, ((),))
 
 
 def test_max_degree():

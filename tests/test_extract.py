@@ -480,6 +480,42 @@ def test_degenerate_extraction_guarantees(g, d):
     assert w.size <= max_degenerate_exact(g, d)
 
 
+def trace_order(w, tr) -> list[VertexRef]:
+    """The low-degree steps' vertices in step order, then the rest of the
+    witness, Left side first, ascending."""
+    first = [step.v for step in tr.steps if step.kind == LOW_DEGREE_EDGE_DELETION]
+    seen = set(first)
+    rest = [VertexRef(Side.LEFT, i) for i in w.left_set]
+    rest += [VertexRef(Side.RIGHT, j) for j in w.right_set]
+    return first + [v for v in rest if v not in seen]
+
+
+TRACE_ORDER_GRAPHS = [
+    ("gnp", n, seed, p)
+    for n in (10, 20, 40, 80, 120)
+    for p in (0.05, 0.1, 0.2, 0.4, 0.6)
+    for seed in (1, 2, 3)
+] + [
+    (model, n, 0, None)
+    for model in ("complete", "crown", "cycle", "matching")
+    for n in (3, 8, 20, 40)
+]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_the_trace_orders_the_witness_for_elimination(d):
+    """The paper's argument, read off the trace: a vertex has at most one
+    low-degree step, no witness edge is deleted but by a low-degree step at
+    one of its ends, and such a step leaves at most d later neighbours; so
+    listing those steps' vertices first gives a valid d-elimination order."""
+    for model, n, seed, p in TRACE_ORDER_GRAPHS:
+        g = generate(model, n, seed=seed, p=p)
+        w, tr = find_degenerate(g, d)
+        order = trace_order(w, tr)
+        assert len(order) == 2 * w.size, (model, n, seed, p)
+        assert check_elimination_order(g, w.left_set, w.right_set, d, order), (model, n, seed, p)
+
+
 @settings(max_examples=60)
 @given(balanced_graphs())
 def test_extraction_is_deterministic(g):
@@ -590,6 +626,17 @@ def test_a_low_degree_step_that_deletes_no_edge_raises(monkeypatch):
     monkeypatch.setattr(extract._WorkingGraph, "low_degree_vertex", lambda self: (0, 0))
     with pytest.raises(RuntimeError, match="would delete no edge"):
         _run_peel(build_graph(2, 2, [(1, 1)]), 1)
+
+
+def test_a_pair_step_that_deletes_no_edge_raises_before_it_cuts(monkeypatch):
+    """Removing two vertices of degree 0 changes nothing, so the peel would
+    take the same step forever; the guard fires before anything is cut."""
+    monkeypatch.setattr(extract._WorkingGraph, "select_pair", lambda self: (0, 0, 1))
+    work = extract._WorkingGraph(build_graph(2, 2, [(1, 1)]), 0)
+    with pytest.raises(RuntimeError, match="would delete no edge"):
+        next(extract._peel(work))
+    assert work.edge_count == 1
+    assert work.deg == ([0, 1], [0, 1])
 
 
 def test_peel_scales_to_sparse_n1600():
