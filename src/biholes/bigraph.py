@@ -94,6 +94,10 @@ class VertexRef:
         return '["%s", %d]' % (self.side.value, self.index)
 
 
+_FIRST, _LAST = operator.itemgetter(0), operator.itemgetter(-1)
+_ROW_OUT_OF_RANGE = "a left row names a right vertex outside [0, %d)"
+
+
 @dataclass(frozen=True, slots=True, repr=False)
 class BipartiteGraph:
     """An immutable bipartite graph on ``left_count`` + ``right_count`` vertices.
@@ -104,9 +108,15 @@ class BipartiteGraph:
     construction: ``right_adj[j]``, the left neighbours of right vertex
     ``j`` (mirroring ``left_adj`` exactly, isolated vertices included), and
     ``edge_count``.  A ``left_adj`` whose length is not ``left_count``
-    raises :class:`InvalidSize`; the rows themselves are trusted, so use
-    :func:`build_graph` to build one from an edge list.  Equality and the
-    hash read the three fields.  The peel looks up adjacency by binary
+    raises :class:`InvalidSize`, and a row whose first or last entry lies
+    outside ``[0, right_count)`` raises :class:`IndexOutOfRange`, which
+    covers every entry of a sorted row.  That the rows are strictly
+    increasing is trusted: inside an unsorted row an entry of
+    ``right_count`` or more, or below ``-right_count``, still raises
+    IndexOutOfRange, from building ``right_adj``, but any other negative
+    entry is filed under right vertex ``right_count`` plus the entry.  Use
+    :func:`build_graph` to build a graph from an edge list.  Equality and
+    the hash read the three fields.  The peel looks up adjacency by binary
     search in these rows.
     """
 
@@ -117,10 +127,17 @@ class BipartiteGraph:
     edge_count: int = field(init=False, compare=False)
 
     def __post_init__(self):
-        if len(self.left_adj) != self.left_count:
-            raise InvalidSize(f"{len(self.left_adj)} left rows for {self.left_count} left vertices")
-        object.__setattr__(self, "right_adj", _mirror(self.left_adj, self.right_count))
-        object.__setattr__(self, "edge_count", sum(map(len, self.left_adj)))
+        left_adj, right = self.left_adj, self.right_count
+        if len(left_adj) != self.left_count:
+            raise InvalidSize(f"{len(left_adj)} left rows for {self.left_count} left vertices")
+        rows = list(filter(None, left_adj))
+        if rows and (min(map(_FIRST, rows)) < 0 or max(map(_LAST, rows)) >= right):
+            raise IndexOutOfRange(_ROW_OUT_OF_RANGE % right)
+        try:
+            object.__setattr__(self, "right_adj", _mirror(left_adj, right))
+        except IndexError:  # an unsorted row with an entry past right inside it
+            raise IndexOutOfRange(_ROW_OUT_OF_RANGE % right) from None
+        object.__setattr__(self, "edge_count", sum(map(len, left_adj)))
 
     # -- basic queries ----------------------------------------------------
 

@@ -27,13 +27,16 @@ drains visit O(n + m) entries over the whole peel, and no step rescans all
 n vertices.  Pair selection reads adjacency off the input graph's sorted
 rows by binary search and remembers the left vertices found to cover the
 right max bucket, so a peel of K_{n,n} makes one search per edge in all.
+One generator body, ``_peel``, probes buckets 1..d and updates the bound
+inline, and calls helpers only to cut a vertex (``_cut``), to select a pair
+(``select_pair``, with ``_covers``), and, after a step that empties a max
+bucket, to move a max pointer down (``refresh_max``: ``_drain``, ``_lowest``).
 
 The strengthened bound of the working graph never decreases along the peel,
 and the final edgeless working graph's value equals the witness size, which
 is why the witness size always reaches ceil(strengthened) and hence the
 floor bound.  Every step is recorded (in original vertex labels, with the
-degrees that justified it).  One generator, ``_peel``, carries out the rule
-until the working graph is edgeless; the peel collects its steps, and
+degrees that justified it).  The peel collects ``_peel``'s steps, and
 :func:`check_trace` replays the whole run through it, requiring every
 recorded step to equal the step the rule takes.  The witness is every
 vertex that no pair step removes.
@@ -192,12 +195,6 @@ class DegenerateWitness:
         return '%s, "elimination_order": [%s]}' % (BiholeWitness.json_text(self)[:-1], order)
 
 
-def _in_row(row: tuple[int, ...], j: int) -> bool:
-    """Whether j is in the strictly increasing tuple row, by binary search."""
-    p = bisect_left(row, j)
-    return p < len(row) and row[p] == j
-
-
 class _WorkingGraph:
     """Mutable peeling state, kept in the original index space.
 
@@ -231,8 +228,11 @@ class _WorkingGraph:
     the sum is kept exactly as an int, updated per changed degree.  The
     strengthened bound is likewise an int, its numerator over ``2 * scale``;
     the peel turns these into Fractions for ``bound_values``, and the replay
-    never does.  ``max[s]`` is exact between steps: the constructor and
-    ``_peel`` refresh it once after each step.
+    never does.  ``max[s]`` is exact between steps: the constructor
+    refreshes it, and ``_peel`` after each step that empties a max bucket
+    (at or below d, ``top_members[s]`` stays empty).  The step loop is
+    ``_peel``'s; its helpers are ``_cut``, ``refresh_max`` (with ``_drain``
+    and ``_lowest``) and ``select_pair`` (with ``_covers``).
 
     ``covered`` holds left vertices adjacent to all of ``cover_of``, a copy
     of the right max bucket retaken as a vertex joins an empty memo or after
@@ -313,26 +313,12 @@ class _WorkingGraph:
         return True
 
     def _lowest(self, s: int, x: int) -> int | None:
-        """Lowest index of degree x on side s, 1 <= x <= d, or None if
-        there is none; stale heap entries are dropped for good."""
+        """Lowest index of degree x on side s, 1 <= x <= d, or None; stale
+        heap entries are dropped for good, as ``_peel``'s probe does inline."""
         heap, deg = self.queue[s][x], self.deg[s]
         while heap and deg[heap[0]] != x:
             heappop(heap)
         return heap[0] if heap else None
-
-    def _lowest_max(self, s: int, accept=None) -> int | None:
-        """Lowest member of side s's sorted max bucket that ``accept``
-        passes, or None.  Departed members at the front are skipped for good."""
-        order, members = self.top_order[s], self.top_members[s]
-        k = self.top_start[s]
-        while order[k] not in members:
-            k += 1
-        self.top_start[s] = k
-        for k in range(k, len(order)):
-            i = order[k]
-            if i in members and (accept is None or accept(i)):
-                return i
-        return None
 
     def _covers(self, i: int, cand_b: set) -> bool:
         """Whether left vertex i is adjacent to every vertex of ``cand_b``,
@@ -341,7 +327,7 @@ class _WorkingGraph:
         if i in self.covered:
             return True
         row = self.nbrs[0][i]
-        for j in cand_b:  # _in_row inlined: this is the scan's inner loop
+        for j in cand_b:
             p = bisect_left(row, j)
             if p == len(row) or row[p] != j:
                 return False
@@ -357,34 +343,44 @@ class _WorkingGraph:
         The scan visits max-degree left vertices in ascending order and stops
         at the first whose neighbourhood misses part of the right max-degree
         bucket; its lowest missed vertex is the pair partner.  Only called
-        when no vertex has degree 1..d, so both max buckets lie above d.
+        when no vertex has degree 1..d, so both max buckets lie above d and
+        hold members.  Departed members at the front of each sorted bucket
+        are skipped for good, and both scans start past them by index.  A
+        left vertex of degree ``max[0]`` covers no larger right bucket, so
+        then the scan ends at its first member with no search.
 
         Between live vertices an edge is live iff it is in the input graph,
         so adjacency is read off the input's strictly increasing rows: by
         ``_covers`` for the scan, and by binary search for the partner.
         """
-        cand_b = self.top_members[1]
-        a = self._lowest_max(0, lambda i: not self._covers(i, cand_b))
-        if a is None:
-            return self._lowest_max(0), self._lowest_max(1), 2
+        (order_a, order_b), (members, cand_b) = self.top_order, self.top_members
+        ka, kb = self.top_start
+        while order_a[ka] not in members:
+            ka += 1
+        while order_b[kb] not in cand_b:
+            kb += 1
+        self.top_start = [ka, kb]
+        covers = self._covers
+        a = order_a[ka]
+        if self.max[0] >= len(cand_b):
+            for k in range(ka, len(order_a)):
+                a = order_a[k]
+                if a in members and not covers(a, cand_b):
+                    break
+            else:
+                return order_a[ka], order_b[kb], 2
         row = self.nbrs[0][a]
-        return a, self._lowest_max(1, lambda j: not _in_row(row, j)), 1
+        for k in range(kb, len(order_b)):
+            b = order_b[k]
+            if b in cand_b:
+                p = bisect_left(row, b)
+                if p == len(row) or row[p] != b:
+                    return a, b, 1
 
-    def low_degree_vertex(self) -> tuple[int, int] | None:
-        """(side, index) of the vertex of minimum degree in [1, d]; Left
-        side first, then ascending index.  None when no such vertex exists."""
-        lowest = self._lowest
-        for x in range(1, min(self.d, len(self.queue[0]) - 1) + 1):
-            for s in (0, 1):
-                i = lowest(s, x)
-                if i is not None:
-                    return s, i
-        return None
-
-    def _cut(self, s: int, i: int) -> int:
-        """Delete every edge at vertex i of side s and take it out of its
-        bucket; returns its former degree.  A neighbour of degree above
-        d + 1 outside the max bucket only has its degree lowered."""
+    def _cut(self, s: int, i: int) -> None:
+        """Delete every edge at vertex i of side s, and take the vertex out
+        of its bucket and its term out of ``total``.  A neighbour of degree
+        above d + 1 outside the max bucket only has its degree lowered."""
         t = 1 - s
         deg, queue, gain, d = self.deg[t], self.queue[t], self.gain, self.d
         # at or below d, max[t] is no drained bucket and members is empty
@@ -409,58 +405,61 @@ class _WorkingGraph:
         self.deg[s][i] = 0
         self.top_members[s].discard(i)
         self.edge_count -= x
-        self.total += delta
-        return x
-
-    def remove_pair(self, a: int, b: int) -> None:
-        deg_a = self._cut(0, a)
-        deg_b = self._cut(1, b)
-        self.total -= self.term[deg_a] + self.term[deg_b]
-
-    def isolate(self, s: int, i: int) -> None:
-        deg = self._cut(s, i)
-        self.total += self.term[0] - self.term[deg]
-
-    def strengthened(self) -> int:
-        """Strengthened bound of the current working graph, as its numerator
-        over ``2 * scale``.  With no live vertex, total is 0 and both
-        max-degree terms are scale, so it is 0."""
-        return self.total + self.term[self.max[0]] + self.term[self.max[1]] - 2 * self.scale
+        self.total += delta - self.term[x]
 
 
 def _peel(work: _WorkingGraph) -> Iterator[tuple]:
-    """Carry out the deterministic rule on ``work`` until it is edgeless,
-    yielding each step's PeelStep fields (kind, degrees_before, a, b, v)
-    and the strengthened numerator after it, once the step is done: the
-    low-degree vertex when d >= 1 and one exists, else the selected pair.
-    A low-degree step's v is its vertex's (side rank, index); :func:`_step`
-    turns the fields into a PeelStep.  Both max-degree pointers are
-    refreshed once per step.  Every step deletes an edge, so the peel ends
-    within m steps: a step whose recorded degrees, deg(a) or deg(v) and
-    deg(b), are all 0 or None would repeat forever, and raises RuntimeError
-    before it cuts anything."""
-    maxes, deg, d = work.max, work.deg, work.d
-    low_degree_vertex, select_pair = work.low_degree_vertex, work.select_pair
-    isolate, remove_pair = work.isolate, work.remove_pair
-    refresh_max, strengthened = work.refresh_max, work.strengthened
-    while work.edge_count > 0:
+    """Carry out the deterministic rule on ``work`` until it is edgeless.
+    Yields five Nones and the strengthened numerator (over ``2 * scale``)
+    of the starting graph, then per step its PeelStep fields (kind,
+    degrees_before, a, b, v) and the numerator after it: the low-degree
+    vertex when d >= 1 and one exists, else the selected pair.  A
+    low-degree step's v is its vertex's (side rank, index); :func:`_step`
+    turns the fields into a PeelStep.
+
+    The body probes the heaps of buckets 1..d in rule order, popping stale
+    heads as ``_lowest`` does, adds back the term of a cut low-degree vertex
+    (it stays, at degree 0) and sums the numerator, the module's one copy
+    of the formula (with no live vertex, total is 0 and both max terms are
+    scale, so it is 0); it calls ``select_pair``, ``_cut``, and
+    ``refresh_max`` only after a step that emptied a max bucket.  Every
+    step deletes an edge, so the peel ends within m steps: a step whose
+    recorded degrees, deg(a) or deg(v) and deg(b), are all 0 or None would
+    repeat forever, and raises RuntimeError before it cuts anything."""
+    maxes, deg, members, queue = work.max, work.deg, work.top_members, work.queue
+    cut, select_pair, refresh_max = work._cut, work.select_pair, work.refresh_max
+    term, scale, den = work.term, work.scale, 2 * work.scale
+    # (side, heap, side's degrees, x) for buckets 1..d: degree, then Left
+    # first.  Only _drain replaces a bucket's list, and only above d.
+    lows = range(1, min(work.d, len(queue[0]) - 1) + 1)
+    probes = [(s, queue[s][x], deg[s], x) for x in lows for s in (0, 1)]
+    kind = degrees = a = b = v = None
+    while True:
+        yield kind, degrees, a, b, v, work.total + term[maxes[0]] + term[maxes[1]] - den
+        if not work.edge_count:
+            return
         da, db = maxes
-        low = low_degree_vertex() if d else None
-        if low is not None:
-            s, i = low
-            kind, degrees, a, b = LOW_DEGREE_EDGE_DELETION, (da, db, deg[s][i], None), None, None
+        for s, heap, side_deg, x in probes:
+            while heap and side_deg[heap[0]] != x:
+                heappop(heap)
+            if heap:
+                v = s, heap[0]
+                kind, degrees, a, b = LOW_DEGREE_EDGE_DELETION, (da, db, x, None), None, None
+                break
         else:
             a, b, case = select_pair()
             kind = PAIR_CASE1 if case == 1 else PAIR_CASE2
-            degrees = (da, db, deg[0][a], deg[1][b])
+            degrees, v = (da, db, deg[0][a], deg[1][b]), None
         if not (degrees[2] or degrees[3]):
-            raise RuntimeError(f"step {_step(kind, degrees, a, b, low)} would delete no edge")
-        if low is not None:
-            isolate(s, i)
+            raise RuntimeError(f"step {_step(kind, degrees, a, b, v)} would delete no edge")
+        if v is None:
+            cut(0, a)
+            cut(1, b)
         else:
-            remove_pair(a, b)
-        refresh_max()
-        yield kind, degrees, a, b, low, strengthened()
+            cut(*v)
+            work.total += scale
+        if not (members[0] and members[1]):
+            refresh_max()
 
 
 def _step(kind: str, degrees: tuple, a, b, v) -> PeelStep:
@@ -488,9 +487,10 @@ def survivors(g: BipartiteGraph, steps: Iterable[PeelStep]) -> tuple[tuple[int, 
 
 def _run_peel(g: BipartiteGraph, d: int):
     work = _WorkingGraph(g, d)
+    peel = _peel(work)
     steps: list[PeelStep] = []
-    nums = [work.strengthened()]
-    for kind, degrees, a, b, v, num in _peel(work):
+    nums = [next(peel)[-1]]
+    for kind, degrees, a, b, v, num in peel:
         steps.append(_step(kind, degrees, a, b, v))
         nums.append(num)
     lefts, rights = survivors(g, steps)
@@ -572,8 +572,8 @@ def check_trace(g: BipartiteGraph, trace: PeelTrace, d: int) -> bool:
     work = _WorkingGraph(g, d)
     den = 2 * work.scale
     floor = work.total // den
-    nums = [work.strengthened()]
     replay = _peel(work)
+    nums = [next(replay)[-1]]
     for pos, step in enumerate(trace.steps):
         expected = next(replay, None)
         if expected is None:

@@ -116,6 +116,26 @@ def test_the_constructor_takes_the_two_sizes_and_the_left_rows():
         BipartiteGraph(0, 1, ((0,),))
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [((-1,),), ((2,),), ((0, 2),), ((-1, 1),), ((), (1, 5)), ((0,), (-3, 0, 1))],
+)
+def test_a_row_entry_outside_the_right_side_raises(rows):
+    """Neither filed under the wrong right vertex (-1 would index right
+    vertex 1) nor a bare IndexError from mirroring."""
+    with pytest.raises(IndexOutOfRange, match=r"^a left row names a right vertex outside \[0, 2\)$"):
+        BipartiteGraph(len(rows), 2, rows)
+
+
+def test_an_unsorted_row_with_an_entry_past_the_right_side_raises():
+    """Only a row's ends are checked; mirroring still catches a larger
+    entry inside an unsorted row (a negative one from -right_count up is
+    not caught: unsorted rows are trusted)."""
+    with pytest.raises(IndexOutOfRange):
+        BipartiteGraph(1, 2, ((0, 7, 1),))
+    assert BipartiteGraph(1, 0, ((),)).edge_count == 0
+
+
 @pytest.mark.parametrize("model", bigraph.GENERATOR_MODELS)
 def test_graphs_of_the_same_edges_are_equal_keys(model):
     g = generate(model, 7, seed=3, p=0.4)

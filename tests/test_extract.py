@@ -604,28 +604,99 @@ def test_check_trace_builds_no_fraction_or_step_per_step(monkeypatch):
     assert built[Fraction] <= 2 and built[PeelStep] == 0
 
 
-def test_peel_refreshes_each_max_pointer_once_per_step(monkeypatch):
-    calls = []
-    refresh = extract._WorkingGraph.refresh_max
-
-    def counting_refresh(self):
-        calls.append(self)
-        refresh(self)
-
-    monkeypatch.setattr(extract._WorkingGraph, "refresh_max", counting_refresh)
+def test_max_pointers_are_exact_after_every_step():
+    """Each side's max-degree pointer names its largest live degree before
+    the first step and after every step, though ``_peel`` refreshes it only
+    when a max bucket has emptied."""
     g = generate("gnp", 60, seed=2, p=0.3)
     for d in (0, 2):
-        calls.clear()
-        _, tr = find_degenerate(g, d)
-        assert len(calls) == len(tr.steps) + 1
+        work = extract._WorkingGraph(g, d)
+        # the first item is yielded before the first step
+        for steps, _ in enumerate(extract._peel(work)):
+            assert work.max == [max(side) for side in work.deg], (d, steps)
+        assert steps >= 50 and work.max == [0, 0]
 
 
-def test_a_low_degree_step_that_deletes_no_edge_raises(monkeypatch):
-    """Isolating a vertex of degree 0 changes nothing, so the peel would
-    take the same step forever."""
-    monkeypatch.setattr(extract._WorkingGraph, "low_degree_vertex", lambda self: (0, 0))
-    with pytest.raises(RuntimeError, match="would delete no edge"):
-        _run_peel(build_graph(2, 2, [(1, 1)]), 1)
+def test_the_step_loop_calls_no_helper_per_probe_or_refresh(monkeypatch):
+    """gnp 400, p 0.025, d 2: ``refresh_max`` runs once in the constructor,
+    then at most once per step and only after a step that emptied a max
+    bucket; ``_lowest`` is called only from ``refresh_max``."""
+    calls, stray, inside = [], [], [False]
+    refresh, lowest = extract._WorkingGraph.refresh_max, extract._WorkingGraph._lowest
+
+    def counting_refresh(self):
+        calls.append(not (self.top_members[0] and self.top_members[1]))
+        inside[0] = True
+        refresh(self)
+        inside[0] = False
+
+    def checked_lowest(self, s, x):
+        if not inside[0]:
+            stray.append((s, x))
+        return lowest(self, s, x)
+
+    monkeypatch.setattr(extract._WorkingGraph, "refresh_max", counting_refresh)
+    monkeypatch.setattr(extract._WorkingGraph, "_lowest", checked_lowest)
+    work = extract._WorkingGraph(generate("gnp", 400, seed=1, p=0.025), 2)
+    assert calls == [True]
+    # the refreshes made so far, at the start and after each of 651 steps
+    per_step = [len(calls) for _ in extract._peel(work)]
+    counts = Counter(map(int.__sub__, per_step[1:], per_step))
+    assert len(per_step) == 652 and set(counts) == {0, 1} and counts[1] < 50
+    assert all(calls) and stray == []
+
+
+def test_pair_selection_on_a_matching_reads_each_bucket_entry_a_few_times(monkeypatch):
+    """A perfect matching at d 0: each pair step cuts the front of both max
+    buckets and drops two partners to degree 0, so the front skips move on
+    by two entries a step.  Both scans start past them by index, and the
+    left scan stops at its first member with no covering search while the
+    right bucket outnumbers the left degree, 1; so the peel reads O(n)
+    bucket entries in all, where a scan walking the skipped front again
+    would read about n^2 / 4 per side."""
+    reads, searched = [0], []
+
+    class CountedList(list):
+        def __getitem__(self, k):
+            reads[0] += 1
+            return list.__getitem__(self, k)
+
+        def __iter__(self):
+            for x in list.__iter__(self):
+                reads[0] += 1
+                yield x
+
+    drain, covers = extract._WorkingGraph._drain, extract._WorkingGraph._covers
+
+    def counted_drain(self, s, x):
+        found = drain(self, s, x)
+        self.top_order[s] = CountedList(self.top_order[s])
+        return found
+
+    def counting_covers(self, i, cand_b):
+        searched.append(len(cand_b))
+        return covers(self, i, cand_b)
+
+    monkeypatch.setattr(extract._WorkingGraph, "_drain", counted_drain)
+    monkeypatch.setattr(extract._WorkingGraph, "_covers", counting_covers)
+    n = 2000
+    _, tr = find_bihole(generate("matching", n))
+    assert len(tr.steps) == n // 2
+    assert n < reads[0] < 6 * n and set(searched) <= {1}
+
+
+def test_every_low_degree_step_deletes_one_to_d_edges():
+    """The low-degree probe picks a live heap head of degree x in 1..d, so
+    a low-degree step always deletes an edge; only a pair step can reach
+    the no-progress guard."""
+    seen = Counter()
+    for d in (1, 2, 3, 5):
+        for model, n, seed, p in TRACE_ORDER_GRAPHS:
+            _, tr = find_degenerate(generate(model, n, seed=seed, p=p), d)
+            low = [s.degrees_before[2] for s in tr.steps if s.kind == LOW_DEGREE_EDGE_DELETION]
+            assert all(1 <= x <= d for x in low), (model, n, seed, p, d)
+            seen.update(low)
+    assert set(seen) == {1, 2, 3, 4, 5}
 
 
 def test_a_pair_step_that_deletes_no_edge_raises_before_it_cuts(monkeypatch):
@@ -633,8 +704,10 @@ def test_a_pair_step_that_deletes_no_edge_raises_before_it_cuts(monkeypatch):
     take the same step forever; the guard fires before anything is cut."""
     monkeypatch.setattr(extract._WorkingGraph, "select_pair", lambda self: (0, 0, 1))
     work = extract._WorkingGraph(build_graph(2, 2, [(1, 1)]), 0)
+    peel = extract._peel(work)
+    next(peel)  # the starting value
     with pytest.raises(RuntimeError, match="would delete no edge"):
-        next(extract._peel(work))
+        next(peel)
     assert work.edge_count == 1
     assert work.deg == ([0, 1], [0, 1])
 
