@@ -82,6 +82,10 @@ class Side(enum.Enum):
     RIGHT = "R"
 
 
+# The sides by rank: 0 is Left, 1 is Right.
+_SIDES = (Side.LEFT, Side.RIGHT)
+
+
 @dataclass(frozen=True, order=True, slots=True)
 class VertexRef:
     """A vertex identified by its side and its 0-based index on that side."""
@@ -509,12 +513,11 @@ def check_model(model: str, n: int, p: float | Fraction | None = None) -> None:
         raise InvalidSize(
             f"model {model!r} needs 2n <= {MAX_VERTICES} vertices, got n = {n}"
         )
-    name = model.lower()
-    if name not in GENERATOR_MODELS:
+    if model not in GENERATOR_MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {GENERATOR_MODELS}")
-    if name == "cycle" and n < 2:
+    if model == "cycle" and n < 2:
         raise InvalidSize("cycle needs n >= 2 to form a 2n-cycle")
-    if name == "gnp":
+    if model == "gnp":
         if p is None:
             raise InvalidProbability("model 'gnp' needs an edge probability p")
         if not 0 <= p <= 1:
@@ -529,7 +532,8 @@ def generate(
     Models: ``gnp`` (each of the n*n edges kept independently with
     probability p), ``complete``, ``edgeless``, ``matching`` (a_i ~ b_i),
     ``cycle`` (the 2n-cycle a_i ~ b_i and a_i ~ b_{(i+1) mod n}, n >= 2),
-    and ``crown`` (complete minus the identity matching).
+    and ``crown`` (complete minus the identity matching).  A model is named
+    exactly as in ``GENERATOR_MODELS``, lower case.
 
     ``gnp`` keeps edge (i, j) iff draw k = i*n + j of ``SplitMix64(seed)``
     is below floor(p * 2**64), so a (model, n, seed, p) tuple names one graph
@@ -540,17 +544,16 @@ def generate(
     directly.
     """
     check_model(model, n, p)
-    name = model.lower()
     full = tuple(range(n))
-    if name == "complete":
+    if model == "complete":
         left_adj = (full,) * n
-    elif name == "edgeless":
+    elif model == "edgeless":
         left_adj = ((),) * n
-    elif name == "matching":
+    elif model == "matching":
         left_adj = tuple((i,) for i in full)
-    elif name == "cycle":
+    elif model == "cycle":
         left_adj = tuple(tuple(sorted((i, (i + 1) % n))) for i in full)
-    elif name == "crown":
+    elif model == "crown":
         left_adj = tuple(full[:i] + full[i + 1 :] for i in full)
     else:  # gnp
         keys = _gnp_keys(seed, n * n, int(Fraction(p) * (1 << 64)))

@@ -20,6 +20,10 @@ The quantities, for a balanced n x n graph G with degeneracy parameter d:
 * ``average_degree_bound`` = n/(avg_deg + 1) - 2, a coarser classical bound
 * ``log_reference_bound``  = (eps/2) * n * ln(avg_deg)/avg_deg, the
   asymptotic reference for sparse graphs
+
+One routine, ``_report``, computes the last four; each of their functions
+and :func:`bound_report` reads its value from it.  Every function that takes
+d raises :class:`NegativeD` for d < 0.
 """
 
 from __future__ import annotations
@@ -59,23 +63,21 @@ _DECIMAL_CONTEXT = decimal.Context(prec=_DECIMAL_SIGNIFICANT_DIGITS, rounding=de
 
 def potential(x: int, d: int = 0) -> Fraction:
     """min(1, (d+1)/(x+1)) for a vertex of degree x; equals 1 iff x <= d."""
+    require_nonnegative_d(d)
     if x <= d:
         return Fraction(1)
     return Fraction(d + 1, x + 1)
-
-
-def _degree_multiset(g: BipartiteGraph) -> Counter:
-    counts = Counter(map(len, g.left_adj))
-    counts.update(map(len, g.right_adj))
-    return counts
 
 
 def caro_wei_sum(g: BipartiteGraph, d: int = 0) -> Fraction:
     """Sum of potential(deg(v), d) over all vertices of g (any shape).
 
     Summed in integers over one denominator, the lcm of x + 1 over the
-    degrees x > d (1 when there are none), so one Fraction is built."""
-    counts = _degree_multiset(g)
+    degrees x > d (1 when there are none), so one Fraction is built.  Its
+    check of d is the one that every bound value passes."""
+    require_nonnegative_d(d)
+    counts = Counter(map(len, g.left_adj))
+    counts.update(map(len, g.right_adj))
     scale = math.lcm(*(x + 1 for x in counts if x > d))
     total = sum(
         count * (scale if x <= d else scale // (x + 1) * (d + 1)) for x, count in counts.items()
@@ -83,10 +85,13 @@ def caro_wei_sum(g: BipartiteGraph, d: int = 0) -> Fraction:
     return Fraction(total, scale)
 
 
+# Any eps in (0, 1) will do for the callers that read no log reference.
+_EPS = Fraction(1, 2)
+
+
 def floor_bound(g: BipartiteGraph, d: int = 0) -> int:
     """floor(caro_wei_sum(g, d) / 2): the guaranteed balanced subgraph size."""
-    require_balanced(g, "floor_bound")
-    return math.floor(caro_wei_sum(g, d) / 2)
+    return _report(g, d, _EPS, "floor_bound").floor_bound
 
 
 def strengthened_bound(g: BipartiteGraph, d: int = 0) -> Fraction:
@@ -96,31 +101,12 @@ def strengthened_bound(g: BipartiteGraph, d: int = 0) -> Fraction:
     with f = potential(. , d).  On the 0 x 0 graph there is no max degree;
     the value is 0 by convention so traces and reports stay total.
     """
-    require_balanced(g, "strengthened_bound")
-    return _strengthened(g, d, caro_wei_sum(g, d))
-
-
-def _strengthened(g: BipartiteGraph, d: int, total: Fraction) -> Fraction:
-    """strengthened_bound of g, given its potential sum ``total``."""
-    if g.left_count == 0:
-        return Fraction(0)
-    num, den = total.numerator, total.denominator
-    for x in (g.max_degree(Side.LEFT), g.max_degree(Side.RIGHT)):
-        top, bottom = (1, 1) if x <= d else (d + 1, x + 1)
-        num, den = num * bottom + top * den, den * bottom
-    return Fraction(num - 2 * den, 2 * den)
+    return _report(g, d, _EPS, "strengthened_bound").strengthened
 
 
 def average_degree_bound(g: BipartiteGraph) -> Fraction:
-    """n/(average degree + 1) - 2, computed exactly; 0 on the empty graph.
-
-    With m edges the average degree is m/n, so the value is
-    (n^2 - 2(m + n)) / (m + n), built as one Fraction."""
-    require_balanced(g, "average_degree_bound")
-    n = g.left_count
-    if n == 0:
-        return Fraction(0)
-    return Fraction(n * n - 2 * (g.edge_count + n), g.edge_count + n)
+    """n/(average degree + 1) - 2, computed exactly; 0 on the empty graph."""
+    return _report(g, 0, _EPS, "average_degree_bound").average_degree_bound
 
 
 @functools.lru_cache(maxsize=64)
@@ -137,24 +123,14 @@ def log_reference_bound(g: BipartiteGraph, eps: Fraction) -> Fraction:
 
     Approximate by necessity (the log is rounded to 30 significant digits)
     and report-only: it carries an unspecified degree threshold, so it never
-    participates in correctness checks.  Requires average degree > 1.
-    With m edges, avg_deg = m/n and the value is eps n^2 ln(m/n) / (2m),
-    multiplied out in integers and built as one Fraction.
+    participates in correctness checks.  Requires eps in (0, 1) and average
+    degree > 1.
     """
-    require_balanced(g, "log_reference_bound")
-    eps = Fraction(eps)
-    if not 0 < eps < 1:
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
-    return _log_reference(g.left_count, g.edge_count, eps)
-
-
-def _log_reference(n: int, m: int, eps: Fraction) -> Fraction:
-    """log_reference_bound of a graph with side n and m edges, eps in (0, 1)."""
-    if m <= n:
-        avg = Fraction(m, n) if n else Fraction(0)
-        raise DegreeTooSmall(f"log reference needs average degree > 1, got {avg}")
-    top, bottom = _ln(m, n)
-    return Fraction(eps.numerator * n * n * top, 2 * eps.denominator * m * bottom)
+    value = _report(g, 0, eps, "log_reference_bound").log_reference
+    if value is None:
+        n, m = g.left_count, g.edge_count
+        raise DegreeTooSmall(f"log reference needs average degree > 1, got {Fraction(m, n or 1)}")
+    return value
 
 
 def decimal_string(x: Fraction, digits: int = _DECIMAL_SIGNIFICANT_DIGITS) -> str:
@@ -230,40 +206,48 @@ class BoundReport:
         )
 
 
-def bound_report(g: BipartiteGraph, d: int = 0, eps: Fraction = Fraction(1, 2)) -> BoundReport:
+def bound_report(g: BipartiteGraph, d: int = 0, eps: Fraction = _EPS) -> BoundReport:
     """Assemble the full report; on the empty graph every bound is 0.
 
     eps must lie in (0, 1) even when the log reference is not reported.
     """
-    require_balanced(g, "bound_report")
-    require_nonnegative_d(d)
+    return _report(g, d, eps, "bound_report")
+
+
+def _report(g: BipartiteGraph, d: int, eps: Fraction, op: str) -> BoundReport:
+    """Every bound value of g at d: the module's one copy of each formula
+    and of the balance and eps checks (:func:`caro_wei_sum` checks d).
+    ``op`` names the caller in the error raised on an unbalanced graph.
+
+    With m edges the average degree is m/n, so the average-degree bound is
+    (n^2 - 2(m + n)) / (m + n) and the log reference eps n^2 ln(m/n) / (2m),
+    each multiplied out in integers and built as one Fraction.
+    """
+    require_balanced(g, op)
+    total = caro_wei_sum(g, d)
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
-    n = g.left_count
-    m = g.edge_count
-    total = caro_wei_sum(g, d)
-    fb = total.numerator // (2 * total.denominator)
-    strengthened = _strengthened(g, d, total)
-    avg_bound = average_degree_bound(g)
-    log_ref = None
-    log_eps = None
-    hypothesis = None
+    n, m = g.left_count, g.edge_count
+    num, den = total.numerator, total.denominator
+    fb = num // (2 * den)
+    if n:
+        # add the two max-degree potentials to total over one denominator
+        for x in (g.max_degree(Side.LEFT), g.max_degree(Side.RIGHT)):
+            top, bottom = (1, 1) if x <= d else (d + 1, x + 1)
+            num, den = num * bottom + top * den, den * bottom
+        strengthened = Fraction(num - 2 * den, 2 * den)
+        average = Fraction(n * n - 2 * (m + n), m + n)
+    else:
+        strengthened = average = Fraction(0)
+    log_ref = log_eps = hypothesis = None
     # the average degree m/n exceeds 1, and n >= (1 + eps) m/n, in integers
     if m > n:
+        top, bottom = _ln(m, n)
+        log_ref = Fraction(eps.numerator * n * n * top, 2 * eps.denominator * m * bottom)
         log_eps = eps
-        log_ref = _log_reference(n, m, eps)
         hypothesis = n * n * eps.denominator >= (eps.denominator + eps.numerator) * m
-    report = BoundReport(
-        n=n,
-        d=d,
-        floor_bound=fb,
-        strengthened=strengthened,
-        average_degree_bound=avg_bound,
-        log_reference=log_ref,
-        log_reference_eps=log_eps,
-        log_size_hypothesis_met=hypothesis,
-    )
+    report = BoundReport(n, d, fb, strengthened, average, log_ref, log_eps, hypothesis)
     if report.ceil_strengthened < fb:
         raise RuntimeError(
             f"ceil(strengthened) = {report.ceil_strengthened} is below floor_bound = {fb}"

@@ -65,10 +65,10 @@ from heapq import heappop, heappush
 from itertools import compress, repeat
 from typing import Iterable, Iterator
 
-from .bigraph import BipartiteGraph, VertexRef, require_balanced, require_nonnegative_d
+from .bigraph import _SIDES, BipartiteGraph, VertexRef, require_balanced, require_nonnegative_d
 from .bounds import BoundReport, bound_report, rational_json_texts
 from .errors import TraceMismatch
-from .oracle import _SIDES, StuckCore, degeneracy_certificate
+from .oracle import StuckCore, degeneracy_certificate
 
 __all__ = [
     "PAIR_CASE1",
@@ -485,7 +485,12 @@ def survivors(g: BipartiteGraph, steps: Iterable[PeelStep]) -> tuple[tuple[int, 
     return tuple(tuple(compress(range(len(side)), side)) for side in kept)
 
 
-def _run_peel(g: BipartiteGraph, d: int):
+def _extract(g: BipartiteGraph, d: int, op: str):
+    """(lefts, rights, trace) of the peel of g at d; ``op`` names the caller
+    in the error raised on an unbalanced graph.  d is checked by
+    :func:`bound_report`, which runs before the peel."""
+    require_balanced(g, op)
+    report = bound_report(g, d)
     work = _WorkingGraph(g, d)
     peel = _peel(work)
     steps: list[PeelStep] = []
@@ -495,17 +500,8 @@ def _run_peel(g: BipartiteGraph, d: int):
         nums.append(num)
     lefts, rights = survivors(g, steps)
     den = 2 * work.scale
-    return lefts, rights, tuple(steps), tuple(Fraction(x, den) for x in nums)
-
-
-def _extract(g: BipartiteGraph, d: int, op: str):
-    """(lefts, rights, trace) of the peel of g at d; ``op`` names the caller
-    in the error raised on an unbalanced graph."""
-    require_balanced(g, op)
-    require_nonnegative_d(d)
-    lefts, rights, steps, values = _run_peel(g, d)
-    trace = PeelTrace(steps=steps, initial_report=bound_report(g, d), bound_values=values)
-    return lefts, rights, trace
+    values = tuple(Fraction(x, den) for x in nums)
+    return lefts, rights, PeelTrace(steps=tuple(steps), initial_report=report, bound_values=values)
 
 
 def find_bihole(g: BipartiteGraph) -> tuple[BiholeWitness, PeelTrace]:

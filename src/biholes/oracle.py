@@ -28,7 +28,7 @@ from heapq import heapify, heappop, heappush
 from itertools import compress
 from typing import Iterable
 
-from .bigraph import BipartiteGraph, Side, VertexRef, require_balanced, require_nonnegative_d
+from .bigraph import _SIDES, BipartiteGraph, Side, VertexRef, require_balanced, require_nonnegative_d
 from .errors import IndexOutOfRange, InstanceTooLarge
 
 __all__ = [
@@ -90,29 +90,22 @@ class StuckCore:
     right: tuple[int, ...]
 
 
-_SIDES = (Side.LEFT, Side.RIGHT)
-
-
-def _check_side_indices(g: BipartiteGraph, indices: Iterable[int], side: Side) -> list[int]:
+def _check_side_indices(g: BipartiteGraph, indices: Iterable[int], side: Side) -> set[int]:
+    """The indices as a new set; IndexOutOfRange names the smallest one
+    outside side's range."""
     count = g.left_count if side is Side.LEFT else g.right_count
-    out = sorted(set(indices))
-    for i in out:
-        if not 0 <= i < count:
-            raise IndexOutOfRange(f"{side.value} index {i} not in [0, {count})")
+    out = set(indices)
+    if out and not (0 <= min(out) and max(out) < count):
+        i = min(i for i in out if not 0 <= i < count)
+        raise IndexOutOfRange(f"{side.value} index {i} not in [0, {count})")
     return out
 
 
 def is_bihole(g: BipartiteGraph, left_set: Iterable[int], right_set: Iterable[int]) -> bool:
     """True iff the sets are balanced and no edge of g crosses them."""
-    lefts = _check_side_indices(g, left_set, Side.LEFT)
-    rights = _check_side_indices(g, right_set, Side.RIGHT)
-    if len(lefts) != len(rights):
-        return False
-    rset = set(rights)
-    for l in lefts:
-        if not rset.isdisjoint(g.left_adj[l]):
-            return False
-    return True
+    lset = _check_side_indices(g, left_set, Side.LEFT)
+    rset = _check_side_indices(g, right_set, Side.RIGHT)
+    return len(lset) == len(rset) and all(rset.isdisjoint(g.left_adj[l]) for l in lset)
 
 
 def degeneracy_certificate(
@@ -130,13 +123,11 @@ def degeneracy_certificate(
     labels) iff every vertex gets removed; otherwise returns the remaining
     :class:`StuckCore`, whose minimum degree exceeds d.
     """
-    lefts = _check_side_indices(g, left_set, Side.LEFT)
-    rights = _check_side_indices(g, right_set, Side.RIGHT)
-    rset = set(rights)
-    lset = set(lefts)
+    lset = _check_side_indices(g, left_set, Side.LEFT)
+    rset = _check_side_indices(g, right_set, Side.RIGHT)
     adj = (
-        {l: rset.intersection(g.left_adj[l]) for l in lefts},
-        {r: lset.intersection(g.right_adj[r]) for r in rights},
+        {l: rset.intersection(g.left_adj[l]) for l in lset},
+        {r: lset.intersection(g.right_adj[r]) for r in rset},
     )
     span = max(g.left_count, g.right_count)
     # one key for every vertex whose degree is <= d; a key is stale once its
@@ -186,9 +177,8 @@ def check_elimination_order(
     side's set, is checked against the other side's and is then removed,
     and both sets must end empty.
     """
-    lefts = _check_side_indices(g, left_set, Side.LEFT)
-    rights = _check_side_indices(g, right_set, Side.RIGHT)
-    lset, rset = set(lefts), set(rights)
+    lset = _check_side_indices(g, left_set, Side.LEFT)
+    rset = _check_side_indices(g, right_set, Side.RIGHT)
     left_adj, right_adj = g.left_adj, g.right_adj
     for v in order:
         side, i = v.side, v.index

@@ -417,6 +417,23 @@ def test_parse_rejects_lines_that_json_would_decode(text, lineno):
     assert info.value.lineno == lineno
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "2 2\n00 1\n",  # a leading zero: JSON refuses it, int() reads 0
+        "2 2\n0 -\n",  # a lone minus: neither reads it
+        "2 2\n1 1\n0 1-\n",
+    ],
+)
+def test_chunks_that_json_refuses_parse_as_the_line_reader(text):
+    """A chunk that passes the decoder's character check but not
+    ``json.loads`` falls back to ``str.split``, and the result is the line
+    reader's: the same graph, or an error of the same type and message
+    naming the same line (a MalformedEdgeLine for the lone minus)."""
+    assert bigraph._decode_chunk(text.partition("\n")[2]) is None
+    assert _outcome(parse_edge_list, text) == _outcome(reference_parse_edge_list, text)
+
+
 @pytest.mark.parametrize("chunk", [1, 7, None])
 @pytest.mark.parametrize("eol", ["\n", "\r\n"])
 def test_serialized_text_takes_the_decoder_and_row_slicing(monkeypatch, chunk, eol):
@@ -591,8 +608,14 @@ def test_generate_validation():
         generate("gnp", 3)
     with pytest.raises(InvalidProbability):
         generate("gnp", 3, p=1.5)
-    with pytest.raises(ValueError):
-        generate("torus", 3)
+    for model in ("torus", "GNP", "Complete", " cycle"):  # names are exact
+        with pytest.raises(ValueError, match="^unknown model "):
+            generate(model, 3, p=0.5)
+
+
+def test_repr_names_shape_and_edge_count():
+    assert repr(c6()) == "BipartiteGraph(3x3, 6 edges)"
+    assert repr(build_graph(0, 2, [])) == "BipartiteGraph(0x2, 0 edges)"
 
 
 @pytest.mark.parametrize("p", [float("inf"), float("-inf"), float("nan")])

@@ -564,11 +564,21 @@ def test_experiment_rejects_unknown_model(tmp_path):
         ["--p-grid", ""],
         ["--d-set", "0,-1"],
         ["--models", "matching,cycle", "--n-range", "1-3"],
+        ["--models", "Complete"],
     ],
 )
 def test_experiment_rejected_sweep_writes_no_file(tmp_path, bad):
     out = tmp_path / "out.csv"
     assert main(["experiment", "--n-range", "4-5", "--trials", "1", *bad, "-o", str(out)]) == EXIT_PARSE
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["5-3", "0", "0-2", "", ","])
+def test_experiment_rejects_a_bad_n_range(tmp_path, capsys, text):
+    out = tmp_path / "out.csv"
+    argv = ["experiment", "--n-range", text, "--trials", "1", "-o", str(out)]
+    assert main(argv) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: bad n range {text!r}\n"
     assert not out.exists()
 
 

@@ -25,7 +25,7 @@ from biholes.extract import (
     BiholeWitness,
     PeelStep,
     PeelTrace,
-    _run_peel,
+    _extract,
     check_trace,
     find_bihole,
     find_degenerate,
@@ -37,6 +37,13 @@ from biholes.oracle import (
     max_degenerate_exact,
 )
 from reference_peel import reference_peel
+
+
+def _peel_result(g: BipartiteGraph, d: int):
+    """(lefts, rights, steps, values) of g's peel at d, the tuple that
+    ``reference_peel`` computes."""
+    lefts, rights, trace = _extract(g, d, "find_degenerate")
+    return lefts, rights, trace.steps, trace.bound_values
 
 
 def c6() -> BipartiteGraph:
@@ -546,14 +553,14 @@ def peel_inputs(draw):
 @settings(max_examples=150, deadline=None)
 @given(peel_inputs(), st.integers(0, 3))
 def test_peel_matches_rescan_reference(g, d):
-    assert _run_peel(g, d) == reference_peel(g, d)
+    assert _peel_result(g, d) == reference_peel(g, d)
 
 
 @settings(max_examples=100, deadline=None)
 @given(peel_inputs(), st.integers(0, 6))
 def test_peel_matches_rescan_reference_up_to_d6(g, d):
     """d up to 6 also reaches d >= max degree, where every bucket is a heap."""
-    assert _run_peel(g, d) == reference_peel(g, d)
+    assert _peel_result(g, d) == reference_peel(g, d)
 
 
 def test_peel_pushes_heaps_only_for_low_buckets(monkeypatch):
@@ -759,11 +766,10 @@ def _first_pair_step(steps) -> int:
 def _matches_reference(g: BipartiteGraph, d: int):
     """The steps of g's peel at d, after checking the peel against the rescan
     reference and its trace against the replay."""
-    lefts, rights, steps, values = got = _run_peel(g, d)
-    assert got == reference_peel(g, d)
-    report = extract.bound_report(g, d)
-    assert check_trace(g, PeelTrace(steps=steps, initial_report=report, bound_values=values), d)
-    return steps
+    lefts, rights, trace = _extract(g, d, "find_degenerate")
+    assert (lefts, rights, trace.steps, trace.bound_values) == reference_peel(g, d)
+    assert check_trace(g, trace, d)
+    return trace.steps
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13])
@@ -904,7 +910,7 @@ def test_the_peel_builds_each_step_through_its_constructor(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(PeelStep, "__init__", counting_init)
-    steps = _run_peel(g, 2)[2]
+    steps = _peel_result(g, 2)[2]
     assert sum(step.kind == LOW_DEGREE_EDGE_DELETION for step in steps) > 300
     assert list(map(id, built)) == list(map(id, steps))
 
@@ -1120,7 +1126,7 @@ def test_working_graph_builds_no_neighbour_sets(d):
 def test_complete_peel_builds_no_row_sets(d):
     """The peel of K_{200,200} holds two sets of at most 200 vertices for
     its memo, about 0.1 MB at peak, where a set per left row took 1.8 MB."""
-    peak = _traced_peak(_run_peel, generate("complete", 200), d)
+    peak = _traced_peak(_extract, generate("complete", 200), d, "find_degenerate")
     assert peak < 512 * 1024, f"peak {peak} bytes"
 
 
@@ -1156,5 +1162,5 @@ def test_binary_search_probes_stay_linear_in_the_edges(monkeypatch, g):
     monkeypatch.setattr(extract, "bisect_left", counting_bisect_left)
     for d in (0, 2):
         probes.clear()
-        steps = _run_peel(g, d)[2]
+        steps = _peel_result(g, d)[2]
         assert len(probes) <= g.edge_count + 2 * len(steps)

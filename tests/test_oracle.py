@@ -139,6 +139,20 @@ def test_is_bihole_rejects_bad_indices():
         is_bihole(c6(), [0], [-1])
 
 
+@pytest.mark.parametrize(
+    "lefts, message",
+    [([7, 3, 5, -1, -4, 0], "L index -4 not in"), ([9, 4, 3, 6], "L index 3 not in")],
+)
+def test_bad_indices_name_the_smallest(lefts, message):
+    for check in (
+        lambda: is_bihole(c6(), lefts, []),
+        lambda: degeneracy_certificate(c6(), lefts, [], 1),
+        lambda: check_elimination_order(c6(), lefts, [], 1, []),
+    ):
+        with pytest.raises(IndexOutOfRange, match=f"^{message} \\[0, 3\\)$"):
+            check()
+
+
 # -- degeneracy certificates ------------------------------------------------------
 
 
