@@ -2,117 +2,16 @@
 
 Exact degree-sequence lower bounds, a deterministic constructive extractor
 with replayable audit traces, brute-force oracles for ground truth, and a
-CLI (``bihole``) tying them together.
+CLI (``bihole``) tying them together.  The package exports exactly its
+modules' ``__all__`` lists, each name declared once, where it is defined.
 """
 
-from .bigraph import (
-    GENERATOR_MODELS,
-    BipartiteGraph,
-    Side,
-    SplitMix64,
-    VertexRef,
-    build_graph,
-    generate,
-    parse_edge_list,
-    serialize,
-)
-from .bounds import (
-    BoundReport,
-    average_degree_bound,
-    bound_report,
-    caro_wei_sum,
-    decimal_string,
-    floor_bound,
-    log_reference_bound,
-    potential,
-    strengthened_bound,
-)
-from .errors import (
-    BiholesError,
-    DegreeTooSmall,
-    EmptySide,
-    IndexOutOfRange,
-    InstanceTooLarge,
-    InvalidProbability,
-    InvalidSize,
-    MalformedEdgeLine,
-    MalformedHeader,
-    NegativeD,
-    TraceMismatch,
-    UnbalancedGraph,
-)
-from .extract import (
-    LOW_DEGREE_EDGE_DELETION,
-    PAIR_CASE1,
-    PAIR_CASE2,
-    BiholeWitness,
-    DegenerateWitness,
-    PeelStep,
-    PeelTrace,
-    check_trace,
-    find_bihole,
-    find_degenerate,
-)
-from .oracle import (
-    OracleLimits,
-    StuckCore,
-    check_elimination_order,
-    degeneracy_certificate,
-    is_bihole,
-    max_bihole_exact,
-    max_biclique_exact,
-    max_degenerate_exact,
-)
+from .bigraph import *
+from .bounds import *
+from .errors import *
+from .extract import *
+from .oracle import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BipartiteGraph",
-    "Side",
-    "VertexRef",
-    "SplitMix64",
-    "GENERATOR_MODELS",
-    "build_graph",
-    "parse_edge_list",
-    "serialize",
-    "generate",
-    "potential",
-    "caro_wei_sum",
-    "floor_bound",
-    "strengthened_bound",
-    "average_degree_bound",
-    "log_reference_bound",
-    "BoundReport",
-    "bound_report",
-    "decimal_string",
-    "PAIR_CASE1",
-    "PAIR_CASE2",
-    "LOW_DEGREE_EDGE_DELETION",
-    "PeelStep",
-    "PeelTrace",
-    "BiholeWitness",
-    "DegenerateWitness",
-    "find_bihole",
-    "find_degenerate",
-    "check_trace",
-    "OracleLimits",
-    "StuckCore",
-    "is_bihole",
-    "degeneracy_certificate",
-    "check_elimination_order",
-    "max_bihole_exact",
-    "max_biclique_exact",
-    "max_degenerate_exact",
-    "BiholesError",
-    "IndexOutOfRange",
-    "EmptySide",
-    "UnbalancedGraph",
-    "MalformedHeader",
-    "MalformedEdgeLine",
-    "InvalidProbability",
-    "InvalidSize",
-    "DegreeTooSmall",
-    "NegativeD",
-    "InstanceTooLarge",
-    "TraceMismatch",
-]
+__all__ = bigraph.__all__ + bounds.__all__ + errors.__all__ + extract.__all__ + oracle.__all__

@@ -64,15 +64,11 @@ __all__ = [
     "Side",
     "VertexRef",
     "BipartiteGraph",
-    "MAX_VERTICES",
     "SplitMix64",
     "build_graph",
-    "require_balanced",
-    "require_nonnegative_d",
     "parse_edge_list",
     "serialize",
     "generate",
-    "check_model",
     "GENERATOR_MODELS",
 ]
 

@@ -48,7 +48,6 @@ __all__ = [
     "log_reference_bound",
     "BoundReport",
     "bound_report",
-    "rational_json_texts",
     "decimal_string",
 ]
 

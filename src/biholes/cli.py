@@ -36,10 +36,11 @@ from .bigraph import (
     check_model,
     generate,
     parse_edge_list,
+    require_nonnegative_d,
     serialize,
 )
 from .bounds import bound_report, decimal_string
-from .errors import BiholesError, InstanceTooLarge, NegativeD, TraceMismatch, UnbalancedGraph
+from .errors import BiholesError, InstanceTooLarge, TraceMismatch, UnbalancedGraph
 from .extract import check_trace, find_bihole, find_degenerate, survivors
 from .oracle import (
     OracleLimits,
@@ -241,8 +242,8 @@ def _experiment_cells(args) -> Iterator[tuple[str, int, float | None, int, int]]
         raise ValueError(f"--trials must be >= 0, got {args.trials}")
     ps = [float(x) for x in args.p_grid.split(",") if x.strip()] if args.p_grid else []
     ds = [int(x) for x in args.d_set.split(",") if x.strip()] if args.d_set else [0]
-    if any(d < 0 for d in ds):
-        raise NegativeD(f"d values must be >= 0, got {ds}")
+    for d in ds:
+        require_nonnegative_d(d)
     p_values = {model: ps if model == "gnp" else [None] for model in models}
     if "gnp" in models and not ps:
         raise ValueError("model gnp needs a --p-grid")

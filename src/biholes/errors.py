@@ -1,5 +1,20 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "BiholesError",
+    "IndexOutOfRange",
+    "EmptySide",
+    "UnbalancedGraph",
+    "MalformedHeader",
+    "MalformedEdgeLine",
+    "InvalidProbability",
+    "InvalidSize",
+    "DegreeTooSmall",
+    "NegativeD",
+    "InstanceTooLarge",
+    "TraceMismatch",
+]
+
 
 class BiholesError(Exception):
     """Base class for every error raised by this package."""

@@ -230,9 +230,10 @@ class _WorkingGraph:
     the peel turns these into Fractions for ``bound_values``, and the replay
     never does.  ``max[s]`` is exact between steps: the constructor
     refreshes it, and ``_peel`` after each step that empties a max bucket
-    (at or below d, ``top_members[s]`` stays empty).  The step loop is
-    ``_peel``'s; its helpers are ``_cut``, ``refresh_max`` (with ``_drain``
-    and ``_lowest``) and ``select_pair`` (with ``_covers``).
+    (at or below d, ``top_members[s]`` stays empty), so the peel and the
+    replay stop on ``max[0] == 0``, no edge left, and keep no edge count.
+    The step loop is ``_peel``'s; its helpers are ``_cut``, ``refresh_max``
+    (with ``_drain`` and ``_lowest``) and ``select_pair`` (with ``_covers``).
 
     ``covered`` holds left vertices adjacent to all of ``cover_of``, a copy
     of the right max bucket retaken as a vertex joins an empty memo or after
@@ -256,7 +257,6 @@ class _WorkingGraph:
         # one above every bucket, so that the first refresh drains bucket top
         self.max = [top + 1, top + 1]
         self.refresh_max()
-        self.edge_count = g.edge_count
         self.scale = math.lcm(*range(d + 2, top + 2))
         self.term = [
             self.scale if x <= d else self.scale * (d + 1) // (x + 1) for x in range(top + 1)
@@ -404,7 +404,6 @@ class _WorkingGraph:
         x = self.deg[s][i]
         self.deg[s][i] = 0
         self.top_members[s].discard(i)
-        self.edge_count -= x
         self.total += delta - self.term[x]
 
 
@@ -436,7 +435,7 @@ def _peel(work: _WorkingGraph) -> Iterator[tuple]:
     kind = degrees = a = b = v = None
     while True:
         yield kind, degrees, a, b, v, work.total + term[maxes[0]] + term[maxes[1]] - den
-        if not work.edge_count:
+        if not maxes[0]:
             return
         da, db = maxes
         for s, heap, side_deg, x in probes:
@@ -587,9 +586,9 @@ def check_trace(g: BipartiteGraph, trace: PeelTrace, d: int) -> bool:
                 f"step {pos}: recorded {step} but the rule takes {_step(*expected[:5])}"
             )
         nums.append(num)
-    if work.edge_count > 0:
+    if work.max[0]:
         raise TraceMismatch(
-            f"trace ends after {len(trace.steps)} steps with {work.edge_count} edges left"
+            f"trace ends after {len(trace.steps)} steps with {sum(work.deg[0])} edges left"
         )
     report = trace.initial_report
     stored = tuple(trace.bound_values)

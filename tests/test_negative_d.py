@@ -56,3 +56,11 @@ def test_each_path_checks_d_once(monkeypatch, name):
     else:
         CALLS[name](0)
     assert calls == [0]
+
+
+def test_experiment_negative_d_is_the_same_error_line(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    argv = ["experiment", "--n-range", "4", "--trials", "1", "--d-set", "0,-1", "-o", str(out)]
+    assert main(argv) == EXIT_PARSE
+    assert capsys.readouterr().err == "error: degeneracy parameter must be >= 0, got -1\n"
+    assert not out.exists()
