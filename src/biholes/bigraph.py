@@ -24,9 +24,9 @@ The parser reads the lines up to the header one at a time and the edge
 lines in bulk, about 64 KiB at a time.  A chunk in the form the serializer
 writes (``u v`` per line, one space, LF or CRLF) is decoded, two ints a line,
 by one ``json.loads`` call; any other chunk, say one with a comment or a tab,
-goes through ``str.split`` and ``map(int, ...)``.  Edges in strictly
-increasing order are cut into rows as they stand, and the header bounds only
-the first and last left index and each row's ends; others go through per-row
+goes through ``str.split`` and ``map(int, ...)``.  Edges sorted by left
+index are cut into rows as they stand, and the header bounds the first and
+last left index and each row's ends as it is cut; others go through per-row
 sets.  Only a bad line makes the parser walk the lines one by one, to name it.
 
 ``gnp`` draws one SplitMix64 value per potential edge in row-major order,
@@ -104,20 +104,15 @@ class BipartiteGraph:
 
     Built from three fields: the two side sizes and ``left_adj``, where
     ``left_adj[i]`` is the strictly increasing tuple of right-side
-    neighbours of left vertex ``i``.  The other two are derived once, on
-    construction: ``right_adj[j]``, the left neighbours of right vertex
-    ``j`` (mirroring ``left_adj`` exactly, isolated vertices included), and
-    ``edge_count``.  A ``left_adj`` whose length is not ``left_count``
-    raises :class:`InvalidSize`, and a row whose first or last entry lies
-    outside ``[0, right_count)`` raises :class:`IndexOutOfRange`, which
-    covers every entry of a sorted row.  That the rows are strictly
-    increasing is trusted: inside an unsorted row an entry of
-    ``right_count`` or more, or below ``-right_count``, still raises
-    IndexOutOfRange, from building ``right_adj``, but any other negative
-    entry is filed under right vertex ``right_count`` plus the entry.  Use
-    :func:`build_graph` to build a graph from an edge list.  Equality and
-    the hash read the three fields.  The peel looks up adjacency by binary
-    search in these rows.
+    neighbours of left vertex ``i``: a row that is not is stored as
+    ``tuple(sorted(set(row)))``, a sorted one as passed.  The other two are
+    derived once, on construction: ``right_adj[j]``, the left neighbours of
+    right vertex ``j`` (mirroring ``left_adj``, isolated vertices included),
+    and ``edge_count``.  A negative side size, or a ``left_adj`` whose
+    length is not ``left_count``, raises :class:`InvalidSize`, and a row
+    entry outside ``[0, right_count)`` raises :class:`IndexOutOfRange`.
+    Equality and the hash read the three fields, so rows of the same edges
+    in any order give equal graphs.  The peel binary-searches the rows.
     """
 
     left_count: int
@@ -127,16 +122,19 @@ class BipartiteGraph:
     edge_count: int = field(init=False, compare=False)
 
     def __post_init__(self):
-        left_adj, right = self.left_adj, self.right_count
-        if len(left_adj) != self.left_count:
-            raise InvalidSize(f"{len(left_adj)} left rows for {self.left_count} left vertices")
+        left_adj, left, right = self.left_adj, self.left_count, self.right_count
+        if left < 0 or right < 0:
+            raise InvalidSize(f"side sizes must be >= 0, got {left} x {right}")
+        if len(left_adj) != left:
+            raise InvalidSize(f"{len(left_adj)} left rows for {left} left vertices")
+        if not all(all(map(operator.lt, row, row[1:])) for row in left_adj):
+            left_adj = tuple(row if all(map(operator.lt, row, row[1:])) else tuple(sorted(set(row)))
+                             for row in left_adj)
+            object.__setattr__(self, "left_adj", left_adj)
         rows = list(filter(None, left_adj))
         if rows and (min(map(_FIRST, rows)) < 0 or max(map(_LAST, rows)) >= right):
             raise IndexOutOfRange(_ROW_OUT_OF_RANGE % right)
-        try:
-            object.__setattr__(self, "right_adj", _mirror(left_adj, right))
-        except IndexError:  # an unsorted row with an entry past right inside it
-            raise IndexOutOfRange(_ROW_OUT_OF_RANGE % right) from None
+        object.__setattr__(self, "right_adj", _mirror(left_adj, right))
         object.__setattr__(self, "edge_count", sum(map(len, left_adj)))
 
     # -- basic queries ----------------------------------------------------
@@ -188,8 +186,6 @@ def build_graph(
     left_count: int, right_count: int, edges: Iterable[tuple[int, int]]
 ) -> BipartiteGraph:
     """Build a graph from an edge iterable, deduplicating as it goes."""
-    if left_count < 0 or right_count < 0:
-        raise InvalidSize(f"side sizes must be >= 0, got {left_count} x {right_count}")
     left_sets: list[set[int]] = [set() for _ in range(left_count)]
     for u, v in edges:
         if not 0 <= u < left_count or not 0 <= v < right_count:
@@ -384,15 +380,15 @@ def parse_edge_list(text: str) -> BipartiteGraph:
 
 def _parsed_graph(left: int, right: int, edges: tuple[list[int], list[int]]) -> BipartiteGraph:
     """The graph of the edges (left ends, right ends), or IndexOutOfRange.
-    Edges in strictly increasing order are cut into rows as they stand and
-    checked on the ends of the left ends and of each row as it is cut, so the
-    first bad row stops the cut; others are checked by min/max."""
+    Edges sorted by left end are cut into rows as they stand, for the
+    constructor to sort and check, and a bad first or last left end or row
+    end stops the cut; others are checked by min/max before build_graph."""
     us, vs = edges
     # A strided sample rejects most shuffled lists before an O(m log m) sort.
     ordered = us[::64] == sorted(us[::64]) and us == sorted(us)
     if ordered and (not us or 0 <= us[0] and us[-1] < left):
         left_adj = _rows(us, vs, range(1, left + 1), right)
-        if left_adj is not None and all(all(map(operator.lt, r, r[1:])) for r in left_adj):
+        if left_adj is not None:
             return BipartiteGraph(left, right, left_adj)
     if us and not (0 <= min(us) and max(us) < left and 0 <= min(vs) and max(vs) < right):
         raise IndexOutOfRange(f"an edge does not fit a {left} x {right} graph")
@@ -513,11 +509,10 @@ def check_model(model: str, n: int, p: float | Fraction | None = None) -> None:
         raise ValueError(f"unknown model {model!r}; expected one of {GENERATOR_MODELS}")
     if model == "cycle" and n < 2:
         raise InvalidSize("cycle needs n >= 2 to form a 2n-cycle")
-    if model == "gnp":
-        if p is None:
-            raise InvalidProbability("model 'gnp' needs an edge probability p")
-        if not 0 <= p <= 1:
-            raise InvalidProbability(f"edge probability must be in [0, 1], got {p}")
+    if model == "gnp" and p is None:
+        raise InvalidProbability("model 'gnp' needs an edge probability p")
+    if p is not None and not 0 <= p <= 1:
+        raise InvalidProbability(f"edge probability must be in [0, 1], got {p}")
 
 
 def generate(

@@ -43,6 +43,9 @@ class MalformedEdgeLine(BiholesError):
         super().__init__(message)
         self.lineno = lineno
 
+    def __reduce__(self):
+        return type(self), (self.lineno, str(self))
+
 
 class InvalidProbability(BiholesError):
     """An edge probability was missing or outside [0, 1]."""

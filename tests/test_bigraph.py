@@ -1,5 +1,7 @@
 """Graph construction, complements, text round-trips, and generator behaviour."""
 
+import copy
+import pickle
 import tracemalloc
 from dataclasses import FrozenInstanceError
 
@@ -31,6 +33,8 @@ from biholes.errors import (
     MalformedHeader,
     UnbalancedGraph,
 )
+from biholes.extract import find_bihole
+from biholes.oracle import max_bihole_exact
 
 C6_EDGES = [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)]
 
@@ -94,10 +98,14 @@ def test_build_rejects_out_of_range():
 def test_build_rejects_negative_sizes():
     with pytest.raises(InvalidSize):
         build_graph(-1, 2, [])
+    with pytest.raises(InvalidSize, match=r"^side sizes must be >= 0, got 0 x -5$"):
+        BipartiteGraph(0, -5, ())
 
 
 def test_the_constructor_derives_right_rows_and_edge_count():
-    g = BipartiteGraph(3, 4, ((1, 2), (), (0, 2)))
+    rows = ((1, 2), (), (0, 2))
+    g = BipartiteGraph(3, 4, rows)
+    assert g.left_adj is rows  # strictly increasing rows are stored as passed
     assert g.right_adj == ((2,), (0,), (0, 2), ())  # right vertex 3 is isolated
     assert g.edge_count == 4
     assert_mirrored(g)
@@ -128,12 +136,24 @@ def test_a_row_entry_outside_the_right_side_raises(rows):
 
 
 def test_an_unsorted_row_with_an_entry_past_the_right_side_raises():
-    """Only a row's ends are checked; mirroring still catches a larger
-    entry inside an unsorted row (a negative one from -right_count up is
-    not caught: unsorted rows are trusted)."""
+    """An unsorted row is sorted before its ends are checked, so an entry
+    inside it is checked too, a negative one from -right_count up included
+    (it would index a right vertex from the end)."""
     with pytest.raises(IndexOutOfRange):
         BipartiteGraph(1, 2, ((0, 7, 1),))
+    with pytest.raises(IndexOutOfRange, match=r"outside \[0, 3\)$"):
+        BipartiteGraph(1, 3, ((2, -1),))
     assert BipartiteGraph(1, 0, ((),)).edge_count == 0
+    rows = ((0, 1), (2, 0, 1))
+    g = BipartiteGraph(2, 3, rows)
+    assert g.left_adj == ((0, 1), (0, 1, 2)) and g.left_adj[0] is rows[0]
+
+
+def test_a_repeated_row_entry_is_one_edge():
+    g = BipartiteGraph(2, 2, ((1, 1), ()))
+    assert g.left_adj == ((1,), ()) and g.right_adj == ((), (0,))
+    assert g.edge_count == 1
+    assert max_bihole_exact(g) == 1
 
 
 @pytest.mark.parametrize("model", bigraph.GENERATOR_MODELS)
@@ -244,6 +264,13 @@ def test_parse_malformed_edge_line_carries_lineno():
     assert info.value.lineno == 4
 
 
+def test_malformed_edge_line_survives_pickle_and_copy():
+    exc = MalformedEdgeLine(4, "line 4: edge line must be two integers, got '0'")
+    for twin in (pickle.loads(pickle.dumps(exc)), copy.copy(exc), copy.deepcopy(exc)):
+        assert type(twin) is MalformedEdgeLine
+        assert twin.lineno == 4 and str(twin) == str(exc)
+
+
 def test_parse_edge_out_of_range_names_line():
     with pytest.raises(IndexOutOfRange, match="line 2"):
         parse_edge_list("2 2\n0 5\n")
@@ -351,6 +378,12 @@ def test_an_index_that_does_not_fit_builds_no_graph(monkeypatch, body):
     monkeypatch.setattr(bigraph, "build_graph", None)
     with pytest.raises(IndexOutOfRange, match="^line 4: "):
         parse_edge_list("9 9\n" + body)
+
+
+def test_a_sorted_list_with_a_repeated_line_takes_the_row_cut(monkeypatch):
+    monkeypatch.setattr(bigraph, "build_graph", None)
+    g = parse_edge_list("2 3\n0 1\n0 1\n0 2\n1 0\n1 0\n")
+    assert g.left_adj == ((1, 2), (0,)) and g.edge_count == 3
 
 
 def test_a_right_index_past_the_header_stops_the_row_cut():
@@ -533,11 +566,11 @@ def assert_strictly_increasing_rows(g: BipartiteGraph) -> None:
 
 
 @st.composite
-def shuffled_edge_lists(draw, max_n=7):
+def shuffled_edge_lists(draw, max_n=7, balanced=False):
     """(left_count, right_count, edges): distinct edges with some repeated,
-    in a random order."""
+    in a random order; n x n when ``balanced`` is set."""
     left = draw(st.integers(1, max_n))
-    right = draw(st.integers(1, max_n))
+    right = left if balanced else draw(st.integers(1, max_n))
     edge = st.tuples(st.integers(0, left - 1), st.integers(0, right - 1))
     edges = draw(st.lists(edge, unique=True))
     repeats = draw(st.lists(st.sampled_from(edges), max_size=len(edges))) if edges else []
@@ -548,6 +581,22 @@ def shuffled_edge_lists(draw, max_n=7):
 @given(shuffled_edge_lists())
 def test_build_graph_rows_strictly_increase(case):
     assert_strictly_increasing_rows(build_graph(*case))
+
+
+@settings(max_examples=100)
+@given(shuffled_edge_lists(balanced=True))
+def test_rows_in_any_order_give_the_graph_of_their_edges(case):
+    """Rows filled in edge order, unsorted and with repeats, build the same
+    graph, hash and peel as build_graph of the edges."""
+    left, right, edges = case
+    rows = [[] for _ in range(left)]
+    for u, v in edges:
+        rows[u].append(v)
+    g, expected = BipartiteGraph(left, right, tuple(map(tuple, rows))), build_graph(*case)
+    assert_strictly_increasing_rows(g)
+    assert g == expected and hash(g) == hash(expected)
+    assert (g.right_adj, g.edge_count) == (expected.right_adj, expected.edge_count)
+    assert find_bihole(g) == find_bihole(expected)
 
 
 @settings(max_examples=100)
@@ -608,6 +657,8 @@ def test_generate_validation():
         generate("gnp", 3)
     with pytest.raises(InvalidProbability):
         generate("gnp", 3, p=1.5)
+    with pytest.raises(InvalidProbability, match=r"got -3$"):
+        generate("cycle", 2, p=-3)  # every model refuses a p outside [0, 1]
     for model in ("torus", "GNP", "Complete", " cycle"):  # names are exact
         with pytest.raises(ValueError, match="^unknown model "):
             generate(model, 3, p=0.5)

@@ -404,6 +404,17 @@ def test_gen_rejects_non_finite_p(capsys, p):
 
 
 @pytest.mark.parametrize("model", GENERATOR_MODELS)
+@pytest.mark.parametrize("p", ["inf", "-3"])
+def test_gen_refuses_a_p_outside_0_1_for_every_model(tmp_path, capsys, model, p):
+    out = tmp_path / "g.txt"
+    assert main(["gen", model, "2", str(out), "--p", p]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: edge probability must be in [0, 1], got {float(p)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model", GENERATOR_MODELS)
 def test_gen_refuses_sizes_no_edge_list_holds_within_a_second(tmp_path, capsys, model):
     # A child process first, capped at 1 GiB of address space and 10 s:
     # where the size is not refused, gnp draws forever and the fixed models

@@ -1,0 +1,13 @@
+"""The README's Library example runs as written, so the documented API
+cannot drift from the package."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_the_library_example_runs():
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.S | re.M)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
