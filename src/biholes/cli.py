@@ -103,7 +103,8 @@ def _failed_checks(g, witness, trace, d: int, exact: int | None = None) -> list[
     ``witness``: the witness is a bi-hole (d = 0) or its elimination order
     replays (d >= 1).  ``trace``: :func:`check_trace` accepts the trace (a
     :class:`TraceMismatch` counts as a failure), and the witness's sets are
-    exactly the vertices that no pair step of the trace removed.
+    exactly the vertices that no pair step of the trace removed; the replay
+    ends on their count, so a passing witness reaches ``ceil_strengthened``.
     ``floor_bound``: the size reaches the trace's floor bound, which
     ``check_trace`` has tied to g.  ``exact``: the size is at most the exact
     optimum, when one is given.
@@ -206,9 +207,10 @@ def _cmd_gen(args) -> int:
 # -- experiment ---------------------------------------------------------------
 
 
-def _parse_n_range(text: str) -> list[int]:
-    """Accepts '4-8' (inclusive) or a comma list '4,6,8'.  Refuses any n over
-    ``MAX_SIDE`` before the list is built."""
+def _parse_n_range(text: str) -> range | list[int]:
+    """Accepts '4-8' (inclusive), returned as a range, or a comma list
+    '4,6,8'.  Refuses any n below 1 or over ``MAX_SIDE``; no list of the
+    sizes in a range is built."""
     text = text.strip()
     if "-" in text and "," not in text:
         lo_text, hi_text = text.split("-", 1)
@@ -220,7 +222,7 @@ def _parse_n_range(text: str) -> list[int]:
         raise ValueError(f"bad n range {text!r}")
     if max(ends) > MAX_SIDE:
         raise ValueError(f"n range {text!r} goes past the largest side size, {MAX_SIDE}")
-    return list(values)
+    return values
 
 
 def _experiment_cells(args) -> Iterator[tuple[str, int, float | None, int, int]]:
@@ -247,9 +249,13 @@ def _experiment_cells(args) -> Iterator[tuple[str, int, float | None, int, int]]
     p_values = {model: ps if model == "gnp" else [None] for model in models}
     if "gnp" in models and not ps:
         raise ValueError("model gnp needs a --p-grid")
-    cells = [(model, n, p) for model in models for n in ns for p in p_values[model]]
-    for cell in cells:
-        check_model(*cell)
+    # check_model's tests of n are monotone in n, so checking a range at its
+    # ends raises the error that a check of every cell would raise first
+    for model in models:
+        for n in (ns[0], ns[-1]) if isinstance(ns, range) else ns:
+            for p in p_values[model]:
+                check_model(model, n, p)
+    cells = ((model, n, p) for model in models for n in ns for p in p_values[model])
     return (
         (model, n, p, SplitMix64.draw(args.seed, c * args.trials + trial), d)
         for c, (model, n, p) in enumerate(cells)
@@ -323,55 +329,74 @@ def _cmd_experiment(args) -> int:
 # -- parser / entry point -----------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+_GRAPH_ARGS = (
+    (("input",), {"help": "edge-list file, or - for stdin"}),
+    (("--d",), {"type": int, "default": 0, "help": "degeneracy parameter (default 0)"}),
+)
+
+# command: (help, handler, its arguments as (flags, add_argument keywords)), in
+# the order the help lists them
+_COMMANDS = {
+    "bound": ("compute all bound values for a graph", _cmd_bound, _GRAPH_ARGS + (
+        (("--eps",), {"default": "1/2", "help": "eps for the log reference bound"}),
+        (("--json",), {"action": "store_true", "help": "emit the report as JSON"}),
+    )),
+    "extract": ("extract a witness (JSON on stdout)", _cmd_extract, _GRAPH_ARGS + (
+        (("--trace",), {"action": "store_true", "help": "include the peel trace"}),
+        (("--verify",), {"action": "store_true", "help": "re-verify witness and trace"}),
+    )),
+    "oracle": ("exact optimum by brute force", _cmd_oracle, _GRAPH_ARGS + (
+        (("--limits",), {"type": int, "help": "override both oracle side limits"}),
+    )),
+    "gen": ("generate a graph and write its edge list", _cmd_gen, (
+        (("model",), {"choices": GENERATOR_MODELS}),
+        (("n",), {"type": int, "help": "side size"}),
+        (("output",), {"help": "output file, or - for stdout"}),
+        (("--p",), {"type": float, "help": "edge probability (gnp only)"}),
+        (("--seed",), {"type": int, "default": 0, "help": "64-bit seed (gnp only)"}),
+    )),
+    "experiment": ("bound/extract/oracle sweep to CSV", _cmd_experiment, (
+        (("--models",), {"default": "gnp", "help": "comma list of models (default gnp)"}),
+        (("--n-range",), {"default": "4-8", "help": "side sizes: '4-8' or '4,6,8'"}),
+        (("--p-grid",), {"default": "0.1,0.3,0.5,0.7,0.9",
+                         "help": "comma list of gnp probabilities"}),
+        (("--d-set",), {"default": "0", "help": "comma list of d values (default 0)"}),
+        (("--trials",), {"type": int, "default": 3, "help": "graphs per (model, n, p) cell"}),
+        (("--seed",), {"type": int, "default": 0, "help": "master seed for graph seeds"}),
+        (("--oracle-max",), {"type": int, "help": "override both oracle side limits"}),
+        (("-o", "--output"), {"required": True, "help": "CSV output file, or - for stdout"}),
+    )),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``bihole`` parser.  When ``command`` names a subcommand, only that
+    subparser is registered, so a call builds the one parser it runs;
+    otherwise (None, ``-h``, an unknown name, an option) the whole tree is.
+    The text printed for an argv that starts with ``command`` does not
+    depend on which tree parses it: the one-command tree's usage line lists
+    all five commands, and an error about the command itself, which names
+    it ``command``, can only come from the whole tree."""
     parser = argparse.ArgumentParser(
         prog="bihole",
         description="Degree-sequence bounds and constructive extraction of "
         "bi-holes and balanced degenerate subgraphs in bipartite graphs.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    graph = argparse.ArgumentParser(add_help=False)
-    graph.add_argument("input", help="edge-list file, or - for stdin")
-    graph.add_argument("--d", type=int, default=0, help="degeneracy parameter (default 0)")
-
-    p_bound = sub.add_parser("bound", parents=[graph], help="compute all bound values for a graph")
-    p_bound.add_argument("--eps", default="1/2", help="eps for the log reference bound")
-    p_bound.add_argument("--json", action="store_true", help="emit the report as JSON")
-    p_bound.set_defaults(func=_cmd_bound)
-
-    p_extract = sub.add_parser("extract", parents=[graph], help="extract a witness (JSON on stdout)")
-    p_extract.add_argument("--trace", action="store_true", help="include the peel trace")
-    p_extract.add_argument("--verify", action="store_true", help="re-verify witness and trace")
-    p_extract.set_defaults(func=_cmd_extract)
-
-    p_oracle = sub.add_parser("oracle", parents=[graph], help="exact optimum by brute force")
-    p_oracle.add_argument("--limits", type=int, default=None, help="override both oracle side limits")
-    p_oracle.set_defaults(func=_cmd_oracle)
-
-    p_gen = sub.add_parser("gen", help="generate a graph and write its edge list")
-    p_gen.add_argument("model", choices=GENERATOR_MODELS)
-    p_gen.add_argument("n", type=int, help="side size")
-    p_gen.add_argument("output", help="output file, or - for stdout")
-    p_gen.add_argument("--p", type=float, default=None, help="edge probability (gnp only)")
-    p_gen.add_argument("--seed", type=int, default=0, help="64-bit seed (gnp only)")
-    p_gen.set_defaults(func=_cmd_gen)
-
-    p_exp = sub.add_parser("experiment", help="bound/extract/oracle sweep to CSV")
-    p_exp.add_argument("--models", default="gnp", help="comma list of models (default gnp)")
-    p_exp.add_argument("--n-range", default="4-8", help="side sizes: '4-8' or '4,6,8'")
-    p_exp.add_argument("--p-grid", default="0.1,0.3,0.5,0.7,0.9", help="comma list of gnp probabilities")
-    p_exp.add_argument("--d-set", default="0", help="comma list of d values (default 0)")
-    p_exp.add_argument("--trials", type=int, default=3, help="graphs per (model, n, p) cell")
-    p_exp.add_argument("--seed", type=int, default=0, help="master seed for graph seeds")
-    p_exp.add_argument("--oracle-max", type=int, default=None, help="override both oracle side limits")
-    p_exp.add_argument("-o", "--output", required=True, help="CSV output file, or - for stdout")
-    p_exp.set_defaults(func=_cmd_experiment)
-
+    whole = command not in _COMMANDS
+    metavar = None if whole else "{%s}" % ",".join(_COMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if whole else [command]:
+        help_text, func, arguments = _COMMANDS[name]
+        p_cmd = sub.add_parser(name, help=help_text)
+        for flags, keywords in arguments:
+            p_cmd.add_argument(*flags, **keywords)
+        p_cmd.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (BiholesError, ValueError, ZeroDivisionError, OSError) as exc:

@@ -554,11 +554,14 @@ def check_trace(g: BipartiteGraph, trace: PeelTrace, d: int) -> bool:
 
     The strengthened bound is recomputed after every replayed step, as an
     int numerator over the working graph's one denominator.  Returns True
-    iff that sequence is nondecreasing and the trace's stored claims agree
-    with it: ``bound_values`` equals it entry for entry, and
-    ``initial_report`` names this graph's side size and this d, with its
-    ``strengthened`` value equal to the first replayed value and its
-    ``floor_bound`` equal to half the input graph's potential sum, floored.
+    iff that sequence is nondecreasing, its last value equals the side size
+    less the number of pair steps (the size of the witness the peel leaves),
+    and the trace's stored claims agree with it: ``bound_values`` equals it
+    entry for entry, and ``initial_report`` names this graph's side size and
+    this d, with its ``strengthened`` value equal to the first replayed
+    value and its ``floor_bound`` equal to half the input graph's potential
+    sum, floored.  So an accepted trace's witness reaches
+    ``ceil(strengthened)``.
     A stored int or Fraction is compared by cross-multiplication, so no
     Fraction is built; any other value by ``==`` against a Fraction.
     """
@@ -569,6 +572,7 @@ def check_trace(g: BipartiteGraph, trace: PeelTrace, d: int) -> bool:
     floor = work.total // den
     replay = _peel(work)
     nums = [next(replay)[-1]]
+    pairs = 0
     for pos, step in enumerate(trace.steps):
         expected = next(replay, None)
         if expected is None:
@@ -586,6 +590,7 @@ def check_trace(g: BipartiteGraph, trace: PeelTrace, d: int) -> bool:
                 f"step {pos}: recorded {step} but the rule takes {_step(*expected[:5])}"
             )
         nums.append(num)
+        pairs += v is None
     if work.max[0]:
         raise TraceMismatch(
             f"trace ends after {len(trace.steps)} steps with {sum(work.deg[0])} edges left"
@@ -599,4 +604,5 @@ def check_trace(g: BipartiteGraph, trace: PeelTrace, d: int) -> bool:
         and _equals(report.strengthened, nums[0], den)
         and report.floor_bound == floor
         and all(map(int.__le__, nums, nums[1:]))
+        and nums[-1] == (g.left_count - pairs) * den
     )

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from biholes import cli
+from biholes import cli, extract
 from biholes.bigraph import (
     GENERATOR_MODELS,
     SplitMix64,
@@ -299,6 +299,27 @@ def test_verify_ties_the_witness_to_the_trace():
     assert shrunk.size >= trace.initial_report.floor_bound
     assert cli._failed_checks(g, witness, trace, 0) == []
     assert cli._failed_checks(g, shrunk, trace, 0) == ["trace"]
+
+
+def test_verify_rejects_a_peel_whose_last_bound_value_is_not_the_witness_size(
+    c6_path, capsys, monkeypatch
+):
+    """A _cut that leaves the cut vertex's term in the potential is shared by
+    the peel and the replay, so every step still matches; the trace check
+    fails because the last bound value no longer equals the witness size."""
+    real = extract._WorkingGraph._cut
+
+    def leaky(self, s, i):
+        x = self.deg[s][i]
+        real(self, s, i)
+        self.total += self.term[x]
+
+    monkeypatch.setattr(extract._WorkingGraph, "_cut", leaky)
+    for d in ("0", "1"):
+        assert main(["extract", c6_path, "--trace", "--verify", "--d", d]) == EXIT_VERIFY
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "verification failed: failed checks: trace\n"
 
 
 # -- oracle --------------------------------------------------------------------
@@ -635,6 +656,25 @@ def test_experiment_rows_match_the_eager_seed_table(argv):
     assert list(cli._experiment_cells(args)) == _reference_cells(args)
 
 
+def _run_until_killed(argv, cap):
+    """Run the CLI in a child process capped at ``cap`` bytes of address
+    space, kill it after 3 s, and return (exit code, stderr)."""
+    env = {"PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    child = subprocess.Popen(
+        [sys.executable, "-m", "biholes.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    try:
+        _, err = child.communicate(timeout=3)
+    except subprocess.TimeoutExpired:
+        child.kill()
+        _, err = child.communicate()
+    return child.returncode, err
+
+
 def test_experiment_streams_rows_for_a_huge_trial_count(tmp_path):
     # Under a 400 MB address-space cap, a sweep that stored a seed per trial
     # ended in a MemoryError before writing anything.  Rows are made lazily,
@@ -642,24 +682,27 @@ def test_experiment_streams_rows_for_a_huge_trial_count(tmp_path):
     out = tmp_path / "t.csv"
     argv = ["experiment", "--models", "edgeless", "--n-range", "2",
             "--trials", "10000000000", "-o", str(out)]
-    env = {"PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-    child = subprocess.Popen(
-        [sys.executable, "-m", "biholes.cli", *argv],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=env,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20)),
-    )
-    try:
-        _, err = child.communicate(timeout=3)
-    except subprocess.TimeoutExpired:
-        child.kill()
-        _, err = child.communicate()
-    assert child.returncode == -signal.SIGKILL, err.decode()
+    code, err = _run_until_killed(argv, 400 << 20)
+    assert code == -signal.SIGKILL, err.decode()
     assert b"Traceback" not in err and b"MemoryError" not in err
     lines = out.read_text().splitlines()
     assert lines[0] == ",".join(CSV_HEADER)
     assert len(lines) >= 2 and lines[1].startswith("edgeless,2,,")
+
+
+def test_experiment_streams_rows_for_the_widest_n_range(tmp_path):
+    # Under a 1 GB address-space cap, a sweep that listed its sizes and its
+    # (model, n, p) cells ended in a MemoryError before writing anything.  A
+    # range is checked at its ends and swept lazily, so rows stream.
+    out = tmp_path / "n.csv"
+    argv = ["experiment", "--models", "gnp", "--n-range", f"1-{cli.MAX_SIDE}",
+            "--p-grid", "0.1,0.3,0.5,0.7,0.9", "--trials", "1", "-o", str(out)]
+    code, err = _run_until_killed(argv, 1 << 30)
+    assert code == -signal.SIGKILL, err.decode()[-500:]
+    assert b"Traceback" not in err and b"MemoryError" not in err
+    lines = out.read_text().splitlines()
+    assert lines[0] == ",".join(CSV_HEADER)
+    assert len(lines) >= 2 and lines[1].startswith("gnp,1,0.1,")
 
 
 # 5 * 10**6 is the largest side an edge-list header admits for a balanced graph.
@@ -800,3 +843,68 @@ def test_hostile_argv_ends_in_a_documented_exit_code(hostile_dir, argv):
     if code in (EXIT_PARSE, EXIT_UNBALANCED, EXIT_TOO_LARGE):
         assert err.getvalue().startswith("error: ")
         assert err.getvalue().count("\n") == 1
+
+
+# -- the parser -----------------------------------------------------------------
+
+# a valid argv per command, each ending in a positional or an option's value
+VALID_ARGV = {
+    "bound": ["bound", "x"],
+    "extract": ["extract", "x"],
+    "oracle": ["oracle", "x"],
+    "gen": ["gen", "cycle", "3", "-"],
+    "experiment": ["experiment", "-o", "-"],
+}
+PARSE_TABLE = [[], ["-h"], ["extrac"], ["--d", "2", "extract", "x"]] + [
+    argv
+    for command, valid in VALID_ARGV.items()
+    for argv in (
+        [command, "-h"],
+        [command],
+        valid + ["--bogus"],
+        valid + ["--d", "q"],
+        valid + ["y"],
+        valid,
+    )
+]
+
+
+def _parse(parser, argv):
+    """(namespace or SystemExit code, stdout, stderr) of parser.parse_args(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parser.parse_args(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def _assert_parses_like_the_whole_tree(argv):
+    one = _parse(cli.build_parser(argv[0] if argv else None), argv)
+    assert one == _parse(cli.build_parser(), argv)
+
+
+@pytest.mark.parametrize("argv", PARSE_TABLE, ids=" ".join)
+def test_one_command_parser_parses_the_table_like_the_whole_tree(argv):
+    _assert_parses_like_the_whole_tree(argv)
+
+
+@settings(max_examples=200, deadline=1000)
+@given(argv=hostile_argv())
+def test_one_command_parser_parses_hostile_argv_like_the_whole_tree(argv):
+    _assert_parses_like_the_whole_tree(argv)
+
+
+def test_main_reads_sys_argv_and_builds_only_the_command_it_runs(monkeypatch, capsys):
+    built, real = [], cli.build_parser
+
+    def spy(command=None):
+        built.append(command)
+        return real(command)
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    monkeypatch.setattr(sys, "argv", ["bihole", "gen", "cycle", "3", "-"])
+    assert main() == EXIT_OK
+    assert capsys.readouterr().out == serialize(generate("cycle", 3))
+    assert built == ["gen"]
