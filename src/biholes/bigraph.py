@@ -185,15 +185,15 @@ def require_nonnegative_d(d: int) -> None:
 def build_graph(
     left_count: int, right_count: int, edges: Iterable[tuple[int, int]]
 ) -> BipartiteGraph:
-    """Build a graph from an edge iterable, deduplicating as it goes."""
-    left_sets: list[set[int]] = [set() for _ in range(left_count)]
+    """Build a graph from an edge iterable; the constructor sorts and dedupes each row."""
+    rows: list[list[int]] = [[] for _ in range(left_count)]
     for u, v in edges:
         if not 0 <= u < left_count or not 0 <= v < right_count:
             raise IndexOutOfRange(
                 f"edge ({u}, {v}) does not fit a {left_count} x {right_count} graph"
             )
-        left_sets[u].add(v)
-    return BipartiteGraph(left_count, right_count, tuple(tuple(sorted(s)) for s in left_sets))
+        rows[u].append(v)
+    return BipartiteGraph(left_count, right_count, tuple(map(tuple, rows)))
 
 
 def _rows(keys: list[int], values: list[int], ends: Iterable[int], right: int) -> tuple | None:

@@ -17,8 +17,8 @@ or 5.  ``--eps`` refuses a decimal exponent over 4300 in magnitude, and
 ``--n-range`` a side size over ``MAX_SIDE`` (5 * 10**6).  ``bound`` formats
 its whole report before it prints any of it.
 
-``oracle --limits N`` and ``experiment --oracle-max N`` set both oracle side
-limits to N; without them the defaults of :class:`OracleLimits` apply.
+``oracle --limits N`` and ``experiment --oracle-max N`` set the side limit of
+the oracle that runs to N; without them each oracle's default applies.
 """
 
 from __future__ import annotations
@@ -43,11 +43,11 @@ from .bounds import bound_report, decimal_string
 from .errors import BiholesError, InstanceTooLarge, TraceMismatch, UnbalancedGraph
 from .extract import check_trace, find_bihole, find_degenerate, survivors
 from .oracle import (
-    OracleLimits,
     check_elimination_order,
     is_bihole,
     max_bihole_exact,
     max_degenerate_exact,
+    require_positive_limit,
 )
 
 EXIT_OK = 0
@@ -83,18 +83,14 @@ def _read_graph(path: str):
     return parse_edge_list(text)
 
 
-def _oracle_limits(flag_value: int | None) -> OracleLimits:
-    return OracleLimits() if flag_value is None else OracleLimits(flag_value, flag_value)
-
-
 def _find(g, d: int):
     """(witness, trace): the bi-hole extractor at d = 0, else the degenerate one."""
     return find_bihole(g) if d == 0 else find_degenerate(g, d)
 
 
-def _exact(g, d: int, limits: OracleLimits) -> int:
+def _exact(g, d: int, limit: int | None) -> int:
     """The oracle optimum: the bi-hole search at d = 0, else the degenerate one."""
-    return max_bihole_exact(g, limits) if d == 0 else max_degenerate_exact(g, d, limits)
+    return max_bihole_exact(g, limit) if d == 0 else max_degenerate_exact(g, d, limit)
 
 
 def _failed_checks(g, witness, trace, d: int, exact: int | None = None) -> list[str]:
@@ -189,7 +185,7 @@ def _cmd_extract(args) -> int:
 
 def _cmd_oracle(args) -> int:
     g = _read_graph(args.input)
-    print(_exact(g, args.d, _oracle_limits(args.limits)))
+    print(_exact(g, args.d, args.limits))
     return EXIT_OK
 
 
@@ -238,6 +234,7 @@ def _experiment_cells(args) -> Iterator[tuple[str, int, float | None, int, int]]
     Every argument is checked before this returns, so a rejected sweep fails
     before any output is written.
     """
+    require_positive_limit(args.oracle_max)
     models = [m.strip() for m in args.models.split(",") if m.strip()]
     ns = _parse_n_range(args.n_range)
     if args.trials < 0:
@@ -264,11 +261,11 @@ def _experiment_cells(args) -> Iterator[tuple[str, int, float | None, int, int]]
     )
 
 
-def _one_row(model: str, n: int, p: float | None, seed: int, d: int, limits: OracleLimits):
+def _one_row(model: str, n: int, p: float | None, seed: int, d: int, limit: int | None):
     g = generate(model, n, seed=seed, p=p)
     witness, trace = _find(g, d)
     try:
-        exact = _exact(g, d, limits)
+        exact = _exact(g, d, limit)
     except InstanceTooLarge:
         exact = None
     verified = not _failed_checks(g, witness, trace, d, exact)
@@ -289,7 +286,6 @@ def _one_row(model: str, n: int, p: float | None, seed: int, d: int, limits: Ora
 
 
 def _cmd_experiment(args) -> int:
-    limits = _oracle_limits(args.oracle_max)
     cells = _experiment_cells(args)
     out = sys.stdout if args.output == "-" else open(
         args.output, "w", encoding="utf-8", newline=""
@@ -302,7 +298,7 @@ def _cmd_experiment(args) -> int:
         writer.writeheader()
         out.flush()
         for cell in cells:
-            row = _one_row(*cell, limits)
+            row = _one_row(*cell, args.oracle_max)
             writer.writerow(row)
             out.flush()
             gap = row["extracted"] - row["floor_bound"]

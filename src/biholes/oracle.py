@@ -32,7 +32,6 @@ from .bigraph import _SIDES, BipartiteGraph, Side, VertexRef, require_balanced, 
 from .errors import IndexOutOfRange, InstanceTooLarge
 
 __all__ = [
-    "OracleLimits",
     "StuckCore",
     "is_bihole",
     "degeneracy_certificate",
@@ -43,39 +42,32 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OracleLimits:
-    """Largest side sizes the exhaustive searches will accept.
-
-    The bi-hole/biclique search buckets up to 2^(n/2) subset ANDs per half
-    of one side and pairs them by target size, so its memory grows as
-    2^(n/2) and its time at most as the 2^n left subsets; the degenerate
-    search lists all 2^n subset masks and enumerates balanced pairs of
-    subsets (C(2n, n) of them), hence the much smaller default for the
-    latter.  No limit lifts a search past its ceiling, the largest side
-    whose tables fit in about 1 GB: 45 for the bi-hole/biclique search,
-    23 for the degenerate one.
-    """
-
-    max_side_bihole: int = 22
-    max_side_degenerate: int = 8
-
-    def __post_init__(self):
-        if self.max_side_bihole < 1 or self.max_side_degenerate < 1:
-            raise ValueError(f"oracle limits must be positive, got {self}")
-
-
-# The ceilings.  At n = 45 the worst case, every subset AND distinct, peaks
-# at 934 MB of half-buckets; at n = 23 the subset masks plus two sizes of
-# repeated masks peak at 606 MB, and n = 24 runs out of 1 GiB of address
-# space (CPython 3.11, x86-64).
+# Side limits of the exhaustive searches.  The bi-hole/biclique search
+# buckets up to 2^(n/2) subset ANDs per half of one side and pairs them by
+# target size, so its memory grows as 2^(n/2) and its time at most as the
+# 2^n left subsets; the degenerate search lists all 2^n subset masks and
+# enumerates balanced pairs of subsets (C(2n, n) of them), hence its much
+# smaller default.  No limit lifts a search past its ceiling, the largest
+# side whose tables fit in about 1 GB: at n = 45 the worst case, every
+# subset AND distinct, peaks at 934 MB of half-buckets; at n = 23 the subset
+# masks plus two sizes of repeated masks peak at 606 MB, and n = 24 runs out
+# of 1 GiB of address space (CPython 3.11, x86-64).
+_BIHOLE_DEFAULT = 22
 _BIHOLE_CEILING = 45
+_DEGENERATE_DEFAULT = 8
 _DEGENERATE_CEILING = 23
 
 
-def _require_side(n: int, limit: int, ceiling: int, search: str) -> None:
-    if n > min(limit, ceiling):
-        raise InstanceTooLarge(f"side {n} exceeds {search} oracle limit {min(limit, ceiling)}")
+def require_positive_limit(limit: int | None) -> None:
+    """ValueError unless ``limit`` is None (the search's default) or at least 1."""
+    if limit is not None and limit < 1:
+        raise ValueError(f"oracle limit must be >= 1, got {limit}")
+
+
+def _require_side(n: int, limit: int | None, default: int, ceiling: int, search: str) -> None:
+    largest = min(default if limit is None else limit, ceiling)
+    if n > largest:
+        raise InstanceTooLarge(f"side {n} exceeds {search} oracle limit {largest}")
 
 
 @dataclass(frozen=True)
@@ -258,27 +250,30 @@ def _best_balanced(masks: list[int], n: int) -> int:
     return t
 
 
-def max_bihole_exact(g: BipartiteGraph, limits: OracleLimits | None = None) -> int:
+def max_bihole_exact(g: BipartiteGraph, limit: int | None = None) -> int:
     """The largest t with a t x t bi-hole, by exhaustive left-subset search.
 
     For each left subset S the best partner is its common non-neighbourhood,
     so the optimum is max over S of min(|S|, |non-neighbourhood(S)|).
+    Refuses a side over ``limit`` (default 22; ValueError below 1) with
+    InstanceTooLarge, and any side over 45 whatever the limit.
     """
-    limits = limits or OracleLimits()
+    require_positive_limit(limit)
     require_balanced(g, "max_bihole_exact")
     n = g.left_count
-    _require_side(n, limits.max_side_bihole, _BIHOLE_CEILING, "bi-hole")
+    _require_side(n, limit, _BIHOLE_DEFAULT, _BIHOLE_CEILING, "bi-hole")
     full = (1 << n) - 1
     non_nbrs = [full & ~m for m in _left_masks(g)]
     return _best_balanced(non_nbrs, n)
 
 
-def max_biclique_exact(g: BipartiteGraph, limits: OracleLimits | None = None) -> int:
-    """The largest t with a complete t x t subgraph; mirrors max_bihole_exact."""
-    limits = limits or OracleLimits()
+def max_biclique_exact(g: BipartiteGraph, limit: int | None = None) -> int:
+    """The largest t with a complete t x t subgraph; mirrors max_bihole_exact,
+    with the same side limit (default 22) and ceiling (45)."""
+    require_positive_limit(limit)
     require_balanced(g, "max_biclique_exact")
     n = g.left_count
-    _require_side(n, limits.max_side_bihole, _BIHOLE_CEILING, "biclique")
+    _require_side(n, limit, _BIHOLE_DEFAULT, _BIHOLE_CEILING, "biclique")
     return _best_balanced(_left_masks(g), n)
 
 
@@ -305,18 +300,20 @@ def _peels_to_empty(unified_adj: list[int], alive: int, d: int) -> bool:
     return True
 
 
-def max_degenerate_exact(g: BipartiteGraph, d: int, limits: OracleLimits | None = None) -> int:
+def max_degenerate_exact(g: BipartiteGraph, d: int, limit: int | None = None) -> int:
     """The largest k with a balanced k x k induced d-degenerate subgraph.
 
     Enumerates balanced pairs of subsets in decreasing size and in ascending
     bitmask order within each size, returning on the first success; size 0
-    always succeeds.  At d = 0 this is the bi-hole optimum again.
+    always succeeds.  At d = 0 this is the bi-hole optimum again.  Refuses a
+    side over ``limit`` (default 8; ValueError below 1) with
+    InstanceTooLarge, and any side over 23 whatever the limit.
     """
-    limits = limits or OracleLimits()
+    require_positive_limit(limit)
     require_balanced(g, "max_degenerate_exact")
     require_nonnegative_d(d)
     n = g.left_count
-    _require_side(n, limits.max_side_degenerate, _DEGENERATE_CEILING, "degenerate")
+    _require_side(n, limit, _DEGENERATE_DEFAULT, _DEGENERATE_CEILING, "degenerate")
     left_masks = _left_masks(g)
     # unified vertex space: left i -> bit i, right j -> bit n + j
     unified = [m << n for m in left_masks]

@@ -95,6 +95,18 @@ def test_build_rejects_out_of_range():
         build_graph(2, 3, [(0, -1)])
 
 
+def test_build_graph_holds_no_set_per_vertex():
+    """A few edges on many vertices cost a row list per vertex, not a set."""
+    tracemalloc.start()
+    try:
+        g = build_graph(10**5, 10**5, [(0, 1), (5, 3)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.left_adj[0] == (1,) and g.left_adj[5] == (3,) and g.edge_count == 2
+    assert peak < 20 << 20
+
+
 def test_build_rejects_negative_sizes():
     with pytest.raises(InvalidSize):
         build_graph(-1, 2, [])

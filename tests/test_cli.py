@@ -346,6 +346,13 @@ def test_oracle_limit_flag(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "5"
 
 
+def test_oracle_bad_limit_is_one_error_line(c6_path, capsys):
+    assert main(["oracle", c6_path, "--limits", "0"]) == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: oracle limit must be >= 1, got 0\n"
+
+
 def _run_under_1gib(argv):
     """Run the CLI in a child process capped at 1 GiB of address space."""
     env = {"PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
@@ -756,6 +763,14 @@ def test_experiment_oracle_max_sets_the_limits(tmp_path):
     assert [(row[9], row[10]) for row in rows] == [("", "true")]
     out.unlink()
     assert main(args + ["--oracle-max", "0", "-o", str(out)]) == EXIT_PARSE
+    assert not out.exists()
+
+
+def test_experiment_bad_oracle_max_writes_no_file(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    args = ["experiment", "--n-range", "4", "--trials", "1", "--oracle-max", "-2"]
+    assert main(args + ["-o", str(out)]) == EXIT_PARSE
+    assert capsys.readouterr().err == "error: oracle limit must be >= 1, got -2\n"
     assert not out.exists()
 
 

@@ -18,7 +18,6 @@ from biholes.bigraph import BipartiteGraph, Side, SplitMix64, VertexRef, build_g
 from biholes import oracle
 from biholes.errors import IndexOutOfRange, InstanceTooLarge, NegativeD, UnbalancedGraph
 from biholes.oracle import (
-    OracleLimits,
     StuckCore,
     check_elimination_order,
     degeneracy_certificate,
@@ -337,28 +336,47 @@ def test_oracle_preconditions():
     with pytest.raises(NegativeD):
         max_degenerate_exact(c6(), -1)
     with pytest.raises(ValueError):
-        OracleLimits(max_side_bihole=0)
+        max_bihole_exact(c6(), 0)
     with pytest.raises(ValueError):
-        OracleLimits(max_side_degenerate=-2)
+        max_degenerate_exact(c6(), 1, -2)
+
+
+UNBALANCED = build_graph(2, 3, [])
+
+
+@pytest.mark.parametrize("limit", [0, -2])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, limit: max_bihole_exact(g, limit),
+        lambda g, limit: max_biclique_exact(g, limit),
+        lambda g, limit: max_degenerate_exact(g, 1, limit),
+        lambda g, limit: max_degenerate_exact(g, -1, limit),
+    ],
+    ids=["bihole", "biclique", "degenerate", "degenerate-negative-d"],
+)
+@pytest.mark.parametrize("g", [c6(), UNBALANCED], ids=["balanced", "unbalanced"])
+def test_a_bad_limit_is_reported_first(call, g, limit):
+    with pytest.raises(ValueError, match=f"^oracle limit must be >= 1, got {limit}$"):
+        call(g, limit)
 
 
 def test_oracle_size_limits():
-    small = OracleLimits(max_side_bihole=4, max_side_degenerate=2)
     g5 = generate("edgeless", 5)
     with pytest.raises(InstanceTooLarge):
-        max_bihole_exact(g5, small)
+        max_bihole_exact(g5, 4)
     with pytest.raises(InstanceTooLarge):
-        max_biclique_exact(g5, small)
+        max_biclique_exact(g5, 4)
     with pytest.raises(InstanceTooLarge):
-        max_degenerate_exact(generate("edgeless", 3), 1, small)
+        max_degenerate_exact(generate("edgeless", 3), 1, 2)
     # raising the limit admits the same instance
-    assert max_bihole_exact(g5, OracleLimits(max_side_bihole=5)) == 5
+    assert max_bihole_exact(g5, 5) == 5
     with pytest.raises(InstanceTooLarge):
         max_degenerate_exact(generate("edgeless", 9), 1)
 
 
 def test_oracle_ceilings_hold_past_any_limit():
-    lifted = OracleLimits(max_side_bihole=10**6, max_side_degenerate=10**6)
+    lifted = 10**6
     with pytest.raises(InstanceTooLarge, match="limit 45$"):
         max_bihole_exact(generate("edgeless", 46), lifted)
     with pytest.raises(InstanceTooLarge, match="limit 45$"):
