@@ -330,6 +330,9 @@ _GRAPH_ARGS = (
     (("--d",), {"type": int, "default": 0, "help": "degeneracy parameter (default 0)"}),
 )
 
+_SIDE_LIMIT = {"type": int,
+               "help": "side limit of the exhaustive search that runs (default: its own)"}
+
 # command: (help, handler, its arguments as (flags, add_argument keywords)), in
 # the order the help lists them
 _COMMANDS = {
@@ -342,7 +345,7 @@ _COMMANDS = {
         (("--verify",), {"action": "store_true", "help": "re-verify witness and trace"}),
     )),
     "oracle": ("exact optimum by brute force", _cmd_oracle, _GRAPH_ARGS + (
-        (("--limits",), {"type": int, "help": "override both oracle side limits"}),
+        (("--limits",), _SIDE_LIMIT),
     )),
     "gen": ("generate a graph and write its edge list", _cmd_gen, (
         (("model",), {"choices": GENERATOR_MODELS}),
@@ -359,7 +362,7 @@ _COMMANDS = {
         (("--d-set",), {"default": "0", "help": "comma list of d values (default 0)"}),
         (("--trials",), {"type": int, "default": 3, "help": "graphs per (model, n, p) cell"}),
         (("--seed",), {"type": int, "default": 0, "help": "master seed for graph seeds"}),
-        (("--oracle-max",), {"type": int, "help": "override both oracle side limits"}),
+        (("--oracle-max",), _SIDE_LIMIT),
         (("-o", "--output"), {"required": True, "help": "CSV output file, or - for stdout"}),
     )),
 }

@@ -216,9 +216,8 @@ class _WorkingGraph:
     drains the buckets below ``max[s]`` (above d, the lowest drained one)
     each once, until one holds a vertex of its own degree: those vertices
     form the max bucket, which never gains members (``top_order[s]``
-    ascending, ``top_members[s]`` those still in it, ``top_start[s]`` the
-    first position that may still hold one), and every other entry above d
-    is registered again at its degree.  A registration is made at the
+    descending, ``top_members[s]`` those still in it), and every other entry
+    above d is registered again at its degree.  A registration is made at the
     current degree, so each re-registration is paid for by a drop since the
     last one: the drains visit at most n + m entries per side.
 
@@ -253,7 +252,6 @@ class _WorkingGraph:
                 queue[x].append(i)
         self.top_order = [[], []]
         self.top_members = [set(), set()]
-        self.top_start = [0, 0]
         # one above every bucket, so that the first refresh drains bucket top
         self.max = [top + 1, top + 1]
         self.refresh_max()
@@ -289,10 +287,10 @@ class _WorkingGraph:
 
     def _drain(self, s: int, x: int) -> bool:
         """Empty bucket x > d of side s, the highest not yet drained, and
-        point ``max[s]`` at it: its entries of degree x become the sorted max
-        bucket, and every other entry still above d is registered at its
-        degree, which is below x.  Returns whether the bucket held a vertex
-        of degree x."""
+        point ``max[s]`` at it: its entries of degree x become the max
+        bucket, sorted in descending order, and every other entry still
+        above d is registered at its degree, which is below x.  Returns
+        whether the bucket held a vertex of degree x."""
         queue, deg, d = self.queue[s], self.deg[s], self.d
         order = []
         for j in queue[x]:
@@ -307,9 +305,8 @@ class _WorkingGraph:
             return False
         if s and self.covered and not self.cover_of.issuperset(order):
             self.covered.clear()
-        order.sort()
+        order.sort(reverse=True)
         self.top_order[s], self.top_members[s] = order, set(order)
-        self.top_start[s] = 0
         return True
 
     def _lowest(self, s: int, x: int) -> int | None:
@@ -344,8 +341,8 @@ class _WorkingGraph:
         at the first whose neighbourhood misses part of the right max-degree
         bucket; its lowest missed vertex is the pair partner.  Only called
         when no vertex has degree 1..d, so both max buckets lie above d and
-        hold members.  Departed members at the front of each sorted bucket
-        are skipped for good, and both scans start past them by index.  A
+        hold members.  Each bucket is sorted in descending order, so its
+        departed lowest members are popped off its end for good.  A
         left vertex of degree ``max[0]`` covers no larger right bucket, so
         then the scan ends at its first member with no search.
 
@@ -354,24 +351,20 @@ class _WorkingGraph:
         ``_covers`` for the scan, and by binary search for the partner.
         """
         (order_a, order_b), (members, cand_b) = self.top_order, self.top_members
-        ka, kb = self.top_start
-        while order_a[ka] not in members:
-            ka += 1
-        while order_b[kb] not in cand_b:
-            kb += 1
-        self.top_start = [ka, kb]
+        while order_a[-1] not in members:
+            order_a.pop()
+        while order_b[-1] not in cand_b:
+            order_b.pop()
         covers = self._covers
-        a = order_a[ka]
+        a = order_a[-1]
         if self.max[0] >= len(cand_b):
-            for k in range(ka, len(order_a)):
-                a = order_a[k]
+            for a in reversed(order_a):
                 if a in members and not covers(a, cand_b):
                     break
             else:
-                return order_a[ka], order_b[kb], 2
+                return order_a[-1], order_b[-1], 2
         row = self.nbrs[0][a]
-        for k in range(kb, len(order_b)):
-            b = order_b[k]
+        for b in reversed(order_b):
             if b in cand_b:
                 p = bisect_left(row, b)
                 if p == len(row) or row[p] != b:
@@ -389,7 +382,7 @@ class _WorkingGraph:
         delta = 0
         for j in self.nbrs[s][i]:
             x = deg[j]
-            if lo < x != top:
+            if x > lo and x != top:
                 deg[j] = x - 1
                 delta += gain[x]
             elif x:
@@ -533,9 +526,7 @@ def find_degenerate(g: BipartiteGraph, d: int) -> tuple[DegenerateWitness, PeelT
 def _equals(value, num: int, den: int) -> bool:
     """value == num / den; an int or a Fraction is compared by
     cross-multiplication, anything else against a Fraction."""
-    if type(value) is int:
-        return value * den == num
-    if type(value) is Fraction:
+    if type(value) in (int, Fraction):
         return value.numerator * den == num * value.denominator
     return value == Fraction(num, den)
 

@@ -117,6 +117,21 @@ def test_bound_formats_the_whole_report_before_printing(c6_path, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_bound_on_a_matching_has_no_log_reference(tmp_path, capsys):
+    path = tmp_path / "m3.txt"
+    assert main(["gen", "matching", "3", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["bound", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        "n: 3",
+        "d: 0",
+        "floor_bound: 1",
+        "strengthened: 1 (~1), ceil 1",
+        "average_degree_bound: -1/2 (~-0.5)",
+        "log_reference: n/a (average degree <= 1)",
+    ]
+
+
 # -- extract -------------------------------------------------------------------
 
 
@@ -893,6 +908,14 @@ def _parse(parser, argv):
         except SystemExit as exc:
             result = exc.code
     return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [["oracle", "--help"], ["experiment", "--help"]], ids=" ".join)
+def test_side_limit_help_names_the_one_search_that_runs(argv):
+    code, out, _ = _parse(cli.build_parser(argv[0]), argv)
+    text = " ".join(out.split())
+    assert code == 0 and "both" not in text
+    assert "side limit of the exhaustive search that runs (default: its own)" in text
 
 
 def _assert_parses_like_the_whole_tree(argv):

@@ -31,6 +31,7 @@ from biholes.extract import (
     find_degenerate,
 )
 from biholes.oracle import (
+    StuckCore,
     check_elimination_order,
     is_bihole,
     max_bihole_exact,
@@ -178,6 +179,14 @@ def test_find_degenerate_k33_d3_keeps_everything():
 def test_find_degenerate_rejects_negative_d():
     with pytest.raises(NegativeD):
         find_degenerate(c6(), -1)
+
+
+def test_find_degenerate_raises_on_a_witness_that_is_not_d_degenerate(monkeypatch):
+    stuck = StuckCore((0,), (0,))
+    monkeypatch.setattr(extract, "degeneracy_certificate", lambda *args: stuck)
+    with pytest.raises(RuntimeError) as info:
+        find_degenerate(generate("cycle", 3), 1)
+    assert "not 1-degenerate" in str(info.value) and str(stuck) in str(info.value)
 
 
 def test_degenerate_at_zero_is_bihole_extraction():
@@ -656,12 +665,13 @@ def test_the_step_loop_calls_no_helper_per_probe_or_refresh(monkeypatch):
 def test_pair_selection_on_a_matching_reads_each_bucket_entry_a_few_times(monkeypatch):
     """A perfect matching at d 0: each pair step cuts the front of both max
     buckets and drops two partners to degree 0, so the front skips move on
-    by two entries a step.  Both scans start past them by index, and the
-    left scan stops at its first member with no covering search while the
-    right bucket outnumbers the left degree, 1; so the peel reads O(n)
-    bucket entries in all, where a scan walking the skipped front again
-    would read about n^2 / 4 per side."""
-    reads, searched = [0], []
+    by two entries a step.  The buckets are stacks, lowest member last:
+    departed members are popped, each at most once, and the left scan
+    stops at its first member with no covering search while the right
+    bucket outnumbers the left degree, 1; so the peel reads O(n) bucket
+    entries in all, where a scan walking the departed members again would
+    read about n^2 / 4 per side."""
+    reads, pops, searched = [0], [0], []
 
     class CountedList(list):
         def __getitem__(self, k):
@@ -672,6 +682,15 @@ def test_pair_selection_on_a_matching_reads_each_bucket_entry_a_few_times(monkey
             for x in list.__iter__(self):
                 reads[0] += 1
                 yield x
+
+        def __reversed__(self):
+            for x in list.__reversed__(self):
+                reads[0] += 1
+                yield x
+
+        def pop(self, *k):
+            pops[0] += 1
+            return list.pop(self, *k)
 
     drain, covers = extract._WorkingGraph._drain, extract._WorkingGraph._covers
 
@@ -690,6 +709,7 @@ def test_pair_selection_on_a_matching_reads_each_bucket_entry_a_few_times(monkey
     _, tr = find_bihole(generate("matching", n))
     assert len(tr.steps) == n // 2
     assert n < reads[0] < 6 * n and set(searched) <= {1}
+    assert pops[0] <= 2 * n
 
 
 def test_every_low_degree_step_deletes_one_to_d_edges():
