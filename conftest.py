@@ -2,7 +2,7 @@
 ``bench/`` alike: a test that runs longer than ``TIME_LIMIT_S`` prints every
 thread's stack and ends the run, so a hang cannot stall the suite.  The
 slowest test takes about 3 s on a 2-vCPU x86-64 VM (the slowest under
-``bench/`` about 0.7 s), so the limit leaves a wide margin for slower hosts."""
+``bench/`` about 1-3 s), so the limit leaves a wide margin for slower hosts."""
 
 import faulthandler
 import os

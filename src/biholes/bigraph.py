@@ -382,7 +382,8 @@ def _parsed_graph(left: int, right: int, edges: tuple[list[int], list[int]]) -> 
     """The graph of the edges (left ends, right ends), or IndexOutOfRange.
     Edges sorted by left end are cut into rows as they stand, for the
     constructor to sort and check, and a bad first or last left end or row
-    end stops the cut; others are checked by min/max before build_graph."""
+    end stops the cut; others are checked by min/max, so that a bad index
+    fails before build_graph allocates a row per declared left vertex."""
     us, vs = edges
     # A strided sample rejects most shuffled lists before an O(m log m) sort.
     ordered = us[::64] == sorted(us[::64]) and us == sorted(us)

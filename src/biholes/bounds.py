@@ -4,26 +4,25 @@ Everything here is exact rational arithmetic, so floors and ceilings are
 exact no matter how adversarial the degree sequence is: the potential sum
 is summed in integers over one lcm denominator and returned as a
 ``fractions.Fraction``, as is every other value.  The
-single deliberately approximate quantity is :func:`log_reference_bound`,
-which needs a logarithm; it is computed to 30 correctly-rounded significant
-digits and is report-only, never part of a correctness check.
+single deliberately approximate quantity is the log reference, which needs
+a logarithm; it is computed to 30 correctly-rounded significant digits and
+is report-only, never part of a correctness check.
 
-The quantities, for a balanced n x n graph G with degeneracy parameter d:
+For a balanced n x n graph G with degeneracy parameter d, write
+f(x) = min(1, (d+1)/(x+1)) for the potential of a vertex of degree x.
+:func:`caro_wei_sum` is the sum of f(deg v) over all vertices, and
+:func:`bound_report` reads every bound as a :class:`BoundReport` field:
 
-* ``potential(x, d)``    = min(1, (d+1)/(x+1))
-* ``caro_wei_sum(G, d)`` = sum of potential(deg(v), d) over all vertices
-* ``floor_bound(G, d)``  = floor(caro_wei_sum / 2), a guaranteed size of a
+* ``floor_bound``          = floor(caro_wei_sum / 2), a guaranteed size of a
   balanced induced d-degenerate subgraph (a bi-hole when d = 0)
-* ``strengthened_bound`` = (potential(max_deg_left) + potential(max_deg_right)
+* ``strengthened``         = (f(max_deg_left) + f(max_deg_right)
   + caro_wei_sum) / 2 - 1, which never decreases during pair peeling and
   whose ceiling dominates floor_bound
 * ``average_degree_bound`` = n/(avg_deg + 1) - 2, a coarser classical bound
-* ``log_reference_bound``  = (eps/2) * n * ln(avg_deg)/avg_deg, the
+* ``log_reference``        = (eps/2) * n * ln(avg_deg)/avg_deg, the
   asymptotic reference for sparse graphs
 
-One routine, ``_report``, computes the last four; each of their functions
-and :func:`bound_report` reads its value from it.  Every function that takes
-d raises :class:`NegativeD` for d < 0.
+Both functions raise :class:`NegativeD` for d < 0.
 """
 
 from __future__ import annotations
@@ -37,15 +36,9 @@ from fractions import Fraction
 from typing import Iterable
 
 from .bigraph import BipartiteGraph, Side, require_balanced, require_nonnegative_d
-from .errors import DegreeTooSmall
 
 __all__ = [
-    "potential",
     "caro_wei_sum",
-    "floor_bound",
-    "strengthened_bound",
-    "average_degree_bound",
-    "log_reference_bound",
     "BoundReport",
     "bound_report",
     "decimal_string",
@@ -53,6 +46,7 @@ __all__ = [
 
 _LOG_DIGITS = 30
 _DECIMAL_SIGNIFICANT_DIGITS = 12
+_EPS = Fraction(1, 2)
 
 
 # Contexts of their own, so that no result depends on the caller's context.
@@ -60,16 +54,8 @@ _LOG_CONTEXT = decimal.Context(prec=_LOG_DIGITS, rounding=decimal.ROUND_HALF_EVE
 _DECIMAL_CONTEXT = decimal.Context(prec=_DECIMAL_SIGNIFICANT_DIGITS, rounding=decimal.ROUND_HALF_EVEN)
 
 
-def potential(x: int, d: int = 0) -> Fraction:
-    """min(1, (d+1)/(x+1)) for a vertex of degree x; equals 1 iff x <= d."""
-    require_nonnegative_d(d)
-    if x <= d:
-        return Fraction(1)
-    return Fraction(d + 1, x + 1)
-
-
 def caro_wei_sum(g: BipartiteGraph, d: int = 0) -> Fraction:
-    """Sum of potential(deg(v), d) over all vertices of g (any shape).
+    """Sum of min(1, (d+1)/(deg(v)+1)) over all vertices of g (any shape).
 
     Summed in integers over one denominator, the lcm of x + 1 over the
     degrees x > d (1 when there are none), so one Fraction is built.  Its
@@ -84,30 +70,6 @@ def caro_wei_sum(g: BipartiteGraph, d: int = 0) -> Fraction:
     return Fraction(total, scale)
 
 
-# Any eps in (0, 1) will do for the callers that read no log reference.
-_EPS = Fraction(1, 2)
-
-
-def floor_bound(g: BipartiteGraph, d: int = 0) -> int:
-    """floor(caro_wei_sum(g, d) / 2): the guaranteed balanced subgraph size."""
-    return _report(g, d, _EPS, "floor_bound").floor_bound
-
-
-def strengthened_bound(g: BipartiteGraph, d: int = 0) -> Fraction:
-    """The peeling-invariant quantity whose ceiling refines floor_bound.
-
-    Equals (f(max_deg_left) + f(max_deg_right) + sum_v f(deg v)) / 2 - 1
-    with f = potential(. , d).  On the 0 x 0 graph there is no max degree;
-    the value is 0 by convention so traces and reports stay total.
-    """
-    return _report(g, d, _EPS, "strengthened_bound").strengthened
-
-
-def average_degree_bound(g: BipartiteGraph) -> Fraction:
-    """n/(average degree + 1) - 2, computed exactly; 0 on the empty graph."""
-    return _report(g, 0, _EPS, "average_degree_bound").average_degree_bound
-
-
 @functools.lru_cache(maxsize=64)
 def _ln(num: int, den: int) -> tuple[int, int]:
     """Natural log of the positive rational num/den, correctly rounded to 30
@@ -115,21 +77,6 @@ def _ln(num: int, den: int) -> tuple[int, int]:
     the same graph's log."""
     value = _LOG_CONTEXT.divide(decimal.Decimal(num), decimal.Decimal(den))
     return value.ln(_LOG_CONTEXT).as_integer_ratio()
-
-
-def log_reference_bound(g: BipartiteGraph, eps: Fraction) -> Fraction:
-    """(eps/2) * n * ln(avg_deg)/avg_deg, the sparse-regime reference value.
-
-    Approximate by necessity (the log is rounded to 30 significant digits)
-    and report-only: it carries an unspecified degree threshold, so it never
-    participates in correctness checks.  Requires eps in (0, 1) and average
-    degree > 1.
-    """
-    value = _report(g, 0, eps, "log_reference_bound").log_reference
-    if value is None:
-        n, m = g.left_count, g.edge_count
-        raise DegreeTooSmall(f"log reference needs average degree > 1, got {Fraction(m, n or 1)}")
-    return value
 
 
 def decimal_string(x: Fraction, digits: int = _DECIMAL_SIGNIFICANT_DIGITS) -> str:
@@ -172,6 +119,10 @@ def rational_json_texts(values: Iterable[Fraction]) -> list[str]:
 class BoundReport:
     """All bound values for one (graph, d) pair.
 
+    ``strengthened`` is the peeling-invariant quantity whose ceiling refines
+    ``floor_bound``: (f(max_deg_left) + f(max_deg_right) + sum_v f(deg v))
+    / 2 - 1 with f(x) = min(1, (d+1)/(x+1)).  On the 0 x 0 graph there is no
+    max degree; it is 0 by convention so traces and reports stay total.
     ``log_reference`` is None when the average degree is <= 1 (the reference
     formula is undefined there).  ``log_size_hypothesis_met`` records whether
     n >= (1 + eps) * avg_deg, the checkable part of the reference bound's
@@ -206,23 +157,16 @@ class BoundReport:
 
 
 def bound_report(g: BipartiteGraph, d: int = 0, eps: Fraction = _EPS) -> BoundReport:
-    """Assemble the full report; on the empty graph every bound is 0.
+    """Every bound value of g at d; on the empty graph every bound is 0.
 
-    eps must lie in (0, 1) even when the log reference is not reported.
+    The module's one copy of each formula and of the balance and eps checks
+    (:func:`caro_wei_sum` checks d).  eps must lie in (0, 1) even when the
+    log reference is not reported.  With m edges the average degree is m/n,
+    so the average-degree bound is (n^2 - 2(m + n)) / (m + n) and the log
+    reference eps n^2 ln(m/n) / (2m), each multiplied out in integers and
+    built as one Fraction.
     """
-    return _report(g, d, eps, "bound_report")
-
-
-def _report(g: BipartiteGraph, d: int, eps: Fraction, op: str) -> BoundReport:
-    """Every bound value of g at d: the module's one copy of each formula
-    and of the balance and eps checks (:func:`caro_wei_sum` checks d).
-    ``op`` names the caller in the error raised on an unbalanced graph.
-
-    With m edges the average degree is m/n, so the average-degree bound is
-    (n^2 - 2(m + n)) / (m + n) and the log reference eps n^2 ln(m/n) / (2m),
-    each multiplied out in integers and built as one Fraction.
-    """
-    require_balanced(g, op)
+    require_balanced(g, "bound_report")
     total = caro_wei_sum(g, d)
     eps = Fraction(eps)
     if not 0 < eps < 1:

@@ -205,15 +205,18 @@ def _cmd_gen(args) -> int:
 
 def _parse_n_range(text: str) -> range | list[int]:
     """Accepts '4-8' (inclusive), returned as a range, or a comma list
-    '4,6,8'.  Refuses any n below 1 or over ``MAX_SIDE``; no list of the
-    sizes in a range is built."""
+    '4,6,8'.  Refuses a part that is not an integer and any n below 1 or
+    over ``MAX_SIDE``; no list of the sizes in a range is built."""
     text = text.strip()
-    if "-" in text and "," not in text:
-        lo_text, hi_text = text.split("-", 1)
-        values = range(int(lo_text), int(hi_text) + 1)
-        ends = [values[0], values[-1]] if values else []
-    else:
-        values = ends = [int(part) for part in text.split(",") if part.strip()]
+    try:
+        if "-" in text and "," not in text:
+            lo_text, hi_text = text.split("-", 1)
+            values = range(int(lo_text), int(hi_text) + 1)
+            ends = [values[0], values[-1]] if values else []
+        else:
+            values = ends = [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        ends = []
     if not ends or min(ends) < 1:
         raise ValueError(f"bad n range {text!r}")
     if max(ends) > MAX_SIDE:

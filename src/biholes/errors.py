@@ -9,7 +9,6 @@ __all__ = [
     "MalformedEdgeLine",
     "InvalidProbability",
     "InvalidSize",
-    "DegreeTooSmall",
     "NegativeD",
     "InstanceTooLarge",
     "TraceMismatch",
@@ -53,10 +52,6 @@ class InvalidProbability(BiholesError):
 
 class InvalidSize(BiholesError):
     """A requested graph size is not supported by the chosen model."""
-
-
-class DegreeTooSmall(BiholesError):
-    """The logarithmic reference bound needs average degree > 1."""
 
 
 class NegativeD(BiholesError):

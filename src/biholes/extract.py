@@ -50,7 +50,7 @@ the induced witness is attached as an independently checkable certificate.
 Each output type writes its JSON text (``json_text``) from format strings,
 with no dict per step, bound value or vertex, in the bytes ``json.dumps``
 gives the dict form (``tests/reference_output.py``): at 10^5 vertices per
-side and 10^6 edges the d = 2 output takes 0.6-1.0 s to write.
+side and 10^6 edges the d = 2 output takes 0.5-0.8 s to write.
 PeelStep and VertexRef are slotted, as the peel builds one per step, and
 PeelStep's one constructor stores its fields through the slots' setters.
 """

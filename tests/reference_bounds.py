@@ -2,11 +2,11 @@
 as a test oracle.
 
 :func:`biholes.bounds.caro_wei_sum` sums integer multiples of one lcm
-denominator and builds a single Fraction, and ``strengthened_bound`` adds
-the two max-degree potentials in integers too.  ``bound_report`` computes
-the average-degree bound, the log reference and its size hypothesis in
-integers over one denominator.  The equivalence tests compare all of them
-against these straightforward Fraction expressions.
+denominator and builds a single Fraction, and :func:`biholes.bounds.bound_report`
+adds the two max-degree potentials and computes the average-degree bound,
+the log reference and its size hypothesis in integers over one denominator.
+The equivalence tests compare all of them against these straightforward
+Fraction expressions, which share no bound code with the library.
 """
 
 from __future__ import annotations
@@ -17,7 +17,12 @@ from collections import Counter
 from fractions import Fraction
 
 from biholes.bigraph import BipartiteGraph
-from biholes.bounds import BoundReport, potential
+from biholes.bounds import BoundReport
+
+
+def potential(x: int, d: int = 0) -> Fraction:
+    """min(1, (d+1)/(x+1)) for a vertex of degree x; equals 1 iff x <= d."""
+    return Fraction(1) if x <= d else Fraction(d + 1, x + 1)
 
 
 def caro_wei_sum(g: BipartiteGraph, d: int = 0) -> Fraction:

@@ -12,9 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from biholes.bigraph import BipartiteGraph, Side, VertexRef
-from biholes.bounds import potential
 from biholes.extract import LOW_DEGREE_EDGE_DELETION, PAIR_CASE1, PAIR_CASE2, PeelStep
 from biholes.oracle import StuckCore
+from reference_bounds import potential
 
 
 class RescanGraph:

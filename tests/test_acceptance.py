@@ -13,12 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from biholes.bigraph import BipartiteGraph, SplitMix64, build_graph, generate
-from biholes.bounds import (
-    average_degree_bound,
-    caro_wei_sum,
-    floor_bound,
-    strengthened_bound,
-)
+from biholes.bounds import bound_report, caro_wei_sum
 from biholes.cli import main
 from biholes.extract import check_trace, find_bihole, find_degenerate
 from biholes.oracle import (
@@ -70,7 +65,7 @@ def test_criterion_1_exhaustive_bihole():
     for g in small_suite():
         w, tr = find_bihole(g)
         exact = max_bihole_exact(g)
-        assert floor_bound(g, 0) <= w.size <= exact
+        assert bound_report(g, 0).floor_bound <= w.size <= exact
         assert is_bihole(g, w.left_set, w.right_set)
         assert check_trace(g, tr, 0)
         checked += 1
@@ -87,7 +82,7 @@ def test_criterion_2_exhaustive_degenerate():
         for d in (1, 2, 3):
             w, tr = find_degenerate(g, d)
             exact = max_degenerate_exact(g, d)
-            assert floor_bound(g, d) <= w.size <= exact
+            assert bound_report(g, d).floor_bound <= w.size <= exact
             assert check_elimination_order(
                 g, w.left_set, w.right_set, d, w.elimination_order
             )
@@ -104,7 +99,8 @@ def test_criterion_3_randomized_suite():
     for n, p, seed, g in gnp_suite():
         w, tr = find_bihole(g)
         assert is_bihole(g, w.left_set, w.right_set)
-        assert w.size >= math.ceil(strengthened_bound(g, 0)) >= floor_bound(g, 0)
+        rep = bound_report(g, 0)
+        assert w.size >= math.ceil(rep.strengthened) >= rep.floor_bound
         values = list(tr.bound_values)
         assert values == sorted(values)
         assert check_trace(g, tr, 0)
@@ -121,7 +117,7 @@ def test_criterion_3_randomized_suite():
                     g, wd.left_set, wd.right_set, d, wd.elimination_order
                 )
                 assert check_trace(g, trd, d)
-                assert floor_bound(g, d) <= wd.size <= max_degenerate_exact(g, d)
+                assert bound_report(g, d).floor_bound <= wd.size <= max_degenerate_exact(g, d)
     elapsed = time.perf_counter() - start
     assert len(gnp_suite()) == 1040
     assert elapsed < 120.0
@@ -131,28 +127,28 @@ def test_criterion_3_randomized_suite():
 def test_criterion_4_named_instances():
     start = time.perf_counter()
     c6 = generate("cycle", 3)
-    assert floor_bound(c6, 0) == 1
-    assert strengthened_bound(c6, 0) == Fraction(1, 3)
+    rep = bound_report(c6, 0)
+    assert (rep.floor_bound, rep.strengthened) == (1, Fraction(1, 3))
     assert find_bihole(c6)[0].size >= 1
     assert max_bihole_exact(c6) == 1
 
     for n in range(1, 7):
         knn = generate("complete", n)
-        assert floor_bound(knn, 0) == 0
+        assert bound_report(knn, 0).floor_bound == 0
         assert max_bihole_exact(knn) == 0
 
     for n in range(1, 9):
         empty = generate("edgeless", n)
-        assert floor_bound(empty, 0) == n
+        assert bound_report(empty, 0).floor_bound == n
         assert find_bihole(empty)[0].size == n
 
     m10 = generate("matching", 10)
-    assert floor_bound(m10, 0) == 5
+    assert bound_report(m10, 0).floor_bound == 5
     assert max_bihole_exact(m10) == 5
 
     k22, k33 = generate("complete", 2), generate("complete", 3)
-    assert floor_bound(k22, 1) == 1 and max_degenerate_exact(k22, 1) == 1
-    assert floor_bound(k33, 2) == 2 and max_degenerate_exact(k33, 2) == 2
+    assert bound_report(k22, 1).floor_bound == 1 and max_degenerate_exact(k22, 1) == 1
+    assert bound_report(k33, 2).floor_bound == 2 and max_degenerate_exact(k33, 2) == 2
     elapsed = time.perf_counter() - start
     report(4, elapsed, "all named values exact")
 
@@ -162,7 +158,8 @@ def test_criterion_5_rounding_inequality():
     count = 0
     for g in small_suite() + tuple(g for _, _, _, g in gnp_suite()):
         for d in (0, 1, 2, 3):
-            assert math.ceil(strengthened_bound(g, d)) >= floor_bound(g, d)
+            rep = bound_report(g, d)
+            assert math.ceil(rep.strengthened) >= rep.floor_bound
             count += 1
     elapsed = time.perf_counter() - start
     report(5, elapsed, f"{count} exact comparisons")
@@ -175,7 +172,8 @@ def test_criterion_6_jensen_relation():
         n = g.left_count
         avg = Fraction(g.edge_count, n)
         assert caro_wei_sum(g, 0) / 2 >= Fraction(n) / (avg + 1)
-        assert floor_bound(g, 0) >= average_degree_bound(g)
+        rep = bound_report(g, 0)
+        assert rep.floor_bound >= rep.average_degree_bound
         count += 1
     elapsed = time.perf_counter() - start
     report(6, elapsed, f"{count} exact comparisons")

@@ -14,19 +14,15 @@ from biholes import bounds
 from biholes.bigraph import BipartiteGraph, build_graph, generate
 from biholes.bounds import (
     BoundReport,
-    average_degree_bound,
     bound_report,
     caro_wei_sum,
     decimal_string,
-    floor_bound,
-    log_reference_bound,
-    potential,
     rational_json_texts,
-    strengthened_bound,
 )
-from biholes.errors import DegreeTooSmall, NegativeD, UnbalancedGraph
+from biholes.errors import NegativeD, UnbalancedGraph
 import reference_bounds
 from reference_bounds import caro_wei_sum as reference_caro_wei_sum
+from reference_bounds import potential
 from reference_bounds import strengthened_bound as reference_strengthened_bound
 from reference_output import rational_to_json
 
@@ -47,7 +43,7 @@ def balanced_graphs(draw, min_n=1, max_n=7):
     return build_graph(n, n, edges)
 
 
-# -- potential ------------------------------------------------------------
+# -- the reference potential, which the Fraction loops are built on ------
 
 
 def test_potential_values():
@@ -78,57 +74,55 @@ def test_caro_wei_sum_anchors():
 
 
 def test_floor_bound_anchors():
-    assert floor_bound(c6(), 0) == 1
-    assert floor_bound(generate("matching", 10), 0) == 5
-    assert floor_bound(generate("edgeless", 7), 0) == 7
-    assert floor_bound(generate("complete", 2), 1) == 1
-    assert floor_bound(generate("complete", 3), 2) == 2
-    assert floor_bound(build_graph(0, 0, [])) == 0
+    assert bound_report(c6(), 0).floor_bound == 1
+    assert bound_report(generate("matching", 10), 0).floor_bound == 5
+    assert bound_report(generate("edgeless", 7), 0).floor_bound == 7
+    assert bound_report(generate("complete", 2), 1).floor_bound == 1
+    assert bound_report(generate("complete", 3), 2).floor_bound == 2
+    assert bound_report(build_graph(0, 0, [])).floor_bound == 0
     with pytest.raises(UnbalancedGraph):
-        floor_bound(build_graph(2, 3, []), 0)
+        bound_report(build_graph(2, 3, []), 0)
 
 
 def test_strengthened_bound_anchors():
-    assert strengthened_bound(generate("complete", 1), 0) == 0
-    assert strengthened_bound(c6(), 0) == Fraction(1, 3)
-    assert strengthened_bound(generate("edgeless", 5), 0) == 5
-    assert strengthened_bound(generate("complete", 2), 1) == 1
-    assert strengthened_bound(generate("complete", 3), 2) == 2
-    assert strengthened_bound(build_graph(0, 0, [])) == 0
+    assert bound_report(generate("complete", 1), 0).strengthened == 0
+    assert bound_report(c6(), 0).strengthened == Fraction(1, 3)
+    assert bound_report(generate("edgeless", 5), 0).strengthened == 5
+    assert bound_report(generate("complete", 2), 1).strengthened == 1
+    assert bound_report(generate("complete", 3), 2).strengthened == 2
+    assert bound_report(build_graph(0, 0, [])).strengthened == 0
     with pytest.raises(UnbalancedGraph):
-        strengthened_bound(build_graph(1, 2, []), 0)
+        bound_report(build_graph(1, 2, []), 0)
 
 
 def test_average_degree_bound_anchors():
-    assert average_degree_bound(c6()) == -1
-    assert average_degree_bound(generate("edgeless", 6)) == 4
-    assert average_degree_bound(generate("complete", 5)) == Fraction(5, 6) - 2
-    assert average_degree_bound(generate("matching", 10)) == 3
-    assert average_degree_bound(build_graph(0, 0, [])) == 0
+    assert bound_report(c6()).average_degree_bound == -1
+    assert bound_report(generate("edgeless", 6)).average_degree_bound == 4
+    assert bound_report(generate("complete", 5)).average_degree_bound == Fraction(5, 6) - 2
+    assert bound_report(generate("matching", 10)).average_degree_bound == 3
+    assert bound_report(build_graph(0, 0, [])).average_degree_bound == 0
 
 
 # -- log reference ----------------------------------------------------------
 
 
 def test_log_reference_matches_float_log():
-    val = log_reference_bound(c6(), Fraction(1, 2))
+    val = bound_report(c6(), 0, Fraction(1, 2)).log_reference
     assert math.isclose(float(val), 0.25 * 3 * math.log(2) / 2, rel_tol=1e-20)
     k44 = generate("complete", 4)
-    val = log_reference_bound(k44, Fraction(1, 4))
+    val = bound_report(k44, 0, Fraction(1, 4)).log_reference
     assert math.isclose(float(val), 0.125 * 4 * math.log(4) / 4, rel_tol=1e-20)
 
 
 def test_log_reference_needs_degree_above_one():
-    with pytest.raises(DegreeTooSmall):
-        log_reference_bound(generate("matching", 4), Fraction(1, 2))
-    with pytest.raises(DegreeTooSmall):
-        log_reference_bound(generate("edgeless", 4), Fraction(1, 2))
+    assert bound_report(generate("matching", 4), 0, Fraction(1, 2)).log_reference is None
+    assert bound_report(generate("edgeless", 4), 0, Fraction(1, 2)).log_reference is None
 
 
 def test_log_reference_eps_range():
     for eps in (Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(3, 2)):
         with pytest.raises(ValueError):
-            log_reference_bound(c6(), eps)
+            bound_report(c6(), 0, eps)
 
 
 # -- rendering ---------------------------------------------------------------
@@ -144,11 +138,11 @@ def test_decimal_string_twelve_significant_digits():
 def test_decimal_rendering_ignores_the_callers_context():
     g = generate("gnp", 30, seed=5, p=0.3)
     values = [Fraction(2, 3), Fraction(-6, 11), Fraction(10**20, 3), Fraction(1, 3 * 10**9)]
-    default = [decimal_string(x) for x in values], log_reference_bound(g, Fraction(1, 2))
+    default = [decimal_string(x) for x in values], bound_report(g).log_reference
     with decimal.localcontext() as ctx:
         ctx.prec, ctx.rounding, ctx.capitals = 3, decimal.ROUND_DOWN, 0
         ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True
-        hostile = [decimal_string(x) for x in values], log_reference_bound(g, Fraction(1, 2))
+        hostile = [decimal_string(x) for x in values], bound_report(g).log_reference
     assert decimal_string(Fraction(2, 3)) == "0.666666666667"
     assert hostile == default
 
@@ -221,9 +215,8 @@ def test_bound_report_sums_the_potential_once(monkeypatch):
     g = generate("gnp", 12, seed=3, p=0.4)
     for d in (0, 2):
         calls.clear()
-        rep = bound_report(g, d)
+        bound_report(g, d)
         assert calls == [d]
-        assert (rep.floor_bound, rep.strengthened) == (floor_bound(g, d), strengthened_bound(g, d))
 
 
 def test_bound_report_empty_graph():
@@ -239,7 +232,8 @@ def test_bound_report_empty_graph():
 @settings(max_examples=150)
 @given(balanced_graphs(), st.integers(0, 4))
 def test_rounding_inequality(g, d):
-    assert math.ceil(strengthened_bound(g, d)) >= floor_bound(g, d)
+    rep = bound_report(g, d)
+    assert math.ceil(rep.strengthened) >= rep.floor_bound
 
 
 @settings(max_examples=150)
@@ -248,18 +242,19 @@ def test_jensen_relation(g):
     n = g.left_count
     avg = Fraction(g.edge_count, n)
     assert caro_wei_sum(g, 0) / 2 >= Fraction(n) / (avg + 1)
-    assert floor_bound(g, 0) >= average_degree_bound(g)
+    rep = bound_report(g, 0)
+    assert rep.floor_bound >= rep.average_degree_bound
 
 
 @settings(max_examples=100)
 @given(balanced_graphs())
 def test_monotone_in_d(g):
-    floors = [floor_bound(g, d) for d in range(6)]
+    floors = [bound_report(g, d).floor_bound for d in range(6)]
     assert floors == sorted(floors)
-    strongs = [strengthened_bound(g, d) for d in range(6)]
+    strongs = [bound_report(g, d).strengthened for d in range(6)]
     assert strongs == sorted(strongs)
     max_deg = max(len(t) for t in g.left_adj + g.right_adj)
-    assert floor_bound(g, max_deg) == g.left_count
+    assert bound_report(g, max_deg).floor_bound == g.left_count
 
 
 @settings(max_examples=200)
@@ -274,8 +269,6 @@ def test_integer_sums_match_the_fraction_loop(g, d):
     total = reference_caro_wei_sum(g, d)
     strengthened = reference_strengthened_bound(g, d)
     assert caro_wei_sum(g, d) == total
-    assert floor_bound(g, d) == math.floor(total / 2)
-    assert strengthened_bound(g, d) == strengthened
     rep = bound_report(g, d)
     assert (rep.floor_bound, rep.strengthened) == (math.floor(total / 2), strengthened)
 
@@ -316,11 +309,13 @@ def test_bound_report_matches_the_fraction_expressions(g, d, eps):
     ref = reference_bounds.bound_report(g, d, eps)
     assert rep == ref
     assert _numeric_types(rep) == _numeric_types(ref)
-    assert average_degree_bound(g) == ref.average_degree_bound
+    # neither value depends on d
+    at_zero = bound_report(g, 0, eps)
+    assert at_zero.average_degree_bound == ref.average_degree_bound
     if ref.log_reference is None:
         assert g.edge_count <= g.left_count
     else:
-        assert log_reference_bound(g, eps) == ref.log_reference
+        assert at_zero.log_reference == ref.log_reference
 
 
 def test_bound_report_builds_each_fraction_once(monkeypatch):
@@ -349,7 +344,7 @@ def test_bound_report_builds_each_fraction_once(monkeypatch):
 
 
 def naive_float_floor(g: BipartiteGraph) -> int:
-    """What a float reimplementation of floor_bound(g, 0) would return."""
+    """What a float reimplementation of the d = 0 floor bound would return."""
     s = 0.0
     for nbrs in g.left_adj:
         s += 1.0 / (len(nbrs) + 1)
@@ -369,7 +364,7 @@ def test_cycle_blocks_float_drift():
     g = disjoint_cycle_blocks(3)
     # 18 vertices of degree 2: the sum is exactly 6, the bound exactly 3.
     assert caro_wei_sum(g, 0) == 6
-    assert floor_bound(g, 0) == 3
+    assert bound_report(g, 0).floor_bound == 3
     # 18 float additions of 1/3 fall just short of 6 and the halved floor
     # drops to 2.
     assert naive_float_floor(g) == 2
@@ -425,7 +420,7 @@ def test_crt_stars_exact_floor(a, expected_floor):
     half = caro_wei_sum(g, 0) / 2
     # fractional part is a/P by construction, under a trillionth here
     assert half - math.floor(half) == Fraction(a, STAR_P)
-    assert floor_bound(g, 0) == expected_floor
+    assert bound_report(g, 0).floor_bound == expected_floor
     # cross-check against the degree multiset the construction promises:
     # per mirrored block of prime p, two centers worth 1/p and 2(p-1)
     # leaves worth 1/2
@@ -436,6 +431,9 @@ def test_crt_stars_exact_floor(a, expected_floor):
 
 
 def test_crt_stars_break_float_arithmetic():
-    flipped = [a for a in range(1, 9) if naive_float_floor(crt_star_graph(a)) != floor_bound(crt_star_graph(a), 0)]
+    flipped = [
+        a for a in range(1, 9)
+        if naive_float_floor(crt_star_graph(a)) != bound_report(crt_star_graph(a), 0).floor_bound
+    ]
     # a = 8 happens to survive the rounding noise; the rest do not
     assert flipped == [1, 2, 3, 4, 5, 6, 7]

@@ -627,7 +627,7 @@ def test_experiment_rejected_sweep_writes_no_file(tmp_path, bad):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("text", ["5-3", "0", "0-2", "", ","])
+@pytest.mark.parametrize("text", ["5-3", "0", "0-2", "", ",", "3-", "-3", "3-4-5", "4,x"])
 def test_experiment_rejects_a_bad_n_range(tmp_path, capsys, text):
     out = tmp_path / "out.csv"
     argv = ["experiment", "--n-range", text, "--trials", "1", "-o", str(out)]

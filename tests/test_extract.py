@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from biholes import extract
 from biholes.bigraph import BipartiteGraph, Side, VertexRef, build_graph, generate
-from biholes.bounds import floor_bound, strengthened_bound
+from biholes.bounds import bound_report
 from biholes.errors import NegativeD, TraceMismatch, UnbalancedGraph
 from biholes.extract import (
     LOW_DEGREE_EDGE_DELETION,
@@ -474,10 +474,10 @@ def test_check_trace_verdict_ignores_the_numeric_type(n, p, seed, d, data):
 def test_bihole_extraction_guarantees(g):
     w, tr = find_bihole(g)
     assert is_bihole(g, w.left_set, w.right_set)
-    s = strengthened_bound(g, 0)
-    assert tr.bound_values[0] == s
+    rep = bound_report(g, 0)
+    assert tr.bound_values[0] == rep.strengthened
     assert tr.bound_values[-1] == w.size
-    assert w.size >= math.ceil(s) >= floor_bound(g, 0)
+    assert w.size >= math.ceil(rep.strengthened) >= rep.floor_bound
     values = list(tr.bound_values)
     assert values == sorted(values)
     assert check_trace(g, tr, 0)
@@ -491,7 +491,8 @@ def test_degenerate_extraction_guarantees(g, d):
     w, tr = find_degenerate(g, d)
     assert check_elimination_order(g, w.left_set, w.right_set, d, w.elimination_order)
     assert tr.bound_values[-1] == w.size
-    assert w.size >= math.ceil(strengthened_bound(g, d)) >= floor_bound(g, d)
+    rep = bound_report(g, d)
+    assert w.size >= math.ceil(rep.strengthened) >= rep.floor_bound
     assert check_trace(g, tr, d)
     assert w.size <= max_degenerate_exact(g, d)
 

@@ -13,10 +13,7 @@ from biholes.oracle import max_degenerate_exact
 G = generate("gnp", 5, seed=1, p=0.5)
 
 CALLS = {
-    "potential": lambda d: bounds.potential(3, d),
     "caro_wei_sum": lambda d: bounds.caro_wei_sum(G, d),
-    "floor_bound": lambda d: bounds.floor_bound(G, d),
-    "strengthened_bound": lambda d: bounds.strengthened_bound(G, d),
     "bound_report": lambda d: bounds.bound_report(G, d),
     "find_degenerate": lambda d: find_degenerate(G, d),
     "check_trace": lambda d: check_trace(G, find_bihole(G)[1], d),
