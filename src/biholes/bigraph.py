@@ -24,10 +24,10 @@ The parser reads the lines up to the header one at a time and the edge
 lines in bulk, about 64 KiB at a time.  A chunk in the form the serializer
 writes (``u v`` per line, one space, LF or CRLF) is decoded, two ints a line,
 by one ``json.loads`` call; any other chunk, say one with a comment or a tab,
-goes through ``str.split`` and ``map(int, ...)``.  Edges sorted by left
-index are cut into rows as they stand, and the header bounds the first and
-last left index and each row's ends as it is cut; others go through per-row
-sets.  Only a bad line makes the parser walk the lines one by one, to name it.
+goes through ``str.split`` and ``map(int, ...)``.  Each chunk's edges go to
+the row cutter (``_RowCutter``) before the next chunk is read, so no list of
+the whole input's edges is built.  Only a bad line makes the parser walk the
+lines one by one, to name it.
 
 ``gnp`` draws one SplitMix64 value per potential edge in row-major order,
 so a (model, n, seed, p) tuple names one graph on every platform.  SplitMix64
@@ -44,6 +44,7 @@ import functools
 import json
 import operator
 from bisect import bisect_left
+from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, repeat
@@ -164,10 +165,7 @@ class BipartiteGraph:
         return BipartiteGraph(self.left_count, self.right_count, new_left)
 
     def __repr__(self) -> str:
-        return (
-            f"BipartiteGraph({self.left_count}x{self.right_count}, "
-            f"{self.edge_count} edges)"
-        )
+        return f"BipartiteGraph({self.left_count}x{self.right_count}, {self.edge_count} edges)"
 
 
 def require_balanced(g: BipartiteGraph, op: str) -> None:
@@ -196,24 +194,6 @@ def build_graph(
     return BipartiteGraph(left_count, right_count, tuple(map(tuple, rows)))
 
 
-def _rows(keys: list[int], values: list[int], ends: Iterable[int], right: int) -> tuple | None:
-    """Rows cut from ascending keys: row i holds values[k] for the keys k at
-    or above ends[i - 1] (0 for row 0) and below ends[i].  None as soon as a
-    row's first value is negative or its last is ``right`` or more."""
-    # Each row is a tuple of an exact-size list slice.  Rows built from an
-    # iterator, which tuple() grows and then shrinks, raised the peak RSS of
-    # an experiment sweep by about 0.3 MB.
-    rows = []
-    hi = 0
-    for end in ends:
-        lo, hi = hi, bisect_left(keys, end, hi)
-        row = tuple(values[lo:hi])
-        if row and not (0 <= row[0] and row[-1] < right):
-            return None
-        rows.append(row)
-    return tuple(rows)
-
-
 def _mirror(
     left_adj: tuple[tuple[int, ...], ...], right_count: int
 ) -> tuple[tuple[int, ...], ...]:
@@ -226,14 +206,65 @@ def _mirror(
     return tuple(map(tuple, right_lists))
 
 
+class _RowCutter:
+    """The left rows of an edge stream taken a batch at a time, so no list
+    of the whole stream is held.  A batch is its edges' left and right ends.
+    One sorted by left end that starts at or past the open row (the one the
+    last batch ended in) is cut into rows as it stands, each row's two ends
+    checked against ``right`` as it closes.  The first other batch moves the
+    rows to a list per left vertex, which it and every later batch append to
+    once ``min`` and ``max`` have checked them.  An index these checks catch
+    raises :class:`IndexOutOfRange`; the constructor checks every row in full."""
+
+    def __init__(self, left: int, right: int):
+        self.left, self.right, self.rows = left, right, []
+        self.open: list[int] | None = []  # row len(rows) so far; None after an order break
+
+    def add(self, us: list[int], vs: list[int]) -> None:
+        """Take the edges (us[i], vs[i]) of one batch, or raise IndexOutOfRange."""
+        left, right, rows = self.left, self.right, self.rows
+        if not us:
+            return
+        # A strided sample rejects most shuffled batches before a full sort.
+        if (self.open is not None and len(rows) <= us[0] and us[-1] < left
+                and us[::64] == sorted(us[::64]) and us == sorted(us)):
+            return self.cut(us, vs, us[-1])
+        if not (0 <= min(us) and max(us) < left and 0 <= min(vs) and max(vs) < right):
+            raise IndexOutOfRange(f"an edge does not fit a {left} x {right} graph")
+        if self.open is not None:
+            rows[:] = [*map(list, rows), self.open, *([] for _ in range(left - len(rows) - 1))]
+            self.open = None
+        for u, v in zip(us, vs):
+            rows[u].append(v)
+
+    def cut(self, keys: list[int], vs: list[int], last: int, width: int = 1) -> None:
+        """Close the rows below ``last`` of a batch of edges (k // width, vs[i]) for
+        k = keys[i], sorted by k from the open row on; then open row ``last``."""
+        rows, row, right = self.rows, self.open, self.right
+        hi = bisect_left(keys, (len(rows) + 1) * width)
+        row += vs[:hi]
+        for end in range(len(rows) + 1, last + 1):
+            if row and not (0 <= row[0] and row[-1] < right):
+                raise IndexOutOfRange(_ROW_OUT_OF_RANGE % right)
+            rows.append(tuple(row))  # of an exact-size list: no grow-then-shrink
+            lo, hi = hi, bisect_left(keys, (end + 1) * width, hi)
+            row = vs[lo:hi]
+        self.open = row
+
+    def graph(self) -> BipartiteGraph:
+        """The graph of the batches taken."""
+        if self.open is not None:
+            self.cut([], [], self.left)
+        return BipartiteGraph(self.left, self.right, tuple(map(tuple, self.rows)))
+
+
 # -- text format ------------------------------------------------------------
 
 MAX_VERTICES = 10**7
 
-# The edge lines are tokenised this many characters at a time (plus the rest
-# of the line the cut falls in).  One split of the whole body would hold a
-# string per token of the file at once, raising peak memory above that of
-# the graph itself; a chunk holds a few thousand lines' tokens.
+# The edge lines are tokenised and cut into rows this many characters at a
+# time (plus the rest of the line the cut falls in), so the parse holds a few
+# thousand lines' tokens and edges at once rather than the whole body's.
 _CHUNK = 1 << 16
 
 
@@ -251,11 +282,9 @@ def _lines(text: str, pos: int, lineno: int) -> Iterator[tuple[int, str, int]]:
 
 
 def _data_line(raw: str, lineno: int, header: bool) -> tuple[int, int] | None:
-    """The two integers on a line, or None for a blank or comment line.
-
-    Anything else raises :class:`MalformedHeader` when ``header`` is set,
-    else :class:`MalformedEdgeLine`.
-    """
+    """The two integers on a line, or None for a blank or comment line;
+    anything else raises :class:`MalformedHeader` when ``header`` is set,
+    else :class:`MalformedEdgeLine`."""
     parts = raw.split()
     if not parts or parts[0].startswith("#"):
         return None
@@ -319,20 +348,6 @@ def _split_chunk(chunk: str) -> list[int] | None:
         return None
 
 
-def _bulk_edges(text: str, pos: int) -> tuple[list[int], list[int]] | None:
-    """The edge lines of text from offset pos on as (left ends, right ends),
-    or None when any of those lines is malformed."""
-    us: list[int] = []
-    vs: list[int] = []
-    for chunk in _chunks(text, pos):
-        flat = _decode_chunk(chunk) or _split_chunk(chunk)
-        if flat is None:
-            return None
-        us += flat[0::2]
-        vs += flat[1::2]
-    return us, vs
-
-
 def _raise_first_bad_line(text: str, pos: int, lineno: int, left: int, right: int) -> NoReturn:
     """Raise the error for the first malformed or out-of-range edge line of
     text from offset pos on, whose first line is numbered lineno."""
@@ -350,10 +365,10 @@ def parse_edge_list(text: str) -> BipartiteGraph:
 
     The lines up to the header are read one at a time, so a bad or over-cap
     header fails before anything is allocated.  The edge lines are then
-    checked and converted in bulk, a chunk of lines at a time, by builtins
-    rather than a Python loop per line.  When a line is malformed or an index
-    does not fit, the lines are walked again one by one and the first bad
-    line in file order raises: a :class:`MalformedEdgeLine` carrying its
+    checked, converted and cut into rows a chunk of lines at a time, by
+    builtins rather than a Python loop per line.  When a line is malformed or
+    an index does not fit, the lines are walked again one by one and the first
+    bad line in file order raises: a :class:`MalformedEdgeLine` carrying its
     number, or an :class:`IndexOutOfRange` naming it.
     """
     for lineno, raw, end in _lines(text, 0, 1):
@@ -369,31 +384,16 @@ def parse_edge_list(text: str) -> BipartiteGraph:
         raise MalformedHeader(
             f"line {lineno}: {left} + {right} vertices exceed the cap of {MAX_VERTICES}"
         )
-    edges = _bulk_edges(text, end + 1)
-    if edges is not None:
-        try:
-            return _parsed_graph(left, right, edges)
-        except IndexOutOfRange:
-            pass
+    rows = _RowCutter(left, right)
+    with suppress(IndexOutOfRange):
+        for chunk in _chunks(text, end + 1):
+            flat = _decode_chunk(chunk) or _split_chunk(chunk)
+            if flat is None:
+                break
+            rows.add(flat[0::2], flat[1::2])
+        else:
+            return rows.graph()
     _raise_first_bad_line(text, end + 1, lineno + 1, left, right)
-
-
-def _parsed_graph(left: int, right: int, edges: tuple[list[int], list[int]]) -> BipartiteGraph:
-    """The graph of the edges (left ends, right ends), or IndexOutOfRange.
-    Edges sorted by left end are cut into rows as they stand, for the
-    constructor to sort and check, and a bad first or last left end or row
-    end stops the cut; others are checked by min/max, so that a bad index
-    fails before build_graph allocates a row per declared left vertex."""
-    us, vs = edges
-    # A strided sample rejects most shuffled lists before an O(m log m) sort.
-    ordered = us[::64] == sorted(us[::64]) and us == sorted(us)
-    if ordered and (not us or 0 <= us[0] and us[-1] < left):
-        left_adj = _rows(us, vs, range(1, left + 1), right)
-        if left_adj is not None:
-            return BipartiteGraph(left, right, left_adj)
-    if us and not (0 <= min(us) and max(us) < left and 0 <= min(vs) and max(vs) < right):
-        raise IndexOutOfRange(f"an edge does not fit a {left} x {right} graph")
-    return build_graph(left, right, zip(us, vs))
 
 
 def serialize(g: BipartiteGraph) -> str:
@@ -462,9 +462,9 @@ def _packed(lanes: int) -> tuple[int, int, int, int]:
     return one, one * _MASK64, ramp, (lanes * _GAMMA & _MASK64) * one
 
 
-def _gnp_keys(seed: int, count: int, threshold: int) -> list[int]:
-    """The indices k < count, ascending, at which draw k of
-    ``SplitMix64(seed)`` is below ``threshold`` (0 <= threshold <= 2**64).
+def _gnp_batches(seed: int, n: int, threshold: int) -> Iterator[tuple[list[int], list[int]]]:
+    """Per batch of draws that keeps an edge, the keys k = i*n + j, ascending, at
+    which draw k of ``SplitMix64(seed)`` is below ``threshold`` (0 to 2**64), and j.
 
     Up to ``_LANES`` draws at a time are held one per 128-bit lane of one
     Python int, so each step of the mixer is one big-int operation.  Every
@@ -473,11 +473,11 @@ def _gnp_keys(seed: int, count: int, threshold: int) -> list[int]:
     the lane above.  Bit 64 of (threshold + 2**64 - 1) - z is set exactly
     when the draw z is below the threshold.
     """
+    count = n * n
     lanes = min(_LANES, 1 << (count - 1).bit_length())
     one, mask, ramp, step = _packed(lanes)
     upper = (threshold + _MASK64) * one
     state = ((seed & _MASK64) * one + ramp) & mask
-    keys: list[int] = []
     for start in range(0, count, lanes):
         z = ((state ^ (state >> 30)) & mask) * _MIX1 & mask
         z = ((z ^ (z >> 27)) & mask) * _MIX2 & mask
@@ -485,9 +485,10 @@ def _gnp_keys(seed: int, count: int, threshold: int) -> list[int]:
         kept = ((upper - z) >> 64) & one
         if kept:
             flags = kept.to_bytes(16 * lanes, "little")[0::16]
-            keys.extend(compress(range(start, min(start + lanes, count)), flags))
+            keys = list(compress(range(start, min(start + lanes, count)), flags))
+            if keys:  # lanes past count draw too, in the last batch
+                yield keys, list(map(operator.mod, keys, repeat(n)))
         state = (state + step) & mask
-    return keys
 
 
 GENERATOR_MODELS = ("gnp", "complete", "edgeless", "matching", "cycle", "crown")
@@ -503,9 +504,7 @@ def check_model(model: str, n: int, p: float | Fraction | None = None) -> None:
     if n < 1:
         raise InvalidSize(f"model {model!r} needs n >= 1, got {n}")
     if 2 * n > MAX_VERTICES:
-        raise InvalidSize(
-            f"model {model!r} needs 2n <= {MAX_VERTICES} vertices, got n = {n}"
-        )
+        raise InvalidSize(f"model {model!r} needs 2n <= {MAX_VERTICES} vertices, got n = {n}")
     if model not in GENERATOR_MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {GENERATOR_MODELS}")
     if model == "cycle" and n < 2:
@@ -529,11 +528,10 @@ def generate(
 
     ``gnp`` keeps edge (i, j) iff draw k = i*n + j of ``SplitMix64(seed)``
     is below floor(p * 2**64), so a (model, n, seed, p) tuple names one graph
-    forever.  The draws are computed in bulk by :func:`_gnp_keys`, which the
-    counter property of SplitMix64 allows without changing the stream, and
-    the rows are cut from the sorted indices it returns.  The other models
-    are deterministic and ignore the seed; each writes its left rows
-    directly.
+    forever.  The draws are computed in bulk by :func:`_gnp_batches`, which
+    the counter property of SplitMix64 allows without changing the stream,
+    and each batch's edges are cut into rows as it is drawn.  The other
+    models are deterministic, ignore the seed and write their rows directly.
     """
     check_model(model, n, p)
     full = tuple(range(n))
@@ -548,6 +546,8 @@ def generate(
     elif model == "crown":
         left_adj = tuple(full[:i] + full[i + 1 :] for i in full)
     else:  # gnp
-        keys = _gnp_keys(seed, n * n, int(Fraction(p) * (1 << 64)))
-        left_adj = _rows(keys, list(map(operator.mod, keys, repeat(n))), range(n, n * n + 1, n), n)
+        rows = _RowCutter(n, n)
+        for keys, vs in _gnp_batches(seed, n, int(Fraction(p) * (1 << 64))):
+            rows.cut(keys, vs, keys[-1] // n, n)
+        return rows.graph()
     return BipartiteGraph(n, n, left_adj)

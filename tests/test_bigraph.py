@@ -260,7 +260,15 @@ def test_parse_malformed_header():
 
 def test_parse_caps_the_header_before_allocating(monkeypatch):
     built = []
-    monkeypatch.setattr(bigraph, "_parsed_graph", lambda left, right, edges: built.append(left))
+
+    class RecordingCutter:
+        def __init__(self, left, right):
+            built.append(left)
+
+        def graph(self):
+            return None
+
+    monkeypatch.setattr(bigraph, "_RowCutter", RecordingCutter)
     for text in (f"{MAX_VERTICES // 2} {MAX_VERTICES // 2 + 1}\n", "1000000000 1000000000\n"):
         with pytest.raises(MalformedHeader, match="cap"):
             parse_edge_list(text)
@@ -343,12 +351,28 @@ def _repeat_line_at_first_cut(text: str) -> str:
     return text[: cut + 1] + text[start : cut + 1] + text[cut + 1 :]
 
 
+def _past_the_header_in_the_row_at_first_cut(text: str) -> str:
+    """Sorted text with an edge whose right index is the header's right
+    count, appended to the row that its first default-size chunk cut of
+    edge lines falls inside of."""
+    cut = text.index("\n", text.index("\n") + 1 + bigraph._CHUNK)
+    u = int(text[text.rindex("\n", 0, cut) + 1 : cut].split()[0])
+    assert f"\n{u} 0\n" in text[:cut] and f"\n{u + 1} " in text[cut:]  # the row straddles it
+    end = text.index(f"\n{u + 1} ") + 1
+    return text[:end] + f"{u} {text.split()[1]}\n" + text[end:]
+
+
 # Canonical texts, one space per line, that reach each end-only check of the
 # decoder's path: the order of the left indices and of a row, and the two
-# ends of each.  The parser must give the reference's graph or error.
+# ends of each, and the move of the rows cut so far to a list per left vertex
+# when a later chunk breaks the order.  The parser must give the reference's
+# graph or error.
 CANONICAL_CASES = [
     SIXTY_ROWS + "150 2\n150 1\n",  # a descent inside a row of a later chunk
     _repeat_line_at_first_cut(SIXTY_ROWS),  # a duplicate line across the chunk cut
+    SIXTY_ROWS + "5 3\n",  # the order drops to a row already cut
+    SIXTY_ROWS + "59 0\n",  # a repeated, descending entry in the row open at the end
+    _past_the_header_in_the_row_at_first_cut(SIXTY_ROWS),
     "2 2\n0 0\n0 1\n1 0\n1 2\n",  # a right index out of range on the last line
     "2 2\n0 0\n1 1\n2 0\n",  # sorted, with the last left index equal to the count
     "2 2\n-1 0\n0 1\n",  # row 0 would read (0, 1) if the -1 were let in
@@ -383,17 +407,48 @@ def test_parse_matches_the_line_reader(chunk, text):
         assert _outcome(parse_edge_list, text) == _outcome(reference_parse_edge_list, text)
 
 
+def _traced_peak(fn):
+    """fn(), the memory still traced when it returns (what it built and
+    keeps) and the peak traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, size, peak
+
+
+def _parse_traced(text: str, lineno: int) -> int:
+    """The peak memory traced while parse_edge_list(text) raises naming lineno."""
+    def parse():
+        with pytest.raises(IndexOutOfRange, match=f"^line {lineno}: "):
+            parse_edge_list(text)
+    return _traced_peak(parse)[2]
+
+
 @pytest.mark.parametrize("body", ["1 0\n0 0\n9 0\n", "0 0\n1 0\n9 0\n", "0 0\n1 0\n1 9\n"])
-def test_an_index_that_does_not_fit_builds_no_graph(monkeypatch, body):
+def test_an_index_that_does_not_fit_builds_no_graph(body):
     """Shuffled or sorted, an edge list with an index over the header fails
-    before build_graph allocates a set per declared vertex."""
-    monkeypatch.setattr(bigraph, "build_graph", None)
-    with pytest.raises(IndexOutOfRange, match="^line 4: "):
-        parse_edge_list("9 9\n" + body)
+    before a row is allocated per declared left vertex: under a 10**6 x 10**6
+    header, with the bad index 9 raised to 10**6, it fails within 1 MB."""
+    assert _parse_traced("1000000 1000000\n" + body.replace("9", "1000000"), 4) < 1 << 20
+
+
+def _refuse_the_per_vertex_path(monkeypatch):
+    """Make the row cutter fail as soon as it moves to a list per left vertex."""
+
+    class CuttingOnly(bigraph._RowCutter):
+        def add(self, us, vs):
+            super().add(us, vs)
+            if self.open is None:
+                raise AssertionError(f"per-vertex path taken at left ends {us[:5]}...")
+
+    monkeypatch.setattr(bigraph, "_RowCutter", CuttingOnly)
 
 
 def test_a_sorted_list_with_a_repeated_line_takes_the_row_cut(monkeypatch):
-    monkeypatch.setattr(bigraph, "build_graph", None)
+    _refuse_the_per_vertex_path(monkeypatch)
     g = parse_edge_list("2 3\n0 1\n0 1\n0 2\n1 0\n1 0\n")
     assert g.left_adj == ((1, 2), (0,)) and g.edge_count == 3
 
@@ -401,14 +456,25 @@ def test_a_sorted_list_with_a_repeated_line_takes_the_row_cut(monkeypatch):
 def test_a_right_index_past_the_header_stops_the_row_cut():
     """A sorted list whose one bad index is a right index in the first row is
     rejected at that row, not after a row is cut per declared left vertex."""
-    tracemalloc.start()
-    try:
-        with pytest.raises(IndexOutOfRange, match="^line 3: "):
-            parse_edge_list("1000000 1000000\n0 0\n0 1000000\n")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    assert _parse_traced("1000000 1000000\n0 0\n0 1000000\n", 3) < 1 << 20
+
+
+def test_parse_peak_stays_under_1_6_times_its_graph():
+    """The edge lines are cut into rows a chunk at a time, so no list of the
+    whole file's edges adds to the graph's own memory."""
+    text = serialize(generate("gnp", 400, seed=1, p=0.5))
+    g, size, peak = _traced_peak(lambda: parse_edge_list(text))
+    assert g.edge_count == text.count("\n") - 1
+    assert peak < 1.6 * size
+
+
+def test_gnp_peak_stays_under_1_6_times_its_graph():
+    """The draws are cut into rows a batch at a time, so no list of every
+    kept draw adds to the graph's own memory."""
+    generate("gnp", 400, seed=1, p=0.5)  # fills the lane-constant cache
+    g, size, peak = _traced_peak(lambda: generate("gnp", 400, seed=1, p=0.5))
+    assert g.edge_count > 0
+    assert peak < 1.6 * size
 
 
 def test_parse_names_the_first_bad_line_in_file_order():
@@ -482,8 +548,8 @@ def test_chunks_that_json_refuses_parse_as_the_line_reader(text):
 @pytest.mark.parametrize("chunk", [1, 7, None])
 @pytest.mark.parametrize("eol", ["\n", "\r\n"])
 def test_serialized_text_takes_the_decoder_and_row_slicing(monkeypatch, chunk, eol):
-    """Serializer output never reaches the str.split tokeniser or build_graph,
-    so a silent fallback cannot hide a lost speedup."""
+    """Serializer output never reaches the str.split tokeniser or the list
+    per left vertex, so a silent fallback cannot hide a lost speedup."""
     graphs = [generate("gnp", 30, seed=3, p=0.3), generate("complete", 5),
               generate("edgeless", 4), build_graph(0, 0, []), build_graph(2, 3, [(1, 2)]),
               # Empty first and last rows; then the last left and right index only.
@@ -493,7 +559,7 @@ def test_serialized_text_takes_the_decoder_and_row_slicing(monkeypatch, chunk, e
         raise AssertionError(f"slow path taken on {args[0]!r}")
 
     monkeypatch.setattr(bigraph, "_split_chunk", refuse)
-    monkeypatch.setattr(bigraph, "build_graph", refuse)
+    _refuse_the_per_vertex_path(monkeypatch)
     if chunk is not None:
         monkeypatch.setattr(bigraph, "_CHUNK", chunk)
     for g in graphs:
