@@ -47,7 +47,7 @@ from bisect import bisect_left
 from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 from typing import Iterable, Iterator, NoReturn
 
 from .errors import (
@@ -183,15 +183,15 @@ def require_nonnegative_d(d: int) -> None:
 def build_graph(
     left_count: int, right_count: int, edges: Iterable[tuple[int, int]]
 ) -> BipartiteGraph:
-    """Build a graph from an edge iterable; the constructor sorts and dedupes each row."""
-    rows: list[list[int]] = [[] for _ in range(left_count)]
-    for u, v in edges:
-        if not 0 <= u < left_count or not 0 <= v < right_count:
-            raise IndexOutOfRange(
-                f"edge ({u}, {v}) does not fit a {left_count} x {right_count} graph"
-            )
-        rows[u].append(v)
-    return BipartiteGraph(left_count, right_count, tuple(map(tuple, rows)))
+    """Build a graph from an edge iterable; the constructor sorts and dedupes
+    each row.  The edges go to the row cutter 4096 at a time, so an index
+    that does not fit raises :class:`IndexOutOfRange` before a row is made
+    for every left vertex."""
+    rows, edges = _RowCutter(left_count, right_count), iter(edges)
+    while batch := [(u, v) for u, v in islice(edges, 4096)]:
+        us, vs = zip(*batch)
+        rows.add(list(us), list(vs))
+    return rows.graph()
 
 
 def _mirror(
@@ -230,7 +230,8 @@ class _RowCutter:
                 and us[::64] == sorted(us[::64]) and us == sorted(us)):
             return self.cut(us, vs, us[-1])
         if not (0 <= min(us) and max(us) < left and 0 <= min(vs) and max(vs) < right):
-            raise IndexOutOfRange(f"an edge does not fit a {left} x {right} graph")
+            u, v = next((u, v) for u, v in zip(us, vs) if not (0 <= u < left and 0 <= v < right))
+            raise IndexOutOfRange(f"edge ({u}, {v}) does not fit a {left} x {right} graph")
         if self.open is not None:
             rows[:] = [*map(list, rows), self.open, *([] for _ in range(left - len(rows) - 1))]
             self.open = None

@@ -33,7 +33,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from itertools import chain, repeat
+from operator import floordiv
+from typing import Sequence
 
 from .bigraph import BipartiteGraph, Side, require_balanced, require_nonnegative_d
 
@@ -99,20 +101,22 @@ _LOG_TEXT = '{"value": %s, "eps": %s, "size_hypothesis_met": %s}'
 _JSON_LITERAL = {True: "true", False: "false", None: "null"}
 
 
-def rational_json_texts(values: Iterable[Fraction]) -> list[str]:
-    """Each value as JSON: its num and den as strings and its
-    :func:`decimal_string`, in the bytes ``json.dumps`` gives that dict.  A
-    peel's bound values share a few denominators, so each distinct one is
-    made a Decimal once."""
-    ctx, dens, texts = _DECIMAL_CONTEXT, {}, []
-    for x in values:
-        num, den = x.numerator, x.denominator
-        big = dens.get(den)
-        if big is None:
-            big = dens[den] = decimal.Decimal(den)
-        value = ctx.to_sci_string(ctx.divide(decimal.Decimal(num), big))
-        texts.append(_RATIONAL_TEXT % (num, den, value))
-    return texts
+def rational_json_items(nums: Sequence[int], den: int) -> str:
+    """The values num/den (den > 0) as JSON objects joined by ", ", each
+    with its reduced numerator and denominator as strings and its
+    :func:`decimal_string`, in the bytes ``json.dumps`` gives those dicts.
+    A trace's bound values share one denominator and are reduced here, as
+    they are written."""
+    ctx, gcds = _DECIMAL_CONTEXT, list(map(math.gcd, nums, repeat(den)))
+    tops = list(map(floordiv, nums, gcds))
+    bottoms = list(map(floordiv, repeat(den), gcds))
+    decimals = map(ctx.to_sci_string, map(ctx.divide, tops, bottoms))
+    fields = tuple(chain.from_iterable(zip(tops, bottoms, decimals)))
+    return ", ".join(repeat(_RATIONAL_TEXT, len(tops))) % fields
+
+
+def _rational_text(x: Fraction) -> str:
+    return rational_json_items([x.numerator], x.denominator)
 
 
 @dataclass(frozen=True)
@@ -143,13 +147,13 @@ class BoundReport:
         return math.ceil(self.strengthened)
 
     def json_text(self) -> str:
-        """The report as JSON, rationals as by :func:`rational_json_texts`
+        """The report as JSON, rationals as by :func:`rational_json_items`
         and ``log_reference`` null when there is none."""
         rationals = self.strengthened, self.average_degree_bound
-        strengthened, average = rational_json_texts(rationals)
+        strengthened, average = map(_rational_text, rationals)
         log_part = "null"
         if self.log_reference is not None:
-            value, eps = rational_json_texts((self.log_reference, self.log_reference_eps))
+            value, eps = map(_rational_text, (self.log_reference, self.log_reference_eps))
             log_part = _LOG_TEXT % (value, eps, _JSON_LITERAL[self.log_size_hypothesis_met])
         return _REPORT_TEXT % (
             self.n, self.d, self.floor_bound, strengthened, self.ceil_strengthened, average, log_part

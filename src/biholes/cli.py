@@ -11,11 +11,16 @@ Subcommands::
 
 INPUT is a path to an edge-list file, or ``-`` for stdin.  Exit codes are a
 stable contract: 0 success, 2 parse or usage error, 3 unbalanced input,
-4 verification failure, 5 instance over oracle limits.  A rejected input
-never ends in a traceback: it prints one ``error: ...`` line and exits 2, 3
-or 5.  ``--eps`` refuses a decimal exponent over 4300 in magnitude, and
-``--n-range`` a side size over ``MAX_SIDE`` (5 * 10**6).  ``bound`` formats
-its whole report before it prints any of it.
+4 verification failure, 5 instance over oracle limits, 6 stdout could not
+be written.  A rejected input never ends in a traceback: it prints one
+``error: ...`` line and exits 2, 3 or 5.  A write to stdout that fails (a
+closed pipe, as under ``| head``, or a full disk) prints one ``error: ...``
+line and exits 6, and what stdout still buffers is dropped, so the
+interpreter's flush at exit reports nothing.  ``--eps`` refuses a decimal
+exponent over 4300 in magnitude, and ``--n-range`` a side size over
+``MAX_SIDE`` (5 * 10**6).  ``bound`` formats its whole report before it
+prints any of it, and ``extract --verify`` finishes before ``extract``
+writes anything.
 
 ``oracle --limits N`` and ``experiment --oracle-max N`` set the side limit of
 the oracle that runs to N; without them each oracle's default applies.
@@ -25,14 +30,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .bigraph import (
     GENERATOR_MODELS,
     MAX_VERTICES,
     SplitMix64,
+    VertexRef,
     check_model,
     generate,
     parse_edge_list,
@@ -41,7 +48,7 @@ from .bigraph import (
 )
 from .bounds import bound_report, decimal_string
 from .errors import BiholesError, InstanceTooLarge, TraceMismatch, UnbalancedGraph
-from .extract import check_trace, find_bihole, find_degenerate, survivors
+from .extract import DegenerateWitness, check_trace, find_bihole, find_degenerate, survivors
 from .oracle import (
     check_elimination_order,
     is_bihole,
@@ -55,6 +62,7 @@ EXIT_PARSE = 2
 EXIT_UNBALANCED = 3
 EXIT_VERIFY = 4
 EXIT_TOO_LARGE = 5
+EXIT_STDOUT = 6
 
 # The largest side of a balanced graph that an edge-list header admits.
 MAX_SIDE = MAX_VERTICES // 2
@@ -72,6 +80,45 @@ CSV_HEADER = [
     "exact",
     "verified",
 ]
+
+
+class _StdoutFailed(Exception):
+    """A write to stdout, or its flush, failed."""
+
+
+class _Stdout:
+    """Where the commands write their output: ``sys.stdout``, looked up at
+    each call so that a caller's redirect holds, with a failed write or
+    flush raised as :class:`_StdoutFailed`, which :func:`main` tells apart
+    from an error reading the input."""
+
+    def write(self, text: str) -> None:
+        try:
+            sys.stdout.write(text)
+        except (OSError, ValueError) as exc:
+            raise _StdoutFailed(exc) from exc
+
+    def flush(self) -> None:
+        try:
+            sys.stdout.flush()
+        except (OSError, ValueError) as exc:
+            raise _StdoutFailed(exc) from exc
+
+
+_STDOUT = _Stdout()
+
+
+def _drop_stdout() -> None:
+    """Point the stdout file descriptor at the null device, where the flush
+    at exit then puts what stdout still buffers; a stdout with no
+    descriptor is left as it is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 def _read_graph(path: str):
@@ -125,6 +172,47 @@ def _failed_checks(g, witness, trace, d: int, exact: int | None = None) -> list[
     return [name for name, ok in checks.items() if not ok]
 
 
+# Entries per piece that _write_json hands to ``write``: about 64 KiB of
+# steps or bound values.
+_PIECE = 640
+
+
+def _write_list(write: Callable[[str], object], n: int, piece: Callable[[int, int], str]) -> None:
+    """Write a JSON list of n entries, ``_PIECE`` at a time: ``piece(i, j)``
+    is the text of entries i to j - 1, joined by ", "."""
+    write("[")
+    for i in range(0, n, _PIECE):
+        if i:
+            write(", ")
+        write(piece(i, i + _PIECE))
+    write("]")
+
+
+def _write_json(write: Callable[[str], object], witness, trace=None) -> None:
+    """Write ``extract``'s output line through ``write``, in pieces, so that
+    no text of the whole output is built: the witness as JSON (left, right,
+    size, and a degenerate witness's elimination_order), with its trace
+    under "trace" when one is given (initial_report, steps, bound_values)."""
+    left, right = witness.left_set, witness.right_set
+    write('{"left": ')
+    _write_list(write, len(left), lambda i, j: ", ".join(map(str, left[i:j])))
+    write(', "right": ')
+    _write_list(write, len(right), lambda i, j: ", ".join(map(str, right[i:j])))
+    write(', "size": %d' % witness.size)
+    if isinstance(witness, DegenerateWitness):
+        order = witness.elimination_order
+        write(', "elimination_order": ')
+        _write_list(write, len(order), lambda i, j: ", ".join(map(VertexRef.json_text, order[i:j])))
+    if trace is not None:
+        steps, values = trace.steps, trace.bound_values
+        write(', "trace": {"initial_report": %s, "steps": ' % trace.initial_report.json_text())
+        _write_list(write, len(steps), steps.piece)
+        write(', "bound_values": ')
+        _write_list(write, len(values), values.piece)
+        write("}")
+    write("}\n")
+
+
 def _eps(text: str) -> Fraction:
     """``--eps`` as a Fraction, refusing a decimal exponent over 4300 in magnitude
     (CPython's digit limit for ``int()`` of a string) before Fraction spends
@@ -145,7 +233,7 @@ def _cmd_bound(args) -> int:
     g = _read_graph(args.input)
     report = bound_report(g, args.d, _eps(args.eps))
     if args.json:
-        print(report.json_text())
+        print(report.json_text(), file=_STDOUT)
         return EXIT_OK
     lines = [
         f"n: {report.n}",
@@ -164,7 +252,7 @@ def _cmd_bound(args) -> int:
             f"log_reference: ~{decimal_string(report.log_reference)} "
             f"(eps = {report.log_reference_eps}, size hypothesis {hyp})"
         )
-    print("\n".join(lines))
+    print("\n".join(lines), file=_STDOUT)
     return EXIT_OK
 
 
@@ -176,16 +264,13 @@ def _cmd_extract(args) -> int:
         if failed:
             print(f"verification failed: failed checks: {', '.join(failed)}", file=sys.stderr)
             return EXIT_VERIFY
-    text = witness.json_text()
-    if args.trace:
-        text = '%s, "trace": %s}' % (text[:-1], trace.json_text())
-    print(text)
+    _write_json(_STDOUT.write, witness, trace if args.trace else None)
     return EXIT_OK
 
 
 def _cmd_oracle(args) -> int:
     g = _read_graph(args.input)
-    print(_exact(g, args.d, args.limits))
+    print(_exact(g, args.d, args.limits), file=_STDOUT)
     return EXIT_OK
 
 
@@ -193,7 +278,7 @@ def _cmd_gen(args) -> int:
     g = generate(args.model, args.n, seed=args.seed, p=args.p)
     text = serialize(g)
     if args.output == "-":
-        sys.stdout.write(text)
+        _STDOUT.write(text)
     else:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -290,10 +375,10 @@ def _one_row(model: str, n: int, p: float | None, seed: int, d: int, limit: int 
 
 def _cmd_experiment(args) -> int:
     cells = _experiment_cells(args)
-    out = sys.stdout if args.output == "-" else open(
+    out = _STDOUT if args.output == "-" else open(
         args.output, "w", encoding="utf-8", newline=""
     )
-    summary_stream = sys.stderr if args.output == "-" else sys.stdout
+    summary_stream = sys.stderr if args.output == "-" else _STDOUT
     rows = gap_sum = violations = 0
     gap_min = None
     try:
@@ -311,7 +396,7 @@ def _cmd_experiment(args) -> int:
             if row["verified"] != "true":
                 violations += 1
     finally:
-        if out is not sys.stdout:
+        if out is not _STDOUT:
             out.close()
     if rows:
         mean_gap = decimal_string(Fraction(gap_sum, rows), 6)
@@ -400,7 +485,13 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        _STDOUT.flush()
+        return code
+    except _StdoutFailed as exc:
+        _drop_stdout()
+        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+        return EXIT_STDOUT
     except (BiholesError, ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, UnbalancedGraph):

@@ -20,26 +20,17 @@ nonadjacent hit wins and yields case 1.
 
 The working graph (:class:`_WorkingGraph`) is a bucket queue in the style
 of Matula & Beck's smallest-last ordering and Batagelj & Zaversnik's O(m)
-core decomposition, cut down to the buckets this rule reads.  A step costs
+core decomposition, cut down to the buckets this rule reads: a step costs
 time in proportion to the input degrees of the vertices it cuts (plus a log
-factor for pushes into buckets 1..d and one sort per max bucket), the
-drains visit O(n + m) entries over the whole peel, and no step rescans all
-n vertices.  Pair selection reads adjacency off the input graph's sorted
-rows by binary search and remembers the left vertices found to cover the
-right max bucket, so a peel of K_{n,n} makes one search per edge in all.
-One generator body, ``_peel``, probes buckets 1..d and updates the bound
-inline, and calls helpers only to cut a vertex (``_cut``), to select a pair
-(``select_pair``, with ``_covers``), and, after a step that empties a max
-bucket, to move a max pointer down (``refresh_max``: ``_drain``, ``_lowest``).
+factor for pushes into buckets 1..d and one sort per max bucket), and no
+step rescans all n vertices.  Pair selection binary-searches the input's
+sorted rows and remembers the left vertices that cover the right max
+bucket, so a peel of K_{n,n} makes one search per edge in all.
 
 The strengthened bound of the working graph never decreases along the peel,
 and the final edgeless working graph's value equals the witness size, which
 is why the witness size always reaches ceil(strengthened) and hence the
-floor bound.  Every step is recorded (in original vertex labels, with the
-degrees that justified it).  The peel collects ``_peel``'s steps, and
-:func:`check_trace` replays the whole run through it, requiring every
-recorded step to equal the step the rule takes.  The witness is every
-vertex that no pair step removes.
+floor bound.  The witness is every vertex that no pair step removes.
 
 For d >= 1 the witness is a vertex set whose induced subgraph *in the
 original graph* is d-degenerate: edges deleted at a low-degree vertex come
@@ -47,26 +38,29 @@ back when the witness is induced, but each such vertex gained at most d
 edges, which cannot break d-degeneracy.  A min-degree elimination order of
 the induced witness is attached as an independently checkable certificate.
 
-Each output type writes its JSON text (``json_text``) from format strings,
-with no dict per step, bound value or vertex, in the bytes ``json.dumps``
-gives the dict form (``tests/reference_output.py``): at 10^5 vertices per
-side and 10^6 edges the d = 2 output takes 0.5-0.8 s to write.
-PeelStep and VertexRef are slotted, as the peel builds one per step, and
-PeelStep's one constructor stores its fields through the slots' setters.
+Every step is recorded, in original vertex labels and with the degrees that
+justified it, and every bound value.  A trace keeps them as columns (a kind
+code per step in a bytearray, six ints per step in an ``array('i')``, int
+numerators over one denominator), which ``_peel`` fills and
+:func:`check_trace` compares with a replay's, so no object is built per
+step.  ``PeelTrace.steps`` and ``bound_values`` read as tuples of PeelSteps
+and Fractions, each entry built when it is read.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import compress, repeat
-from typing import Iterable, Iterator
+from itertools import chain, compress, count, repeat
+from operator import ne
 
 from .bigraph import _SIDES, BipartiteGraph, VertexRef, require_balanced, require_nonnegative_d
-from .bounds import BoundReport, bound_report, rational_json_texts
+from .bounds import BoundReport, bound_report, rational_json_items
 from .errors import TraceMismatch
 from .oracle import StuckCore, degeneracy_certificate
 
@@ -87,12 +81,24 @@ PAIR_CASE1 = "pair_case1"
 PAIR_CASE2 = "pair_case2"
 LOW_DEGREE_EDGE_DELETION = "low_degree_edge_deletion"
 
+# A step's code in a trace's kinds column: pair cases 1 and 2, then a
+# low-degree step on side rank 0 or 1.  Each code's JSON takes the step's
+# six ints (a, b and the four degrees); a low-degree step's a and b are its
+# vertex's index and side rank, and ``%.0s`` writes nothing for the side
+# rank and for the -1 that stands for its missing fourth degree.
+_KINDS = (PAIR_CASE1, PAIR_CASE2, LOW_DEGREE_EDGE_DELETION, LOW_DEGREE_EDGE_DELETION)
+_LOW = 2
+_STEP_TEXTS = (
+    '{"kind": "pair_case1", "a": %d, "b": %d, "v": null, "degrees_before": [%d, %d, %d, %d]}',
+    '{"kind": "pair_case2", "a": %d, "b": %d, "v": null, "degrees_before": [%d, %d, %d, %d]}',
+    '{"kind": "low_degree_edge_deletion", "a": null, "b": null, "v": ["L", %d%.0s], '
+    '"degrees_before": [%d, %d, %d, null%.0s]}',
+    '{"kind": "low_degree_edge_deletion", "a": null, "b": null, "v": ["R", %d%.0s], '
+    '"degrees_before": [%d, %d, %d, null%.0s]}',
+)
 
-_PAIR_STEP = '{"kind": "%s", "a": %d, "b": %d, "v": null, "degrees_before": [%d, %d, %d, %d]}'
-_LOW_STEP = '{"kind": "%s", "a": null, "b": null, "v": ["%s", %d], "degrees_before": [%d, %d, %d, null]}'
 
-
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class PeelStep:
     """One recorded peeling step, in original vertex labels.
 
@@ -106,58 +112,153 @@ class PeelStep:
     b: int | None = None
     v: VertexRef | None = None
 
-    def __init__(
-        self,
-        kind: str,
-        degrees_before: tuple,
-        a: int | None = None,
-        b: int | None = None,
-        v: VertexRef | None = None,
-    ):
-        # The generated __init__ of a frozen class goes through
-        # object.__setattr__ per field; the slots' own setters cost less.
-        _set_kind(self, kind)
-        _set_degrees(self, degrees_before)
-        _set_a(self, a)
-        _set_b(self, b)
-        _set_v(self, v)
 
-    def json_text(self) -> str:
-        """The step as JSON: kind, a, b, v and degrees_before."""
-        if self.v is None:
-            return _PAIR_STEP % (self.kind, self.a, self.b, *self.degrees_before)
-        return _LOW_STEP % (self.kind, self.v.side.value, self.v.index, *self.degrees_before[:3])
+def _step(code: int, row: Sequence[int]) -> PeelStep:
+    """The PeelStep of a kind code and its six ints."""
+    a, b, da, db, x, y = row
+    if code < _LOW:
+        return PeelStep(_KINDS[code], (da, db, x, y), a, b)
+    return PeelStep(LOW_DEGREE_EDGE_DELETION, (da, db, x, None), v=VertexRef(_SIDES[b], a))
 
 
-_set_kind, _set_degrees, _set_a, _set_b, _set_v = (
-    PeelStep.kind.__set__,
-    PeelStep.degrees_before.__set__,
-    PeelStep.a.__set__,
-    PeelStep.b.__set__,
-    PeelStep.v.__set__,
-)
+class _Columns(Sequence):
+    """A read-only sequence kept in columns, whose entries are built when
+    read (``_item``).  It equals the tuple of its entries, and a slice of it
+    is one."""
+
+    __slots__ = ()
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(map(self._item, range(*k.indices(len(self)))))
+        return self._item(range(len(self))[k])
+
+    def __eq__(self, other):
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return self._same(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __add__(self, other):
+        return tuple(self) + other if isinstance(other, tuple) else NotImplemented
+
+    def __repr__(self):
+        return repr(tuple(self))
 
 
-@dataclass(frozen=True)
+class _Steps(_Columns):
+    """A trace's steps: ``kinds`` holds a code per step (``_KINDS``) and
+    ``fields`` its six ints, a and b then the four degrees, -1 for None.
+    ``tail`` keeps as given the steps from the first one that the columns
+    cannot hold exactly, so that a hand-built trace reads back as built."""
+
+    __slots__ = ("kinds", "fields", "tail")
+
+    def __init__(self):
+        self.kinds, self.fields, self.tail = bytearray(), array("i"), ()
+
+    @classmethod
+    def of(cls, steps: Iterable) -> _Steps:
+        """The columns of any steps.  A step joins them if it is exactly a
+        PeelStep, of a pair's or a low-degree step's shape, with ints that
+        fit, which they read back as an equal PeelStep; the first that does
+        not starts the tail."""
+        cols, steps = cls(), tuple(steps)
+        for pos, step in enumerate(steps):
+            try:
+                (da, db, x, y), v = step.degrees_before, step.v
+                if v is None:
+                    code = (PAIR_CASE1, PAIR_CASE2).index(step.kind)
+                    row = [step.a, step.b, da, db, x, y]
+                else:
+                    s = _SIDES.index(v.side)
+                    code, row = _LOW + s, [v.index, s, da, db, x, -1]
+                fits = step.__class__ is PeelStep and _step(code, array("i", row)) == step
+            except (AttributeError, TypeError, ValueError, OverflowError):
+                fits = False
+            if not fits:
+                cols.tail = steps[pos:]
+                break
+            cols.kinds.append(code)
+            cols.fields.fromlist(row)
+        return cols
+
+    def __len__(self):
+        return len(self.kinds) + len(self.tail)
+
+    def __iter__(self):
+        return chain(map(_step, self.kinds, zip(*[iter(self.fields)] * 6)), self.tail)
+
+    def _item(self, k: int) -> PeelStep:
+        n = len(self.kinds)
+        return self.tail[k - n] if k >= n else _step(self.kinds[k], self.fields[6 * k : 6 * k + 6])
+
+    def _same(self, other: _Steps) -> bool:
+        return self.kinds == other.kinds and self.fields == other.fields and self.tail == other.tail
+
+    def piece(self, i: int, j: int) -> str:
+        """Steps i to j - 1 as JSON (kind, a, b, v and degrees_before),
+        joined by ", " and filled in by one format."""
+        texts = map(_STEP_TEXTS.__getitem__, self.kinds[i:j])
+        return ", ".join(texts) % tuple(self.fields[6 * i : 6 * j])
+
+
+class _Values(_Columns):
+    """A trace's bound values: int numerators ``nums`` over one ``den``."""
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self, nums: list[int], den: int):
+        self.nums, self.den = nums, den
+
+    @classmethod
+    def of(cls, values: Iterable) -> _Values:
+        """Any exact rationals (int, Fraction, float, ...: whatever
+        ``as_integer_ratio`` takes) over the lcm of their denominators."""
+        ratios = [x.as_integer_ratio() for x in values]
+        den = math.lcm(*(q for _, q in ratios))
+        return cls([p * (den // q) for p, q in ratios], den)
+
+    def __len__(self):
+        return len(self.nums)
+
+    def __iter__(self):
+        return map(Fraction, self.nums, repeat(self.den))
+
+    def _item(self, k: int) -> Fraction:
+        return Fraction(self.nums[k], self.den)
+
+    def _same(self, other: _Values) -> bool:
+        return self.nums == other.nums if self.den == other.den else tuple(self) == tuple(other)
+
+    def piece(self, i: int, j: int) -> str:
+        """Values i to j - 1 as JSON (num, den and decimal), joined by ", "."""
+        return rational_json_items(self.nums[i:j], self.den)
+
+
+@dataclass(frozen=True, init=False)
 class PeelTrace:
     """Audit log of one extraction run.
 
     ``bound_values[0]`` is the strengthened bound of the input graph and
     ``bound_values[i]`` the value after step i; the sequence never decreases
-    and its last entry equals the witness size.
+    and its last entry equals the witness size.  Built from any sequence of
+    steps and any of exact rationals (ints, Fractions, floats), and kept as
+    columns (``_Steps``, ``_Values``) that read as tuples.
     """
 
-    steps: tuple[PeelStep, ...]
+    steps: Sequence[PeelStep]
     initial_report: BoundReport
-    bound_values: tuple[Fraction, ...]
+    bound_values: Sequence[Fraction]
 
-    def json_text(self) -> str:
-        """The trace as JSON: the initial report, the steps and the bound values."""
-        return '{"initial_report": %s, "steps": [%s], "bound_values": [%s]}' % (
-            self.initial_report.json_text(),
-            ", ".join(map(PeelStep.json_text, self.steps)),
-            ", ".join(rational_json_texts(self.bound_values)),
-        )
+    def __init__(self, steps: Iterable, initial_report: BoundReport, bound_values: Iterable):
+        object.__setattr__(self, "steps", steps if steps.__class__ is _Steps else _Steps.of(steps))
+        object.__setattr__(self, "initial_report", initial_report)
+        if bound_values.__class__ is not _Values:
+            bound_values = _Values.of(bound_values)
+        object.__setattr__(self, "bound_values", bound_values)
 
 
 @dataclass(frozen=True)
@@ -171,11 +272,6 @@ class BiholeWitness:
     def size(self) -> int:
         return len(self.left_set)
 
-    def json_text(self) -> str:
-        """The witness as JSON: left, right and size."""
-        sets = ", ".join(map(str, self.left_set)), ", ".join(map(str, self.right_set))
-        return '{"left": [%s], "right": [%s], "size": %d}' % (*sets, self.size)
-
 
 @dataclass(frozen=True)
 class DegenerateWitness:
@@ -188,11 +284,6 @@ class DegenerateWitness:
     @property
     def size(self) -> int:
         return len(self.left_set)
-
-    def json_text(self) -> str:
-        """The witness as JSON: a bi-hole's members, then elimination_order."""
-        order = ", ".join(map(VertexRef.json_text, self.elimination_order))
-        return '%s, "elimination_order": [%s]}' % (BiholeWitness.json_text(self)[:-1], order)
 
 
 class _WorkingGraph:
@@ -225,14 +316,14 @@ class _WorkingGraph:
     vertices.  ``scale`` is the lcm of x + 1 over d < x <= the initial
     maximum degree, so every potential is a whole multiple of 1/scale and
     the sum is kept exactly as an int, updated per changed degree.  The
-    strengthened bound is likewise an int, its numerator over ``2 * scale``;
-    the peel turns these into Fractions for ``bound_values``, and the replay
-    never does.  ``max[s]`` is exact between steps: the constructor
-    refreshes it, and ``_peel`` after each step that empties a max bucket
-    (at or below d, ``top_members[s]`` stays empty), so the peel and the
-    replay stop on ``max[0] == 0``, no edge left, and keep no edge count.
-    The step loop is ``_peel``'s; its helpers are ``_cut``, ``refresh_max``
-    (with ``_drain`` and ``_lowest``) and ``select_pair`` (with ``_covers``).
+    strengthened bound is likewise an int, its numerator over ``2 * scale``,
+    which the trace keeps.  ``max[s]`` is exact between steps: the
+    constructor refreshes it, and ``_peel`` after each step that empties a
+    max bucket (at or below d, ``top_members[s]`` stays empty), so the peel
+    and the replay stop on ``max[0] == 0``, no edge left, and keep no edge
+    count.  The step loop is ``_peel``'s; its helpers are ``_cut``,
+    ``refresh_max`` (with ``_drain`` and ``_lowest``) and ``select_pair``
+    (with ``_covers``).
 
     ``covered`` holds left vertices adjacent to all of ``cover_of``, a copy
     of the right max bucket retaken as a vertex joins an empty memo or after
@@ -400,80 +491,68 @@ class _WorkingGraph:
         self.total += delta - self.term[x]
 
 
-def _peel(work: _WorkingGraph) -> Iterator[tuple]:
-    """Carry out the deterministic rule on ``work`` until it is edgeless.
-    Yields five Nones and the strengthened numerator (over ``2 * scale``)
-    of the starting graph, then per step its PeelStep fields (kind,
-    degrees_before, a, b, v) and the numerator after it: the low-degree
-    vertex when d >= 1 and one exists, else the selected pair.  A
-    low-degree step's v is its vertex's (side rank, index); :func:`_step`
-    turns the fields into a PeelStep.
+def _peel(work: _WorkingGraph, steps: _Steps, nums: list[int], limit: int = -1) -> None:
+    """Carry out the deterministic rule on ``work`` until it is edgeless, or
+    for ``limit`` steps if that is not negative.  Appends to ``nums`` the
+    strengthened numerator (over ``2 * scale``) of the graph as it starts,
+    then per step the step to ``steps``' columns and the numerator after
+    it: the low-degree vertex when d >= 1 and one exists, else the pair.
 
     The body probes the heaps of buckets 1..d in rule order, popping stale
     heads as ``_lowest`` does, adds back the term of a cut low-degree vertex
-    (it stays, at degree 0) and sums the numerator, the module's one copy
-    of the formula (with no live vertex, total is 0 and both max terms are
-    scale, so it is 0); it calls ``select_pair``, ``_cut``, and
-    ``refresh_max`` only after a step that emptied a max bucket.  Every
-    step deletes an edge, so the peel ends within m steps: a step whose
-    recorded degrees, deg(a) or deg(v) and deg(b), are all 0 or None would
+    (it stays, at degree 0) and holds the module's one copy of the
+    numerator's formula (0 with no live vertex: total is 0 and both max
+    terms are scale).  It calls ``refresh_max`` only after a step that
+    emptied a max bucket.  Every step deletes an edge, so the peel ends
+    within m steps: a pair step whose vertices both have degree 0 would
     repeat forever, and raises RuntimeError before it cuts anything."""
     maxes, deg, members, queue = work.max, work.deg, work.top_members, work.queue
     cut, select_pair, refresh_max = work._cut, work.select_pair, work.refresh_max
     term, scale, den = work.term, work.scale, 2 * work.scale
+    add_kind, add_fields, add_num = steps.kinds.append, steps.fields.fromlist, nums.append
     # (side, heap, side's degrees, x) for buckets 1..d: degree, then Left
     # first.  Only _drain replaces a bucket's list, and only above d.
     lows = range(1, min(work.d, len(queue[0]) - 1) + 1)
     probes = [(s, queue[s][x], deg[s], x) for x in lows for s in (0, 1)]
-    kind = degrees = a = b = v = None
     while True:
-        yield kind, degrees, a, b, v, work.total + term[maxes[0]] + term[maxes[1]] - den
-        if not maxes[0]:
+        add_num(work.total + term[maxes[0]] + term[maxes[1]] - den)
+        if not (maxes[0] and limit):
             return
+        limit -= 1
         da, db = maxes
         for s, heap, side_deg, x in probes:
             while heap and side_deg[heap[0]] != x:
                 heappop(heap)
             if heap:
-                v = s, heap[0]
-                kind, degrees, a, b = LOW_DEGREE_EDGE_DELETION, (da, db, x, None), None, None
+                i = heap[0]
+                add_kind(_LOW + s)
+                add_fields([i, s, da, db, x, -1])
+                cut(s, i)
+                work.total += scale
                 break
         else:
             a, b, case = select_pair()
-            kind = PAIR_CASE1 if case == 1 else PAIR_CASE2
-            degrees, v = (da, db, deg[0][a], deg[1][b]), None
-        if not (degrees[2] or degrees[3]):
-            raise RuntimeError(f"step {_step(kind, degrees, a, b, v)} would delete no edge")
-        if v is None:
+            x, y = deg[0][a], deg[1][b]
+            if not (x or y):
+                step = PeelStep(_KINDS[case - 1], (da, db, x, y), a, b)
+                raise RuntimeError(f"step {step} would delete no edge")
+            add_kind(case - 1)
+            add_fields([a, b, da, db, x, y])
             cut(0, a)
             cut(1, b)
-        else:
-            cut(*v)
-            work.total += scale
         if not (members[0] and members[1]):
             refresh_max()
 
 
-def _step(kind: str, degrees: tuple, a, b, v) -> PeelStep:
-    """The PeelStep of the fields that :func:`_peel` yields."""
-    return PeelStep(kind, degrees, a, b, None if v is None else VertexRef(_SIDES[v[0]], v[1]))
-
-
-def _is_vertex(w, v) -> bool:
-    """Whether a recorded step's ``v`` field w names what :func:`_peel`
-    yields as v: exactly a VertexRef of that side rank and index, or None."""
-    if v is None or w is None:
-        return w is v
-    return w.__class__ is VertexRef and w.side is _SIDES[v[0]] and w.index == v[1]
-
-
-def survivors(g: BipartiteGraph, steps: Iterable[PeelStep]) -> tuple[tuple[int, ...], ...]:
+def survivors(g: BipartiteGraph, steps: _Steps) -> tuple[tuple[int, ...], ...]:
     """(lefts, rights): the vertices of g that no pair step of a peel of g
-    removes, ascending per side."""
+    removes, ascending per side, read off the steps' columns (a trace that
+    :func:`check_trace` accepts has no tail)."""
     kept = (bytearray(b"\1") * g.left_count, bytearray(b"\1") * g.right_count)
-    for step in steps:
-        if step.kind != LOW_DEGREE_EDGE_DELETION:
-            kept[0][step.a] = kept[1][step.b] = 0
+    fields = steps.fields
+    for code, a, b in zip(steps.kinds, fields[::6], fields[1::6]):
+        if code < _LOW:
+            kept[0][a] = kept[1][b] = 0
     return tuple(tuple(compress(range(len(side)), side)) for side in kept)
 
 
@@ -484,16 +563,10 @@ def _extract(g: BipartiteGraph, d: int, op: str):
     require_balanced(g, op)
     report = bound_report(g, d)
     work = _WorkingGraph(g, d)
-    peel = _peel(work)
-    steps: list[PeelStep] = []
-    nums = [next(peel)[-1]]
-    for kind, degrees, a, b, v, num in peel:
-        steps.append(_step(kind, degrees, a, b, v))
-        nums.append(num)
+    steps, nums = _Steps(), []
+    _peel(work, steps, nums)
     lefts, rights = survivors(g, steps)
-    den = 2 * work.scale
-    values = tuple(Fraction(x, den) for x in nums)
-    return lefts, rights, PeelTrace(steps=tuple(steps), initial_report=report, bound_values=values)
+    return lefts, rights, PeelTrace(steps, report, _Values(nums, 2 * work.scale))
 
 
 def find_bihole(g: BipartiteGraph) -> tuple[BiholeWitness, PeelTrace]:
@@ -523,25 +596,16 @@ def find_degenerate(g: BipartiteGraph, d: int) -> tuple[DegenerateWitness, PeelT
     return DegenerateWitness(lefts, rights, tuple(order)), trace
 
 
-def _equals(value, num: int, den: int) -> bool:
-    """value == num / den; an int or a Fraction is compared by
-    cross-multiplication, anything else against a Fraction."""
-    if type(value) in (int, Fraction):
-        return value.numerator * den == num * value.denominator
-    return value == Fraction(num, den)
-
-
 def check_trace(g: BipartiteGraph, trace: PeelTrace, d: int) -> bool:
     """Replay a trace against the graph it claims to describe.
 
-    The replay runs the peel's own step rule on g at d: every recorded step
-    must equal the step the rule takes at that point, kind, vertices and
-    degrees alike, and the replay must end on an edgeless working graph, so
-    a forged, reordered, truncated or extended trace is rejected.  The
-    first difference raises :class:`TraceMismatch` naming both steps; the
-    rule's steps are field tuples, and only that message builds a PeelStep
-    or a VertexRef.  A recorded ``v`` matches only if it is exactly a
-    VertexRef of the replayed vertex's side and index.
+    The replay runs the peel's own step rule on g at d to the end, into
+    columns of its own, which must equal the trace's: kind, vertices and
+    degrees of every step, and the step count, so a forged, reordered,
+    truncated or extended trace is rejected.  The first difference raises
+    :class:`TraceMismatch` naming both steps (only then is a PeelStep or a
+    VertexRef built); a step that is not exactly a PeelStep with a ``v``
+    that is exactly a VertexRef or None differs from every step.
 
     The strengthened bound is recomputed after every replayed step, as an
     int numerator over the working graph's one denominator.  Returns True
@@ -553,46 +617,36 @@ def check_trace(g: BipartiteGraph, trace: PeelTrace, d: int) -> bool:
     value and its ``floor_bound`` equal to half the input graph's potential
     sum, floored.  So an accepted trace's witness reaches
     ``ceil(strengthened)``.
-    A stored int or Fraction is compared by cross-multiplication, so no
-    Fraction is built; any other value by ``==`` against a Fraction.
     """
     require_balanced(g, "check_trace")
     require_nonnegative_d(d)
     work = _WorkingGraph(g, d)
     den = 2 * work.scale
     floor = work.total // den
-    replay = _peel(work)
-    nums = [next(replay)[-1]]
-    pairs = 0
-    for pos, step in enumerate(trace.steps):
-        expected = next(replay, None)
-        if expected is None:
-            raise TraceMismatch(f"step {pos}: {step} recorded after the peel ends")
-        kind, degrees, a, b, v, num = expected
-        if (
-            step.__class__ is not PeelStep
-            or step.kind != kind
-            or step.degrees_before != degrees
-            or step.a != a
-            or step.b != b
-            or not _is_vertex(step.v, v)
-        ):
+    rule, nums = _Steps(), []
+    _peel(work, rule, nums)
+    recorded = trace.steps
+    if recorded != rule:
+        # the first position where the columns differ, or the shorter's end
+        n = min(len(recorded.kinds), len(rule.kinds))
+        at_kind = next(compress(count(), map(ne, recorded.kinds, rule.kinds)), n)
+        at_field = next(compress(count(), map(ne, recorded.fields, rule.fields)), 6 * n)
+        pos = min(at_kind, at_field // 6)
+        if pos == len(rule):
+            raise TraceMismatch(f"step {pos}: {recorded[pos]} recorded after the peel ends")
+        if pos < len(recorded):
             raise TraceMismatch(
-                f"step {pos}: recorded {step} but the rule takes {_step(*expected[:5])}"
+                f"step {pos}: recorded {recorded[pos]} but the rule takes {rule[pos]}"
             )
-        nums.append(num)
-        pairs += v is None
-    if work.max[0]:
-        raise TraceMismatch(
-            f"trace ends after {len(trace.steps)} steps with {sum(work.deg[0])} edges left"
-        )
+        work = _WorkingGraph(g, d)
+        _peel(work, _Steps(), [], pos)
+        raise TraceMismatch(f"trace ends after {pos} steps with {sum(work.deg[0])} edges left")
     report = trace.initial_report
-    stored = tuple(trace.bound_values)
+    pairs = rule.kinds.count(0) + rule.kinds.count(1)
     return (
-        len(stored) == len(nums)
-        and all(map(_equals, stored, nums, repeat(den)))
+        trace.bound_values == _Values(nums, den)
         and (report.n, report.d) == (g.left_count, d)
-        and _equals(report.strengthened, nums[0], den)
+        and report.strengthened == Fraction(nums[0], den)
         and report.floor_bound == floor
         and all(map(int.__le__, nums, nums[1:]))
         and nums[-1] == (g.left_count - pairs) * den

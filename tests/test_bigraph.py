@@ -107,6 +107,20 @@ def test_build_graph_holds_no_set_per_vertex():
     assert peak < 20 << 20
 
 
+def test_build_graph_checks_edges_before_making_a_row_per_vertex():
+    """build_graph hands its edges to the row cutter, so a right index past
+    the header fails at the row it is in, before a row is made for each of
+    the 10**6 left vertices."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(IndexOutOfRange):
+            build_graph(10**6, 10**6, [(0, 0), (0, 10**6)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
 def test_build_rejects_negative_sizes():
     with pytest.raises(InvalidSize):
         build_graph(-1, 2, [])

@@ -17,7 +17,7 @@ from biholes.bounds import (
     bound_report,
     caro_wei_sum,
     decimal_string,
-    rational_json_texts,
+    rational_json_items,
 )
 from biholes.errors import NegativeD, UnbalancedGraph
 import reference_bounds
@@ -148,23 +148,26 @@ def test_decimal_rendering_ignores_the_callers_context():
 
 
 def test_rational_json_texts_of_minus_a_third():
-    assert rational_json_texts([Fraction(-1, 3)]) == [
-        '{"num": "-1", "den": "3", "decimal": "-0.333333333333"}'
-    ]
+    assert rational_json_items([-1, -2], 3) == (
+        '{"num": "-1", "den": "3", "decimal": "-0.333333333333"}, '
+        '{"num": "-2", "den": "3", "decimal": "-0.666666666667"}'
+    )
 
 
 @settings(max_examples=200, deadline=None)
 @given(num=st.integers(-(2**400), 2**400), den=st.integers(1, 2**400))
 @example(num=-1, den=3)
 @example(num=0, den=1)
+@example(num=-6, den=4)
 def test_rational_json_text_is_the_dumped_dict(num, den):
+    """Each value is written reduced, over the denominator they share."""
     x = Fraction(num, den)
-    (text,) = rational_json_texts([x])
+    text = rational_json_items([num], den)
     assert json.loads(text) == rational_to_json(x)
     assert text == json.dumps(rational_to_json(x))
-    # a denominator met again reuses its Decimal
-    values = [x, Fraction(num + 1, den), x]
-    assert rational_json_texts(values) == [json.dumps(rational_to_json(v)) for v in values]
+    nums = [num, num + 1, num]
+    texts = [json.dumps(rational_to_json(Fraction(v, den))) for v in nums]
+    assert rational_json_items(nums, den) == ", ".join(texts)
 
 
 def test_bound_report_c6():

@@ -27,11 +27,12 @@ from biholes.bigraph import (
     generate,
     serialize,
 )
-from biholes.bounds import bound_report, rational_json_texts
+from biholes.bounds import bound_report, rational_json_items
 from biholes.cli import (
     CSV_HEADER,
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_STDOUT,
     EXIT_TOO_LARGE,
     EXIT_UNBALANCED,
     EXIT_VERIFY,
@@ -259,9 +260,68 @@ def test_extract_writes_the_reference_bytes_past_300_bit_denominators(d):
     g = build_graph(250, 250, [(i, j) for i in range(250) for j in range(i + 1)])
     values = cli._find(g, d)[1].bound_values
     assert max(v.denominator.bit_length() for v in values) > 300
-    texts = rational_json_texts(values)
-    assert [json.loads(t) for t in texts] == [rational_to_json(x) for x in values]
+    texts = rational_json_items(values.nums, values.den)
+    assert json.loads(f"[{texts}]") == [rational_to_json(x) for x in values]
     _assert_reference_bytes(g, d)
+
+
+def _child(argv: list[str], stdout) -> subprocess.Popen:
+    """The CLI in a child process, its stdout as given and its stderr piped."""
+    env = {"PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    return subprocess.Popen(
+        [sys.executable, "-m", "biholes.cli", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env
+    )
+
+
+def test_a_stdout_closed_early_exits_6_with_one_error_line(tmp_path):
+    """The reader takes 10 bytes and closes the pipe, as ``| head -c 10``
+    does.  The output, about 0.6 MB, outgrows the pipe, so a later write
+    fails: one error line, no traceback, and nothing from the flush at exit."""
+    path = tmp_path / "g.txt"
+    path.write_text(serialize(generate("gnp", 2000, seed=1, p=0.005)))
+    child = _child(["extract", str(path), "--d", "2", "--trace", "--verify"], subprocess.PIPE)
+    assert child.stdout.read(10) == b'{"left": ['
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait(timeout=60) == EXIT_STDOUT
+    assert err == "error: cannot write to stdout: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_a_full_stdout_exits_6_with_one_error_line():
+    """gen's 30 bytes sit in stdout's buffer until main flushes it."""
+    with open("/dev/full", "w") as full:
+        child = _child(["gen", "cycle", "3", "-"], full)
+        err = child.stderr.read().decode()
+        child.stderr.close()
+        assert child.wait(timeout=60) == EXIT_STDOUT
+    assert err == "error: cannot write to stdout: [Errno 28] No space left on device\n"
+
+
+class _ClosedStdout(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "C6"],
+        ["bound", "C6", "--json"],
+        ["extract", "C6"],
+        ["oracle", "C6"],
+        ["gen", "cycle", "3", "-"],
+        ["experiment", "--models", "cycle", "--n-range", "3", "--trials", "1", "-o", "-"],
+    ],
+)
+def test_every_command_exits_6_on_a_failed_stdout_write(c6_path, capsys, monkeypatch, argv):
+    """stdout's failure is told apart from the input's: a missing input
+    file still exits 2."""
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    assert main([c6_path if arg == "C6" else arg for arg in argv]) == EXIT_STDOUT
+    assert capsys.readouterr().err == "error: cannot write to stdout: [Errno 32] Broken pipe\n"
+    assert main(["extract", c6_path + ".missing"]) == EXIT_PARSE
 
 
 def test_extract_negative_d(c6_path):

@@ -1,6 +1,7 @@
 """Peeling extraction: hand-traced runs, trace auditing, and the guarantee
 that what comes out is at least as large as the bounds promise."""
 
+import gc
 import math
 import re
 import time
@@ -621,17 +622,87 @@ def test_check_trace_builds_no_fraction_or_step_per_step(monkeypatch):
     assert built[Fraction] <= 2 and built[PeelStep] == 0
 
 
+def _sparse_peel_of_6573_steps():
+    """gnp 4000 at average degree 10 and d = 2: 6573 steps."""
+    g = generate("gnp", 4000, seed=1, p=10 / 4000)
+    return g, lambda: _extract(g, 2, "find_degenerate")
+
+
+def test_extract_adds_no_gc_tracked_object_per_step():
+    """The trace is a bytearray, an int array and a list of int numerators,
+    none of whose entries the cyclic garbage collector tracks: a peel of
+    6573 steps adds a few tracked objects (13 when measured), where one
+    PeelStep, degrees tuple and Fraction per step added 24,880."""
+    _, run = _sparse_peel_of_6573_steps()
+    run()  # fills the caches that bound_report keeps
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        _, _, trace = run()
+        added = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert len(trace.steps) == 6573
+    assert added < 50, added
+
+
+def test_extract_retains_under_128_bytes_per_step():
+    """A step is 25 bytes of columns and a numerator, 40 more: the result of
+    the 6573-step peel, its witness included, retains 96 bytes per step,
+    where PeelSteps and Fractions retained 307."""
+    _, run = _sparse_peel_of_6573_steps()
+    tracemalloc.start()
+    try:
+        _, _, trace = run()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 128 * len(trace.steps), retained / len(trace.steps)
+
+
+def test_steps_and_values_read_as_the_tuples_they_replace():
+    """A trace's columns read back entry by entry, by index, slice and
+    iteration, equal the tuples of PeelSteps and Fractions they hold, and a
+    trace built by hand from those tuples equals the extracted one."""
+    g = generate("gnp", 60, seed=3, p=0.1)
+    for d in (0, 2):
+        _, tr = find_degenerate(g, d)
+        steps, values = tuple(tr.steps), tuple(tr.bound_values)
+        assert all(type(step) is PeelStep for step in steps)
+        assert all(type(value) is Fraction for value in values)
+        assert tr.steps == steps and steps == tr.steps and tr.bound_values == values
+        assert tr.steps[1:4] == steps[1:4] and type(tr.steps[1:4]) is tuple
+        assert (tr.steps[-1], tr.bound_values[-1]) == (steps[-1], values[-1])
+        assert tr.steps + steps[:1] == steps + steps[:1]
+        assert hash(tr.steps) == hash(steps) and repr(tr.bound_values) == repr(values)
+        with pytest.raises(IndexError):
+            tr.steps[len(steps)]
+        built = PeelTrace(list(steps), tr.initial_report, list(values))
+        assert built == tr and hash(built) == hash(tr)
+        assert check_trace(g, built, d)
+        # from a step that is no PeelStep on, the steps are kept as given
+        odd = steps[:2] + ((steps[2].kind, steps[2].a),) + steps[3:]
+        forged = replace(tr, steps=odd)
+        assert forged.steps == odd and forged.steps[2] is odd[2]
+        with pytest.raises(TraceMismatch, match="^step 2: recorded"):
+            check_trace(g, forged, d)
+
+
 def test_max_pointers_are_exact_after_every_step():
     """Each side's max-degree pointer names its largest live degree before
     the first step and after every step, though ``_peel`` refreshes it only
     when a max bucket has emptied."""
     g = generate("gnp", 60, seed=2, p=0.3)
     for d in (0, 2):
-        work = extract._WorkingGraph(g, d)
-        # the first item is yielded before the first step
-        for steps, _ in enumerate(extract._peel(work)):
-            assert work.max == [max(side) for side in work.deg], (d, steps)
-        assert steps >= 50 and work.max == [0, 0]
+        work, steps = extract._WorkingGraph(g, d), extract._Steps()
+        # before the first step, then one step per call
+        while True:
+            assert work.max == [max(side) for side in work.deg], (d, len(steps))
+            if not work.max[0]:
+                break
+            extract._peel(work, steps, [], 1)
+        assert len(steps) >= 50 and work.max == [0, 0]
 
 
 def test_the_step_loop_calls_no_helper_per_probe_or_refresh(monkeypatch):
@@ -657,7 +728,10 @@ def test_the_step_loop_calls_no_helper_per_probe_or_refresh(monkeypatch):
     work = extract._WorkingGraph(generate("gnp", 400, seed=1, p=0.025), 2)
     assert calls == [True]
     # the refreshes made so far, at the start and after each of 651 steps
-    per_step = [len(calls) for _ in extract._peel(work)]
+    per_step, steps = [len(calls)], extract._Steps()
+    while work.max[0]:
+        extract._peel(work, steps, [], 1)
+        per_step.append(len(calls))
     counts = Counter(map(int.__sub__, per_step[1:], per_step))
     assert len(per_step) == 652 and set(counts) == {0, 1} and counts[1] < 50
     assert all(calls) and stray == []
@@ -732,10 +806,8 @@ def test_a_pair_step_that_deletes_no_edge_raises_before_it_cuts(monkeypatch):
     take the same step forever; the guard fires before anything is cut."""
     monkeypatch.setattr(extract._WorkingGraph, "select_pair", lambda self: (0, 0, 1))
     work = extract._WorkingGraph(build_graph(2, 2, [(1, 1)]), 0)
-    peel = extract._peel(work)
-    next(peel)  # the starting value
     with pytest.raises(RuntimeError, match="would delete no edge"):
-        next(peel)
+        extract._peel(work, extract._Steps(), [])
     assert work.max == [1, 1]
     assert work.deg == ([0, 1], [0, 1])
 
@@ -875,14 +947,15 @@ def test_check_trace_builds_no_vertex_ref(monkeypatch):
 
     monkeypatch.setattr(VertexRef, "__init__", counting_init)
     assert check_trace(g, tr, 2)
-    assert sum(step.kind == LOW_DEGREE_EDGE_DELETION for step in tr.steps) > 300
     assert built == []
+    # reading the steps builds one VertexRef per low-degree step
+    assert sum(step.kind == LOW_DEGREE_EDGE_DELETION for step in tr.steps) == len(built) > 300
 
 
 def test_steps_and_vertex_refs_have_no_instance_dict():
-    """PeelStep and VertexRef are slotted: the peel builds one per step and
-    per low-degree vertex, and a slotted instance is smaller and quicker to
-    build."""
+    """PeelStep and VertexRef are slotted: reading a trace builds one per
+    step and per low-degree vertex, and a slotted instance is smaller and
+    quicker to build."""
     _, tr = find_degenerate(generate("gnp", 40, seed=1, p=0.1), 2)
     low = next(step for step in tr.steps if step.v is not None)
     pair = next(step for step in tr.steps if step.v is None)
@@ -891,9 +964,8 @@ def test_steps_and_vertex_refs_have_no_instance_dict():
 
 
 def test_peel_step_keeps_its_record_contract():
-    """The hand-written constructor leaves PeelStep the frozen dataclass
-    record it was: fields, construction, replace, equality, hash, repr and
-    immutability (its slots are checked above)."""
+    """PeelStep is a frozen dataclass record: fields, construction, replace,
+    equality, hash, repr and immutability (its slots are checked above)."""
     assert [(f.name, f.default) for f in fields(PeelStep)] == [
         ("kind", MISSING),
         ("degrees_before", MISSING),
@@ -922,8 +994,9 @@ def test_peel_step_keeps_its_record_contract():
 
 
 def test_the_peel_builds_each_step_through_its_constructor(monkeypatch):
-    """Every PeelStep the peel records goes through PeelStep.__init__, so a
-    counting constructor, as in the tests of check_trace above, sees them all."""
+    """The peel records its steps as columns and builds no PeelStep; reading
+    the steps builds each one through PeelStep.__init__, so a counting
+    constructor, as in the tests of check_trace above, sees them all."""
     g = generate("gnp", 400, seed=1, p=0.025)
     built = []
     init = PeelStep.__init__
@@ -934,6 +1007,8 @@ def test_the_peel_builds_each_step_through_its_constructor(monkeypatch):
 
     monkeypatch.setattr(PeelStep, "__init__", counting_init)
     steps = _peel_result(g, 2)[2]
+    assert built == []
+    steps = list(steps)
     assert sum(step.kind == LOW_DEGREE_EDGE_DELETION for step in steps) > 300
     assert list(map(id, built)) == list(map(id, steps))
 
