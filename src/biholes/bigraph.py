@@ -254,8 +254,9 @@ class _RowCutter:
 
     def graph(self) -> BipartiteGraph:
         """The graph of the batches taken."""
-        if self.open is not None:
-            self.cut([], [], self.left)
+        if self.open is not None and self.left:
+            self.cut([], [], len(self.rows) + 1)  # closes the open row, range-checked
+            self.rows += [()] * (self.left - len(self.rows))
         return BipartiteGraph(self.left, self.right, tuple(map(tuple, self.rows)))
 
 

@@ -56,7 +56,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import chain, compress, count, repeat
+from itertools import compress, count, repeat
 from operator import ne
 
 from .bigraph import _SIDES, BipartiteGraph, VertexRef, require_balanced, require_nonnegative_d
@@ -150,22 +150,20 @@ class _Columns(Sequence):
 
 class _Steps(_Columns):
     """A trace's steps: ``kinds`` holds a code per step (``_KINDS``) and
-    ``fields`` its six ints, a and b then the four degrees, -1 for None.
-    ``tail`` keeps as given the steps from the first one that the columns
-    cannot hold exactly, so that a hand-built trace reads back as built."""
+    ``fields`` its six ints, a and b then the four degrees, -1 for None."""
 
-    __slots__ = ("kinds", "fields", "tail")
+    __slots__ = ("kinds", "fields")
 
     def __init__(self):
-        self.kinds, self.fields, self.tail = bytearray(), array("i"), ()
+        self.kinds, self.fields = bytearray(), array("i")
 
     @classmethod
     def of(cls, steps: Iterable) -> _Steps:
-        """The columns of any steps.  A step joins them if it is exactly a
+        """The columns of any steps, each of which must be exactly a
         PeelStep, of a pair's or a low-degree step's shape, with ints that
-        fit, which they read back as an equal PeelStep; the first that does
-        not starts the tail."""
-        cols, steps = cls(), tuple(steps)
+        fit, which they read back as an equal PeelStep.  Raises
+        :class:`TraceMismatch` at the first step that is not."""
+        cols = cls()
         for pos, step in enumerate(steps):
             try:
                 (da, db, x, y), v = step.degrees_before, step.v
@@ -179,24 +177,22 @@ class _Steps(_Columns):
             except (AttributeError, TypeError, ValueError, OverflowError):
                 fits = False
             if not fits:
-                cols.tail = steps[pos:]
-                break
+                raise TraceMismatch(f"step {pos}: recorded {step!r}, which no peel records")
             cols.kinds.append(code)
             cols.fields.fromlist(row)
         return cols
 
     def __len__(self):
-        return len(self.kinds) + len(self.tail)
+        return len(self.kinds)
 
     def __iter__(self):
-        return chain(map(_step, self.kinds, zip(*[iter(self.fields)] * 6)), self.tail)
+        return map(_step, self.kinds, zip(*[iter(self.fields)] * 6))
 
     def _item(self, k: int) -> PeelStep:
-        n = len(self.kinds)
-        return self.tail[k - n] if k >= n else _step(self.kinds[k], self.fields[6 * k : 6 * k + 6])
+        return _step(self.kinds[k], self.fields[6 * k : 6 * k + 6])
 
     def _same(self, other: _Steps) -> bool:
-        return self.kinds == other.kinds and self.fields == other.fields and self.tail == other.tail
+        return self.kinds == other.kinds and self.fields == other.fields
 
     def piece(self, i: int, j: int) -> str:
         """Steps i to j - 1 as JSON (kind, a, b, v and degrees_before),
@@ -238,27 +234,27 @@ class _Values(_Columns):
         return rational_json_items(self.nums[i:j], self.den)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class PeelTrace:
     """Audit log of one extraction run.
 
     ``bound_values[0]`` is the strengthened bound of the input graph and
     ``bound_values[i]`` the value after step i; the sequence never decreases
     and its last entry equals the witness size.  Built from any sequence of
-    steps and any of exact rationals (ints, Fractions, floats), and kept as
-    columns (``_Steps``, ``_Values``) that read as tuples.
+    PeelSteps and any of exact rationals (ints, Fractions, floats), and kept
+    as columns (``_Steps``, ``_Values``) that read as tuples; a step that no
+    peel records raises :class:`TraceMismatch`.
     """
 
     steps: Sequence[PeelStep]
     initial_report: BoundReport
     bound_values: Sequence[Fraction]
 
-    def __init__(self, steps: Iterable, initial_report: BoundReport, bound_values: Iterable):
-        object.__setattr__(self, "steps", steps if steps.__class__ is _Steps else _Steps.of(steps))
-        object.__setattr__(self, "initial_report", initial_report)
-        if bound_values.__class__ is not _Values:
-            bound_values = _Values.of(bound_values)
-        object.__setattr__(self, "bound_values", bound_values)
+    def __post_init__(self):
+        if self.steps.__class__ is not _Steps:
+            object.__setattr__(self, "steps", _Steps.of(self.steps))
+        if self.bound_values.__class__ is not _Values:
+            object.__setattr__(self, "bound_values", _Values.of(self.bound_values))
 
 
 @dataclass(frozen=True)
@@ -546,8 +542,7 @@ def _peel(work: _WorkingGraph, steps: _Steps, nums: list[int], limit: int = -1) 
 
 def survivors(g: BipartiteGraph, steps: _Steps) -> tuple[tuple[int, ...], ...]:
     """(lefts, rights): the vertices of g that no pair step of a peel of g
-    removes, ascending per side, read off the steps' columns (a trace that
-    :func:`check_trace` accepts has no tail)."""
+    removes, ascending per side, read off the steps' columns."""
     kept = (bytearray(b"\1") * g.left_count, bytearray(b"\1") * g.right_count)
     fields = steps.fields
     for code, a, b in zip(steps.kinds, fields[::6], fields[1::6]):
@@ -604,8 +599,7 @@ def check_trace(g: BipartiteGraph, trace: PeelTrace, d: int) -> bool:
     degrees of every step, and the step count, so a forged, reordered,
     truncated or extended trace is rejected.  The first difference raises
     :class:`TraceMismatch` naming both steps (only then is a PeelStep or a
-    VertexRef built); a step that is not exactly a PeelStep with a ``v``
-    that is exactly a VertexRef or None differs from every step.
+    VertexRef built).
 
     The strengthened bound is recomputed after every replayed step, as an
     int numerator over the working graph's one denominator.  Returns True
@@ -628,7 +622,7 @@ def check_trace(g: BipartiteGraph, trace: PeelTrace, d: int) -> bool:
     recorded = trace.steps
     if recorded != rule:
         # the first position where the columns differ, or the shorter's end
-        n = min(len(recorded.kinds), len(rule.kinds))
+        n = min(len(recorded), len(rule))
         at_kind = next(compress(count(), map(ne, recorded.kinds, rule.kinds)), n)
         at_field = next(compress(count(), map(ne, recorded.fields, rule.fields)), 6 * n)
         pos = min(at_kind, at_field // 6)

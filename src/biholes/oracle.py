@@ -64,10 +64,19 @@ def require_positive_limit(limit: int | None) -> None:
         raise ValueError(f"oracle limit must be >= 1, got {limit}")
 
 
-def _require_side(n: int, limit: int | None, default: int, ceiling: int, search: str) -> None:
+def _searched_side(g: BipartiteGraph, limit: int | None, op: str, search: str, d=None) -> int:
+    """g's side size, once the limit, g's balance, d (the degenerate search's
+    only) and the side against the search's limit and ceiling are checked."""
+    require_positive_limit(limit)
+    require_balanced(g, op)
+    default, ceiling = _BIHOLE_DEFAULT, _BIHOLE_CEILING
+    if d is not None:
+        require_nonnegative_d(d)
+        default, ceiling = _DEGENERATE_DEFAULT, _DEGENERATE_CEILING
     largest = min(default if limit is None else limit, ceiling)
-    if n > largest:
-        raise InstanceTooLarge(f"side {n} exceeds {search} oracle limit {largest}")
+    if g.left_count > largest:
+        raise InstanceTooLarge(f"side {g.left_count} exceeds {search} oracle limit {largest}")
+    return g.left_count
 
 
 @dataclass(frozen=True)
@@ -258,10 +267,7 @@ def max_bihole_exact(g: BipartiteGraph, limit: int | None = None) -> int:
     Refuses a side over ``limit`` (default 22; ValueError below 1) with
     InstanceTooLarge, and any side over 45 whatever the limit.
     """
-    require_positive_limit(limit)
-    require_balanced(g, "max_bihole_exact")
-    n = g.left_count
-    _require_side(n, limit, _BIHOLE_DEFAULT, _BIHOLE_CEILING, "bi-hole")
+    n = _searched_side(g, limit, "max_bihole_exact", "bi-hole")
     full = (1 << n) - 1
     non_nbrs = [full & ~m for m in _left_masks(g)]
     return _best_balanced(non_nbrs, n)
@@ -270,10 +276,7 @@ def max_bihole_exact(g: BipartiteGraph, limit: int | None = None) -> int:
 def max_biclique_exact(g: BipartiteGraph, limit: int | None = None) -> int:
     """The largest t with a complete t x t subgraph; mirrors max_bihole_exact,
     with the same side limit (default 22) and ceiling (45)."""
-    require_positive_limit(limit)
-    require_balanced(g, "max_biclique_exact")
-    n = g.left_count
-    _require_side(n, limit, _BIHOLE_DEFAULT, _BIHOLE_CEILING, "biclique")
+    n = _searched_side(g, limit, "max_biclique_exact", "biclique")
     return _best_balanced(_left_masks(g), n)
 
 
@@ -309,11 +312,7 @@ def max_degenerate_exact(g: BipartiteGraph, d: int, limit: int | None = None) ->
     side over ``limit`` (default 8; ValueError below 1) with
     InstanceTooLarge, and any side over 23 whatever the limit.
     """
-    require_positive_limit(limit)
-    require_balanced(g, "max_degenerate_exact")
-    require_nonnegative_d(d)
-    n = g.left_count
-    _require_side(n, limit, _DEGENERATE_DEFAULT, _DEGENERATE_CEILING, "degenerate")
+    n = _searched_side(g, limit, "max_degenerate_exact", "degenerate", d)
     left_masks = _left_masks(g)
     # unified vertex space: left i -> bit i, right j -> bit n + j
     unified = [m << n for m in left_masks]

@@ -5,7 +5,10 @@ Isolated vertices appended to both sides take no part in the peel: each
 has potential 1, so k of them per side raise the halved potential sum, and
 every bound value with it, by exactly k, and the witness keeps them all.
 The bound report reads only degrees, so swapping the sides or relabelling
-either one leaves it unchanged.
+either one leaves it unchanged.  A larger d never lowers a vertex's
+potential min(1, (d+1)/(x+1)), so ``floor_bound`` and ``strengthened``
+never fall as d grows, while the two bounds that read only n and the
+average degree do not move with d.
 """
 
 import pytest
@@ -64,3 +67,14 @@ def test_bound_report_ignores_side_swaps_and_relabelling(g, d, rng):
     assert bound_report(BipartiteGraph(n, n, left_relabelled), d) == report
     right_relabelled = tuple(tuple(right_perm[j] for j in nbrs) for nbrs in g.left_adj)
     assert bound_report(BipartiteGraph(n, n, right_relabelled), d) == report
+
+
+@settings(max_examples=150, deadline=None)
+@given(gnp_graphs())
+def test_bounds_never_fall_as_d_grows(g):
+    reports = [bound_report(g, d) for d in range(5)]
+    for before, after in zip(reports, reports[1:]):
+        assert after.floor_bound >= before.floor_bound
+        assert after.strengthened >= before.strengthened
+        assert after.average_degree_bound == before.average_degree_bound
+        assert after.log_reference == before.log_reference
